@@ -61,7 +61,7 @@ def primes_upto(n: int) -> list[int]:
 def smallest_prime_factors(limit: int) -> list[int]:
     """spf[n] = smallest prime factor of n for 2 <= n <= limit (spf[0] = spf[1] = 0).
 
-    Used by callers that factor many small integers in bulk.
+    Used by callers that evaluate multiplicative functions on every n <= limit.
     """
     spf = np.zeros(limit + 1, dtype=np.int64)
     for p in range(2, math.isqrt(limit) + 1):
@@ -73,22 +73,13 @@ def smallest_prime_factors(limit: int) -> list[int]:
     return spf.tolist()
 
 
-def _factorize(n: int, spf: list[int] | None = None) -> list[tuple[int, int]]:
+def _factorize(n: int) -> list[tuple[int, int]]:
     """Prime factorization of n >= 1 as (p, e) pairs, ascending in p.
 
     Trial division by sieved primes up to sqrt(n); adequate for desk-scale
-    n <= 10**9. A smallest-prime-factor table accelerates the bulk paths.
+    n <= 10**9.
     """
     out = []
-    if spf is not None and n < len(spf):
-        while n > 1:
-            p = spf[n]
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            out.append((p, e))
-        return out
     for p in primes_upto(math.isqrt(n)):
         if p * p > n:
             break

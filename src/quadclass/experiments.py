@@ -35,9 +35,9 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .arith import Discriminant, kronecker, mobius, sieve_squarefree
-from .arith import smallest_prime_factors
+from .arith import smallest_prime_factors  # noqa: F401  (perfbench/traced_cli.py wraps this name)
 from .families import LEVEL_LAMBDA, LEVEL_NH, LEVEL_THEOREM, CongruenceFamily
-from .forms import ClassGroupInfo, _core_info
+from .forms import ClassGroupInfo, _core_info, _largest_n, divisor_table, divisor_table_bytes
 
 __all__ = [
     "DensityReport",
@@ -65,9 +65,10 @@ TARGET_IMAGINARY_INDIVISIBLE = 0.5
 
 LAMBDA3_VERDICT = "lambda3(Q(sqrt(D))) = lambda3(Q(sqrt(D+t))) = 0"
 
-# Smallest-prime-factor tables above this limit are not worth their memory;
-# factorization then falls back to trial division.
-_SPF_CAP = 1 << 26
+# Divisor tables larger than this many bytes (128 MiB, reached near
+# limit = 2.1e6, i.e. real X ~ 8e6 or imaginary X ~ 6e6) are not built;
+# enumeration then factors by trial division.
+_TABLE_CAP_BYTES = 1 << 27
 
 
 # ----------------------------------------------------------------------
@@ -154,30 +155,58 @@ class Lambda3Certificate:
 # bulk class-group computation
 # ----------------------------------------------------------------------
 
-_worker_spf = None
+_worker_table = None
 
 
-def _pool_init(limit):
-    global _worker_spf
-    _worker_spf = smallest_prime_factors(limit) if limit else None
+def _pool_init(table):
+    global _worker_table
+    _worker_table = table
 
 
 def _pool_chunk(chunk):
-    spf = _worker_spf
-    return [(d,) + _core_info(d, spf) for d in chunk]
+    table = _worker_table
+    return [(d,) + _core_info(d, table) for d in chunk]
 
 
-def _spf_limit(ds):
-    limit = 4
-    for d in ds:
-        limit = max(limit, d // 4 + 2 if d > 0 else -d // 3 + 2)
-    return limit if limit <= _SPF_CAP else 0
+def _class_table(ds):
+    """A divisor table covering every n the enumeration of ds meets, or None
+    when it would exceed _TABLE_CAP_BYTES."""
+    limit = max(_largest_n(d) for d in ds)
+    if divisor_table_bytes(limit) > _TABLE_CAP_BYTES:
+        return None
+    return divisor_table(limit)
 
 
 def _trusted(d: int) -> Discriminant:
     # Only called on values that already passed the fundamental-discriminant
     # filters; bypasses re-validation.
     return Discriminant(d, "positive" if d > 0 else "negative", "odd" if d % 4 == 1 else "even")
+
+
+def _core_rows(todo, jobs, progress):
+    """(d, h_plus, h, unit_norm, r3) for each d in todo, in order.
+
+    The divisor table is built once here and handed to pool workers through
+    the initializer; it and the pool are released when this returns.
+    """
+    table = _class_table(todo)
+    if jobs <= 1:
+        rows = []
+        for i, d in enumerate(todo, 1):
+            rows.append((d,) + _core_info(d, table))
+            if progress and i % 2000 == 0:
+                print(f"class groups: {i}/{len(todo)}", file=sys.stderr)
+        return rows
+    size = max(1, -(-len(todo) // (jobs * 8)))
+    chunks = [todo[i : i + size] for i in range(0, len(todo), size)]
+    rows = []
+    with ProcessPoolExecutor(max_workers=jobs, initializer=_pool_init,
+                             initargs=(table,)) as pool:
+        for part in pool.map(_pool_chunk, chunks):
+            rows.extend(part)
+            if progress:
+                print(f"class groups: {len(rows)}/{len(todo)}", file=sys.stderr)
+    return rows
 
 
 def compute_class_infos(ds, *, jobs: int = 1, cache: dict | None = None,
@@ -192,27 +221,7 @@ def compute_class_infos(ds, *, jobs: int = 1, cache: dict | None = None,
         cache = {}
     todo = [d for d in wanted if d not in cache]
     if todo:
-        rows = []
-        if jobs <= 1:
-            limit = _spf_limit(todo)
-            spf = smallest_prime_factors(limit) if limit else None
-            for i, d in enumerate(todo, 1):
-                rows.append((d,) + _core_info(d, spf))
-                if progress and i % 2000 == 0:
-                    print(f"class groups: {i}/{len(todo)}", file=sys.stderr)
-        else:
-            limit = _spf_limit(todo)
-            size = max(1, -(-len(todo) // (jobs * 8)))
-            chunks = [todo[i : i + size] for i in range(0, len(todo), size)]
-            with ProcessPoolExecutor(max_workers=jobs, initializer=_pool_init,
-                                     initargs=(limit,)) as pool:
-                done = 0
-                for part in pool.map(_pool_chunk, chunks):
-                    rows.extend(part)
-                    done += len(part)
-                    if progress:
-                        print(f"class groups: {done}/{len(todo)}", file=sys.stderr)
-        for d, h_plus, h, un, r3 in rows:
+        for d, h_plus, h, un, r3 in _core_rows(todo, jobs, progress):
             cache[d] = ClassGroupInfo(_trusted(d), h_plus, h, un, 3**r3, r3)
     return {d: cache[d] for d in wanted}
 

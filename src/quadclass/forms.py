@@ -20,8 +20,11 @@ recovered from h+ and the norm of the fundamental unit.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import NamedTuple
+
+import numpy as np
 
 from .arith import Discriminant, _factorize, classify_discriminant, kronecker, smallest_prime_factors
 
@@ -33,6 +36,8 @@ __all__ = [
     "analytic_h_imaginary",
     "class_group_info",
     "compose",
+    "divisor_table",
+    "divisor_table_bytes",
     "enumerate_classes",
     "is_reduced",
     "principal_class",
@@ -146,12 +151,18 @@ def _reduce_pos(a, b, c, D, fl):
 
 
 def _cycle_of(form, D, fl):
+    # The rho step of _rho, inlined: this loop is the hottest in the real route.
+    # A reduced form of D is fixed by (a, b), so the cycle closes when they recur.
+    a0, b0, _ = form
     cyc = [form]
-    f = _rho(*form, D, fl)
-    while f != form:
-        cyc.append(f)
-        f = _rho(*f, D, fl)
-    return cyc
+    a, b, c = form
+    while True:
+        s = 2 * c if c > 0 else -2 * c
+        b = fl - (fl + b) % s
+        a, c = c, (b * b - D) // (4 * c)
+        if a == a0 and b == b0:
+            return cyc
+        cyc.append((a, b, c))
 
 
 # ----------------------------------------------------------------------
@@ -201,9 +212,69 @@ def reduce_form(f: Form) -> ClassRep:
 # class enumeration
 # ----------------------------------------------------------------------
 
-def _divisors(n, spf):
+def divisor_table(limit: int) -> tuple[np.ndarray, np.ndarray]:
+    """The divisors of every 1 <= n <= limit, ascending, as compressed sparse rows.
+
+    Returns int32 arrays (offsets, divisors): the divisors of n are
+    divisors[offsets[n]:offsets[n + 1]], and row 0 is empty. With
+    s = isqrt(limit), each row lists n's divisors d <= s by ascending d, then
+    its divisors n/k > s by descending k <= s, so the build is 2s strided
+    numpy passes with no per-n loop. Its size is divisor_table_bytes(limit),
+    about 4 * limit * (ln limit + 1) bytes.
+    """
+    if not 0 <= limit <= 10**8:
+        raise ValueError("divisor_table needs 0 <= limit <= 10**8 (int32 offsets)")
+    s = math.isqrt(limit)
+    count = np.zeros(limit + 1, np.int32)
+    for d in range(1, s + 1):
+        count[d::d] += 1
+        count[d * (s + 1) :: d] += 1
+    offsets = np.zeros(limit + 2, np.int32)
+    np.cumsum(count, dtype=np.int32, out=offsets[1:])
+    divisors = np.empty(int(offsets[-1]), np.int32)
+    cursor = offsets[:-1].copy()  # next free slot of each row
+    for d in range(1, s + 1):
+        rows = cursor[d::d]
+        divisors[rows] = d
+        rows += 1
+    for k in range(s, 0, -1):
+        rows = cursor[k * (s + 1) :: k]
+        divisors[rows] = np.arange(s + 1, s + 1 + len(rows), dtype=np.int32)
+        rows += 1
+    return offsets, divisors
+
+
+def divisor_table_bytes(limit: int) -> int:
+    """Bytes of divisor_table(limit): 4 * (limit + 2 + sum_{n <= limit} tau(n))."""
+    s = math.isqrt(limit)
+    # sum_{n <= L} tau(n) counts pairs k * m <= L: 2 sum_{k <= s} floor(L/k) - s^2.
+    entries = 2 * sum(limit // k for k in range(1, s + 1)) - s * s
+    return 4 * (limit + 2 + entries)
+
+
+def _largest_n(d):
+    # The largest n = |d - b^2| / 4 the enumeration of _reduced_forms_* meets:
+    # smallest b for d > 0, largest b with 3b^2 <= |d| for d < 0.
+    if d > 0:
+        b = 2 - (d & 1)
+        return (d - b * b) >> 2
+    b = math.isqrt(-d // 3)
+    b -= (b - d) & 1
+    return (b * b - d) >> 2
+
+
+def _table_views(table):
+    # (offsets, divisors, last row) of a divisor table. The memoryviews index
+    # to Python ints; last row 0 sends every n to trial division.
+    if table is None:
+        return None, None, 0
+    offsets, divisors = table
+    return offsets.data, divisors.data, len(offsets) - 2
+
+
+def _divisors(n):
     divs = [1]
-    for p, e in _factorize(n, spf):
+    for p, e in _factorize(n):
         grown = list(divs)
         pk = 1
         for _ in range(e):
@@ -213,15 +284,22 @@ def _divisors(n, spf):
     return divs
 
 
-def _reduced_forms_neg(d, spf=None):
-    # Scan 0 <= b, 3b^2 <= |d|, b = d (mod 2); factor (b^2 - d)/4 = a*c.
+def _reduced_forms_neg(d, table=None):
+    # Scan 0 <= b, 3b^2 <= |d|, b = d (mod 2); each divisor a of
+    # n = (b^2 - d)/4 with b <= a <= sqrt(n) gives the reduced (a, +-b, n/a).
+    off, dv, top = _table_views(table)
     out = []
     b = d & 1
     while 3 * b * b <= -d:
         n = (b * b - d) >> 2
-        for a in _divisors(n, spf):
-            if a < b or (b == 0 and a < 1) or a * a > n:
-                continue
+        hi = math.isqrt(n)
+        if n <= top:
+            i = off[n]
+            j = off[n + 1]
+            window = dv[bisect_left(dv, b, i, j) : bisect_right(dv, hi, i, j)]
+        else:
+            window = [a for a in _divisors(n) if b <= a <= hi]
+        for a in window:
             c = n // a
             out.append((a, b, c))
             if 0 < b < a < c:
@@ -230,38 +308,51 @@ def _reduced_forms_neg(d, spf=None):
     return out
 
 
-def _reduced_forms_pos(d, fl, spf=None):
+def _reduced_forms_pos(d, fl, table=None):
     # Scan 0 < b <= isqrt(d), b = d (mod 2); each divisor pair of (d - b^2)/4
     # inside the window yields a positive-a form and its negative-a mirror.
+    off, dv, top = _table_views(table)
     out = []
     for b in range(2 - (d & 1), fl + 1, 2):
         n = (d - b * b) >> 2
         if n == 0:
             continue
-        lo2 = fl - b + 1  # window for 2|a|: lo2 <= 2|a| <= hi2, exact
-        hi2 = fl + b
-        for v in _divisors(n, spf):
-            vv = 2 * v
-            if lo2 <= vv <= hi2:
-                w = n // v
-                out.append((v, b, -w))
-                out.append((-v, b, w))
+        # fl - b + 1 <= 2|a| <= fl + b, exact; as a window for |a|:
+        lo = (fl - b + 2) >> 1
+        hi = (fl + b) >> 1
+        if n <= top:
+            i = off[n]
+            j = off[n + 1]
+            window = dv[bisect_left(dv, lo, i, j) : bisect_right(dv, hi, i, j)]
+        else:
+            window = [v for v in _divisors(n) if lo <= v <= hi]
+        for v in window:
+            w = n // v
+            out.append((v, b, -w))
+            out.append((-v, b, w))
     return out
 
 
-def _classes_pos(d, fl, spf=None):
-    """All rho-cycles of reduced forms of d > 0: list of (canonical, length)."""
-    forms = _reduced_forms_pos(d, fl, spf)
+def _classes_pos(d, fl, table=None):
+    """All rho-cycles of reduced forms of d > 0 as a sorted list of
+    (canonical, length), and the canonical form of the principal cycle.
+
+    (1, b, (b^2 - d)/4) with b the largest b <= isqrt(d), b = d (mod 2), is
+    reduced and principal, so its cycle is walked first.
+    """
+    b = fl - ((fl - d) & 1)
+    first = (1, b, (b * b - d) >> 2)
     seen = set()
     classes = []
-    for f in forms:
+    for f in (first, *_reduced_forms_pos(d, fl, table)):
         if f in seen:
             continue
         cyc = _cycle_of(f, d, fl)
         seen.update(cyc)
         classes.append((min(cyc), len(cyc)))
+    principal = classes[0][0]
     classes.sort()
-    return classes
+    return classes, principal
 
 
 def enumerate_classes(D) -> list[ClassRep]:
@@ -276,7 +367,8 @@ def enumerate_classes(D) -> list[ClassRep]:
         forms = sorted(_reduced_forms_neg(d))
         return [ClassRep(Form(a, b, c, d), 1) for (a, b, c) in forms]
     fl = math.isqrt(d)
-    return [ClassRep(Form(*f, d), n) for f, n in _classes_pos(d, fl)]
+    classes, _ = _classes_pos(d, fl)
+    return [ClassRep(Form(*f, d), n) for f, n in classes]
 
 
 def principal_class(D) -> ClassRep:
@@ -398,18 +490,7 @@ def three_torsion_count(D) -> int:
     For D > 0 this counts in the narrow class group, which has the same
     3-torsion as the ideal class group.
     """
-    disc = _coerce_disc(D)
-    d = disc.value
-    if d < 0:
-        forms = _reduced_forms_neg(d)
-        principal = _reduce_neg(1, d & 1, ((d & 1) - d) >> 2)
-        count = _three_torsion_neg(d, forms, principal)
-    else:
-        fl = math.isqrt(d)
-        classes = _classes_pos(d, fl)
-        b0 = d & 1
-        principal = min(_cycle_of(_reduce_pos(1, b0, (b0 * b0 - d) >> 2, d, fl), d, fl))
-        count = _three_torsion_pos(d, fl, classes, principal)
+    _, count = _classes_and_torsion(_coerce_disc(D).value)
     r3 = _log3(count)
     if 3**r3 != count:  # pragma: no cover
         raise AssertionError(f"3-torsion count {count} is not a power of 3")
@@ -472,20 +553,27 @@ class ClassGroupInfo:
     r3: int
 
 
-def _core_info(d, spf=None):
-    """(h_plus, h, unit_norm, r3) for a trusted fundamental discriminant d."""
+def _classes_and_torsion(d, table=None):
+    """(class count, 3-torsion count) of a trusted fundamental discriminant d;
+    for d > 0 both are of the narrow class group."""
     if d < 0:
-        forms = _reduced_forms_neg(d, spf)
+        forms = _reduced_forms_neg(d, table)
         principal = _reduce_neg(1, d & 1, ((d & 1) - d) >> 2)
-        h = len(forms)
-        tt = _three_torsion_neg(d, forms, principal)
-        return h, h, UNIT_NORM_NOT_APPLICABLE, _log3(tt)
+        return len(forms), _three_torsion_neg(d, forms, principal)
     fl = math.isqrt(d)
-    classes = _classes_pos(d, fl, spf)
-    b0 = d & 1
-    principal = min(_cycle_of(_reduce_pos(1, b0, (b0 * b0 - d) >> 2, d, fl), d, fl))
-    h_plus = len(classes)
-    tt = _three_torsion_pos(d, fl, classes, principal)
+    classes, principal = _classes_pos(d, fl, table)
+    return len(classes), _three_torsion_pos(d, fl, classes, principal)
+
+
+def _core_info(d, table=None):
+    """(h_plus, h, unit_norm, r3) for a trusted fundamental discriminant d.
+
+    table is an optional divisor_table covering the n of d's enumeration;
+    n beyond it are factored by trial division.
+    """
+    h_plus, tt = _classes_and_torsion(d, table)
+    if d < 0:
+        return h_plus, h_plus, UNIT_NORM_NOT_APPLICABLE, _log3(tt)
     un = -1 if _cf_period(d) & 1 else 1
     if un == 1:
         if h_plus & 1:  # pragma: no cover

@@ -208,6 +208,14 @@ class TestDeterminismAndCache:
         assert cache[5] is marker  # cached value untouched
         assert set(cache) == {5, 13, 17, -23}
 
+    def test_over_cap_falls_back_to_trial_division(self, monkeypatch):
+        ds = [d for d in range(-3000, 3000) if arith.is_fundamental_discriminant(d)]
+        with_table = experiments.compute_class_infos(ds)
+        monkeypatch.setattr(experiments, "_TABLE_CAP_BYTES", 1 << 10)
+        assert experiments._class_table(ds) is None
+        assert experiments.compute_class_infos(ds) == with_table
+        assert experiments.compute_class_infos(ds, jobs=2) == with_table
+
     def test_pool_matches_serial(self):
         ds = [d for d in range(-500, 500) if arith.is_fundamental_discriminant(d)]
         serial = experiments.compute_class_infos(ds)

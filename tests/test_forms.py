@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from quadclass import arith, forms
+from quadclass import arith, experiments, forms
 from quadclass.forms import ClassRep, Form
 
 
@@ -150,6 +150,52 @@ class TestEnumerateClasses:
     def test_rejects_non_fundamental(self):
         with pytest.raises(arith.NotFundamental):
             forms.enumerate_classes(9)
+
+
+class TestDivisorTable:
+    @pytest.mark.parametrize("limit", [0, 1, 2, 3, 8, 9, 10, 99, 100, 2000])
+    def test_rows_are_sorted_divisors(self, limit):
+        offsets, divisors = forms.divisor_table(limit)
+        assert offsets.dtype == divisors.dtype == "int32"
+        assert len(offsets) == limit + 2 and offsets[0] == offsets[1] == 0
+        assert offsets.nbytes + divisors.nbytes == forms.divisor_table_bytes(limit)
+        for n in range(1, limit + 1):
+            row = divisors[offsets[n] : offsets[n + 1]].tolist()
+            assert row == sorted(forms._divisors(n)), n
+
+    @staticmethod
+    def _enumerated_ns(d):
+        # every n = |d - b^2| / 4 that _reduced_forms_pos/_neg factor
+        if d > 0:
+            return [(d - b * b) >> 2 for b in range(2 - (d & 1), math.isqrt(d) + 1, 2)]
+        out = []
+        b = d & 1
+        while 3 * b * b <= -d:
+            out.append((b * b - d) >> 2)
+            b += 2
+        return out
+
+    def test_table_path_matches_trial_division(self):
+        # The bulk table covers exactly the largest n met, so the D that meets
+        # it reads the table's last row.
+        ds = fundamental_range(-20000, 20000)
+        table = experiments._class_table(ds)
+        assert len(table[0]) - 2 == max(max(self._enumerated_ns(d)) for d in ds)
+        for d in ds:
+            assert forms._largest_n(d) == max(self._enumerated_ns(d)), d
+            if d < 0:
+                assert set(forms._reduced_forms_neg(d, table)) == set(forms._reduced_forms_neg(d)), d
+            else:
+                fl = math.isqrt(d)
+                assert (set(forms._reduced_forms_pos(d, fl, table))
+                        == set(forms._reduced_forms_pos(d, fl))), d
+            assert forms._core_info(d, table) == forms._core_info(d), d
+
+    def test_n_beyond_table_uses_trial_division(self):
+        for d in (-19999, 19997, 4 * 4999):
+            top = max(self._enumerated_ns(d))
+            short = forms.divisor_table(top - 1)
+            assert forms._core_info(d, short) == forms._core_info(d), d
 
 
 class TestPrincipalAndCompose:
