@@ -197,16 +197,23 @@ def cache_load(path: str) -> dict[int, CacheRecord]:
 
 
 def cache_store(path: str, records) -> None:
-    """Merge records into the cache file; conflicting duplicates are corruption."""
+    """Merge records into the cache file; conflicting duplicates are corruption.
+    The file is replaced by a rename, so a failed write leaves the old one."""
     merged = cache_load(path) if os.path.exists(path) else {}
     for rec in records:
         old = merged.get(rec.D)
         if old is not None and old != rec:
             raise CacheCorruption(f"conflicting records for D={rec.D}: {old} vs {rec}")
         merged[rec.D] = rec
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        for d in sorted(merged):
-            fh.write(",".join(str(v) for v in merged[d]) + "\n")
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="ascii", newline="") as fh:
+            for d in sorted(merged):
+                fh.write(",".join(str(v) for v in merged[d]) + "\n")
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def _record_of(info: forms.ClassGroupInfo) -> CacheRecord:

@@ -28,15 +28,19 @@ before computing and extended in place.
 from __future__ import annotations
 
 import math
+import os
 import sys
 from bisect import bisect_left, bisect_right
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass
 from typing import Iterator
 
+import numpy as np
+
 from .arith import Discriminant, kronecker, mobius, sieve_squarefree
 from .arith import smallest_prime_factors  # noqa: F401  (perfbench/traced_cli.py wraps this name)
-from .families import LEVEL_LAMBDA, LEVEL_NH, LEVEL_THEOREM, CongruenceFamily
+from .families import LEVEL_LAMBDA, LEVEL_NH, LEVEL_THEOREM, LEVELS, CongruenceFamily
 from .forms import ClassGroupInfo, _core_info, _largest_n, divisor_table, divisor_table_bytes
 
 __all__ = [
@@ -64,6 +68,10 @@ TARGET_PAIR_INTERSECTION = (10.0 - math.pi**2) / math.pi**2
 TARGET_IMAGINARY_INDIVISIBLE = 0.5
 
 LAMBDA3_VERDICT = "lambda3(Q(sqrt(D))) = lambda3(Q(sqrt(D+t))) = 0"
+
+_PAIR_BOUNDS = {"ratio_L": TARGET_SET_DENSITY,
+                "ratio_Lt": TARGET_SET_DENSITY,
+                "ratio_intersection": TARGET_PAIR_INTERSECTION}
 
 # Divisor tables larger than this many bytes (128 MiB, reached near
 # limit = 2.1e6, i.e. real X ~ 8e6 or imaginary X ~ 6e6) are not built;
@@ -164,7 +172,10 @@ def _pool_init(table):
 
 
 def _pool_chunk(chunk):
-    table = _worker_table
+    return _chunk_rows(chunk, _worker_table)
+
+
+def _chunk_rows(chunk, table):
     return [(d,) + _core_info(d, table) for d in chunk]
 
 
@@ -187,22 +198,24 @@ def _core_rows(todo, jobs, progress):
     """(d, h_plus, h, unit_norm, r3) for each d in todo, in order.
 
     The divisor table is built once here and handed to pool workers through
-    the initializer; it and the pool are released when this returns.
+    the initializer; it and the pool are released when this returns. The
+    pool has at most one worker per chunk and per core, since the fork
+    start method starts them all at the first submit.
     """
     table = _class_table(todo)
-    if jobs <= 1:
-        rows = []
-        for i, d in enumerate(todo, 1):
-            rows.append((d,) + _core_info(d, table))
-            if progress and i % 2000 == 0:
-                print(f"class groups: {i}/{len(todo)}", file=sys.stderr)
-        return rows
-    size = max(1, -(-len(todo) // (jobs * 8)))
+    workers = max(1, min(jobs, os.cpu_count() or 1))
+    size = -(-len(todo) // (8 * workers))
     chunks = [todo[i : i + size] for i in range(0, len(todo), size)]
-    rows = []
-    with ProcessPoolExecutor(max_workers=jobs, initializer=_pool_init,
-                             initargs=(table,)) as pool:
-        for part in pool.map(_pool_chunk, chunks):
+    workers = min(workers, len(chunks))
+    with ExitStack() as stack:
+        if workers > 1:
+            pool = stack.enter_context(ProcessPoolExecutor(
+                max_workers=workers, initializer=_pool_init, initargs=(table,)))
+            parts = pool.map(_pool_chunk, chunks)
+        else:
+            parts = (_chunk_rows(chunk, table) for chunk in chunks)
+        rows = []
+        for part in parts:
             rows.extend(part)
             if progress:
                 print(f"class groups: {len(rows)}/{len(todo)}", file=sys.stderr)
@@ -227,14 +240,13 @@ def compute_class_infos(ds, *, jobs: int = 1, cache: dict | None = None,
 
 
 # ----------------------------------------------------------------------
-# progression scans
+# progression scan
 # ----------------------------------------------------------------------
 
 def _require_family(family, min_level=LEVEL_NH):
     if not isinstance(family, CongruenceFamily):
         raise ValueError(f"expected a validated CongruenceFamily, got {family!r}")
-    order = (LEVEL_NH, LEVEL_THEOREM, LEVEL_LAMBDA)
-    if order.index(family.level) < order.index(min_level):
+    if LEVELS.index(family.level) < LEVELS.index(min_level):
         raise ValueError(f"family level {family.level!r} is below required {min_level!r}")
     return family
 
@@ -252,48 +264,38 @@ def _checkpoints(checkpoints, x):
     return cps
 
 
-def _is_fundamental_pos(d, sf):
-    # sf[i] is the squarefree flag of i + 1.
-    r = d & 3
-    if r == 1:
-        return d != 1 and bool(sf[d - 1])
-    if r == 0:
-        q = d >> 2
-        return q % 4 in (2, 3) and bool(sf[q - 1])
-    return False
+def _progression(family, lo, hi):
+    """The members lo <= D <= hi of D = m (mod N), ascending."""
+    return range(lo + (family.m - lo) % family.N, hi + 1, family.N)
 
 
-def _is_fundamental_neg(d, sf):
-    if d % 4 == 1:
-        return bool(sf[-d - 1])
-    if d % 4 == 0:
-        q = d // 4  # negative; q % 4 is reduced into [0, 4)
-        return q % 4 in (2, 3) and bool(sf[-q - 1])
-    return False
+def _fundamental(ds, sf):
+    """Mask of the fundamental discriminants in ds, an int64 array of one
+    sign; sf[i] is the squarefree flag of i + 1 and covers every |D|."""
+    r = ds & 3
+    q = ds >> 2  # floor division, so q & 3 is q mod 4 for either sign
+    core = np.abs(np.where(r == 1, ds, q))  # 0 only for 1 < D < 4, rejected by ok
+    ok = ((r == 1) & (ds != 1)) | ((r == 0) & ((q & 3) >= 2))
+    return ok & sf[core - 1]
 
 
-def _count_progression(m, N, c):
-    # #{D : 1 <= D <= c, D = m (mod N)} with m already in [1, N]
-    return (c - m) // N + 1 if c >= m else 0
+def _members(family, lo, hi):
+    """The fundamental discriminants lo <= D <= hi of the progression, all of
+    one sign, as an int list sorted by |D|."""
+    prog = _progression(family, lo, hi)
+    if not prog:
+        return []
+    ds = np.arange(prog.start, prog.stop, prog.step, dtype=np.int64)
+    if hi < 0:
+        ds = ds[::-1]
+    sf = sieve_squarefree(1, max(-lo, hi)).squarefree_flags
+    return ds[_fundamental(ds, sf)].tolist()
 
 
 def enumerate_s_plus(x: int, family: CongruenceFamily) -> Iterator[Discriminant]:
     """Fundamental discriminants 0 < D < x with D = m (mod N), ascending."""
     _require_family(family)
-    if x <= family.m:
-        return
-    sf = sieve_squarefree(1, x - 1).squarefree_flags
-    for d in range(family.m, x, family.N):
-        if _is_fundamental_pos(d, sf):
-            yield _trusted(d)
-
-
-def _real_family_members(x, family):
-    """Fundamental progression members 0 < D <= x, as a sorted int list."""
-    if x < family.m:
-        return []
-    sf = sieve_squarefree(1, x).squarefree_flags
-    return [d for d in range(family.m, x + 1, family.N) if _is_fundamental_pos(d, sf)]
+    return (_trusted(d) for d in _members(family, 1, x - 1))
 
 
 # ----------------------------------------------------------------------
@@ -309,23 +311,36 @@ def _prefix(values):
     return out
 
 
+def _survey(x, family, checkpoints, negative, stats, point, **run):
+    """One Checkpoint per checkpoint c; point(c, |S|, k, *sums) builds those
+    with data. The real side takes the members 0 < D <= x and counts |S| as
+    1 <= D <= c, the imaginary side -x < D < 0 and -c < D < 0; k counts the
+    members with |D| < c, and sums[i] totals stats[i](info) over them."""
+    cps = _checkpoints(checkpoints, x)
+    fund = _members(family, 1 - x, -1) if negative else _members(family, 1, x)
+    infos = compute_class_infos(fund, **run)
+    pre = [_prefix([stat(infos[d]) for d in fund]) for stat in stats]
+    points = []
+    for c in cps:
+        s = len(_progression(family, 1 - c, -1) if negative else _progression(family, 1, c))
+        k = bisect_left(fund, c, key=abs)
+        if k == 0:
+            points.append(Checkpoint(x=c, sets=DiscriminantSets(c, family, s, 0), no_data=True))
+        else:
+            points.append(point(c, s, k, *[p[k] for p in pre]))
+    return points
+
+
 def nh_average(x: int, family: CongruenceFamily, checkpoints=None, *,
                jobs: int = 1, cache: dict | None = None, progress: bool = False) -> DensityReport:
     """Running average of 3^r3 over S+(X, m, N); the limit constant is 4/3."""
     _require_family(family)
-    cps = _checkpoints(checkpoints, x)
-    fund = _real_family_members(x, family)
-    infos = compute_class_infos(fund, jobs=jobs, cache=cache, progress=progress)
-    tor = _prefix([infos[d].three_torsion_count for d in fund])
-    points = []
-    for c in cps:
-        k = bisect_left(fund, c)  # S+ counts strictly below the checkpoint
-        s = _count_progression(family.m, family.N, c)
-        sets = DiscriminantSets(c, family, s, k)
-        if k == 0:
-            points.append(Checkpoint(x=c, sets=sets, no_data=True))
-        else:
-            points.append(Checkpoint(x=c, sets=sets, nh_average=tor[k] / k))
+
+    def point(c, s, k, tor):
+        return Checkpoint(x=c, sets=DiscriminantSets(c, family, s, k), nh_average=tor / k)
+
+    points = _survey(x, family, checkpoints, False, [lambda i: i.three_torsion_count], point,
+                     jobs=jobs, cache=cache, progress=progress)
     return DensityReport("nh-average", family, "S_plus", TARGET_NH_AVERAGE,
                          {"nh_average": TARGET_NH_AVERAGE}, points)
 
@@ -340,60 +355,49 @@ def indivisibility_density(x: int, family: CongruenceFamily, checkpoints=None, *
     integer counts (pointwise 3^r >= 3 - 2*[r = 0]).
     """
     _require_family(family)
-    cps = _checkpoints(checkpoints, x)
-    fund = _real_family_members(x, family)
-    infos = compute_class_infos(fund, jobs=jobs, cache=cache, progress=progress)
-    tor = _prefix([infos[d].three_torsion_count for d in fund])
-    zero = _prefix([1 if infos[d].r3 == 0 else 0 for d in fund])
-    points = []
-    for c in cps:
-        k = bisect_left(fund, c)
-        s = _count_progression(family.m, family.N, c)
-        if k == 0:
-            points.append(Checkpoint(x=c, sets=DiscriminantSets(c, family, s, k), no_data=True))
-            continue
-        if not 2 * zero[k] >= 3 * k - tor[k]:  # pragma: no cover
+
+    def point(c, s, k, tor, zero):
+        if not 2 * zero >= 3 * k - tor:  # pragma: no cover
             raise AssertionError(f"counting inequality violated at x={c}")
-        sets = DiscriminantSets(c, family, s, k, L=zero[k])
-        points.append(Checkpoint(
-            x=c, sets=sets,
-            indivisible_ratio=zero[k] / k,
-            ratio_L=zero[k] / k,
-            nh_average=tor[k] / k,
-            lemma_lhs=2 * zero[k] / k,
-            lemma_rhs=3 - tor[k] / k,
-        ))
+        return Checkpoint(
+            x=c, sets=DiscriminantSets(c, family, s, k, L=zero),
+            indivisible_ratio=zero / k,
+            ratio_L=zero / k,
+            nh_average=tor / k,
+            lemma_lhs=2 * zero / k,
+            lemma_rhs=3 - tor / k,
+        )
+
+    points = _survey(x, family, checkpoints, False,
+                     [lambda i: i.three_torsion_count, lambda i: i.r3 == 0], point,
+                     jobs=jobs, cache=cache, progress=progress)
     return DensityReport("indivisibility", family, "S_plus", TARGET_INDIVISIBLE,
                          {"indivisible_ratio": TARGET_INDIVISIBLE}, points)
 
 
-def _pair_data(x, family, jobs, cache, progress):
-    m, N, t = family.m, family.N, family.t
+def _pair_survey(x, family, checkpoints, **run):
+    """Checkpoints of the sets L, L_t over the progression members D <= x,
+    the members of L with L_t, and the class data of D and D + t."""
+    cps = _checkpoints(checkpoints, x)
+    t = family.t
+    prog = _progression(family, 1, x)
+    ds = np.arange(prog.start, prog.stop, prog.step, dtype=np.int64)
     sf = sieve_squarefree(1, x + t).squarefree_flags
-    prog = list(range(m, x + 1, N))
-    # Progression members are 1 mod 4 at theorem level, so squarefree members
-    # (other than 1) are fundamental, and so are their t-shifts.
-    in_l_base = [d != 1 and bool(sf[d - 1]) for d in prog]
-    in_lt_base = [bool(sf[d + t - 1]) for d in prog]
-    need = sorted({d for d, f in zip(prog, in_l_base) if f}
-                  | {d + t for d, f in zip(prog, in_lt_base) if f})
-    infos = compute_class_infos(need, jobs=jobs, cache=cache, progress=progress)
-    in_l = [f and infos[d].h % 3 != 0 for d, f in zip(prog, in_l_base)]
-    in_lt = [f and infos[d + t].h % 3 != 0 for d, f in zip(prog, in_lt_base)]
-    fund = [_is_fundamental_pos(d, sf) for d in prog]
-    return prog, infos, in_l, in_lt, fund
-
-
-def _pair_checkpoints(x, family, cps, prog, in_l, in_lt, fund):
-    pre_l = _prefix([int(v) for v in in_l])
-    pre_lt = _prefix([int(v) for v in in_lt])
-    pre_cap = _prefix([int(a and b) for a, b in zip(in_l, in_lt)])
-    pre_cup = _prefix([int(a or b) for a, b in zip(in_l, in_lt)])
-    pre_fund = _prefix([int(v) for v in fund])
+    # Members are 1 (mod 4) at theorem level, so L's base is exactly S+.
+    base_l = _fundamental(ds, sf)
+    base_lt = _fundamental(ds + t, sf)
+    infos = compute_class_infos(np.concatenate((ds[base_l], ds[base_lt] + t)).tolist(), **run)
+    in_l = [f and infos[d].h % 3 != 0 for d, f in zip(prog, base_l.tolist())]
+    in_lt = [f and infos[d + t].h % 3 != 0 for d, f in zip(prog, base_lt.tolist())]
+    pre_l = _prefix(in_l)
+    pre_lt = _prefix(in_lt)
+    pre_cap = _prefix([a and b for a, b in zip(in_l, in_lt)])
+    pre_cup = _prefix([a or b for a, b in zip(in_l, in_lt)])
+    pre_fund = _prefix(base_l.tolist())
     points = []
     for c in cps:
         k = bisect_right(prog, c)  # the L-sets count D <= checkpoint
-        s = _count_progression(family.m, family.N, c)
+        s = len(_progression(family, 1, c))
         if s != k:  # pragma: no cover
             raise AssertionError("progression count mismatch")
         if s == 0:
@@ -406,7 +410,8 @@ def _pair_checkpoints(x, family, cps, prog, in_l, in_lt, fund):
         sets = DiscriminantSets(c, family, s, pre_fund[k], L=l, L_t=lt, L_cap_Lt=cap)
         points.append(Checkpoint(x=c, sets=sets, ratio_L=l / s, ratio_Lt=lt / s,
                                  ratio_intersection=cap / s))
-    return points
+    both = [d for d, a, b in zip(prog, in_l, in_lt) if a and b]
+    return points, both, infos
 
 
 def pair_experiment(x: int, family: CongruenceFamily, checkpoints=None, *,
@@ -421,13 +426,9 @@ def pair_experiment(x: int, family: CongruenceFamily, checkpoints=None, *,
     at every checkpoint.
     """
     _require_family(family, LEVEL_THEOREM)
-    cps = _checkpoints(checkpoints, x)
-    prog, _, in_l, in_lt, fund = _pair_data(x, family, jobs, cache, progress)
-    points = _pair_checkpoints(x, family, cps, prog, in_l, in_lt, fund)
-    return DensityReport("pairs", family, "S", TARGET_PAIR_INTERSECTION,
-                         {"ratio_L": TARGET_SET_DENSITY,
-                          "ratio_Lt": TARGET_SET_DENSITY,
-                          "ratio_intersection": TARGET_PAIR_INTERSECTION}, points)
+    points, _, _ = _pair_survey(x, family, checkpoints,
+                                jobs=jobs, cache=cache, progress=progress)
+    return DensityReport("pairs", family, "S", TARGET_PAIR_INTERSECTION, _PAIR_BOUNDS, points)
 
 
 def lambda_survey(x: int, family: CongruenceFamily, checkpoints=None, *,
@@ -442,14 +443,11 @@ def lambda_survey(x: int, family: CongruenceFamily, checkpoints=None, *,
     lambda_3 = 0 for both fields by Iwasawa's criterion.
     """
     _require_family(family, LEVEL_LAMBDA)
-    cps = _checkpoints(checkpoints, x)
     t = family.t
-    prog, infos, in_l, in_lt, fund = _pair_data(x, family, jobs, cache, progress)
-    points = _pair_checkpoints(x, family, cps, prog, in_l, in_lt, fund)
+    points, both, infos = _pair_survey(x, family, checkpoints,
+                                       jobs=jobs, cache=cache, progress=progress)
     certs = []
-    for d, a, b in zip(prog, in_l, in_lt):
-        if not (a and b):
-            continue
+    for d in both:
         if mobius(d) == 0 or mobius(d + t) == 0:  # pragma: no cover
             raise RuntimeError(f"membership recheck failed for D={d}")
         leg_d = kronecker(d, 3)
@@ -462,10 +460,7 @@ def lambda_survey(x: int, family: CongruenceFamily, checkpoints=None, *,
         if h_d == 0 or h_dt == 0:  # pragma: no cover
             raise RuntimeError(f"class number recheck failed for D={d}")
         certs.append(Lambda3Certificate(infos[d].D, t, leg_d, leg_dt, h_d, h_dt))
-    report = DensityReport("lambda", family, "S", TARGET_PAIR_INTERSECTION,
-                           {"ratio_L": TARGET_SET_DENSITY,
-                            "ratio_Lt": TARGET_SET_DENSITY,
-                            "ratio_intersection": TARGET_PAIR_INTERSECTION}, points)
+    report = DensityReport("lambda", family, "S", TARGET_PAIR_INTERSECTION, _PAIR_BOUNDS, points)
     return certs, report
 
 
@@ -478,35 +473,12 @@ def imaginary_density(x: int, family: CongruenceFamily, checkpoints=None, *,
     h is the class number of the imaginary field of discriminant D.
     """
     _require_family(family)
-    cps = _checkpoints(checkpoints, x)
-    m, N = family.m, family.N
-    lo = -x + 1
-    first = lo + (m - lo) % N
-    prog = list(range(first, 0, N))  # ascending, all negative
-    sf = sieve_squarefree(1, x).squarefree_flags if x > 1 else None
-    fund = [d for d in prog if _is_fundamental_neg(d, sf)] if prog else []
-    infos = compute_class_infos(fund, jobs=jobs, cache=cache, progress=progress)
-    # Work in |D| ascending order so prefix sums align with growing X.
-    fund_abs = sorted(-d for d in fund)
-    indiv = _prefix([1 if infos[-a].h % 3 != 0 else 0 for a in fund_abs])
-    points = []
-    for c in cps:
-        k = bisect_left(fund_abs, c)  # |D| < c
-        s = _count_neg_progression(m, N, c)
-        sets = DiscriminantSets(c, family, s, k, L=indiv[k] if k else None)
-        if k == 0:
-            points.append(Checkpoint(x=c, sets=sets, no_data=True))
-        else:
-            points.append(Checkpoint(x=c, sets=sets, indivisible_ratio=indiv[k] / k,
-                                     ratio_L=indiv[k] / k))
+
+    def point(c, s, k, indiv):
+        return Checkpoint(x=c, sets=DiscriminantSets(c, family, s, k, L=indiv),
+                          indivisible_ratio=indiv / k, ratio_L=indiv / k)
+
+    points = _survey(x, family, checkpoints, True, [lambda i: i.h % 3 != 0], point,
+                     jobs=jobs, cache=cache, progress=progress)
     return DensityReport("imaginary", family, "S_minus", TARGET_IMAGINARY_INDIVISIBLE,
                          {"indivisible_ratio": TARGET_IMAGINARY_INDIVISIBLE}, points)
-
-
-def _count_neg_progression(m, N, c):
-    # #{D : -c < D < 0, D = m (mod N)}
-    lo = -c + 1
-    if lo >= 0:
-        return 0
-    first = lo + (m - lo) % N
-    return len(range(first, 0, N))

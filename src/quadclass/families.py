@@ -50,9 +50,6 @@ class CongruenceFamily:
     t: int
     level: str
 
-    def rank(self) -> int:
-        return LEVELS.index(self.level)
-
 
 @dataclass
 class FamilyRejection:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -70,7 +70,7 @@ class Form(NamedTuple):
         return cls(a, b, c, D)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ClassRep:
     """A form class, canonicalized to the least (a, b, c) of its rho-cycle.
 
@@ -79,17 +79,7 @@ class ClassRep:
     """
 
     canonical_form: Form
-    cycle_length: int
-
-    def __eq__(self, other):
-        return isinstance(other, ClassRep) and self.canonical_form == other.canonical_form
-
-    def __hash__(self):
-        return hash(self.canonical_form)
-
-    def __repr__(self):
-        a, b, c, D = self.canonical_form
-        return f"ClassRep(({a}, {b}, {c}), D={D}, cycle={self.cycle_length})"
+    cycle_length: int = field(compare=False)
 
 
 # ----------------------------------------------------------------------
@@ -333,18 +323,21 @@ def _reduced_forms_pos(d, fl, table=None):
     return out
 
 
+def _principal_form(d, fl):
+    """The reduced principal form (1, b, (b^2 - d)/4), b = d (mod 2): the least
+    b >= 0 for d < 0, the largest b <= fl = isqrt(d) for d > 0."""
+    b = d & 1 if d < 0 else fl - ((fl - d) & 1)
+    return 1, b, (b * b - d) >> 2
+
+
 def _classes_pos(d, fl, table=None):
     """All rho-cycles of reduced forms of d > 0 as a sorted list of
-    (canonical, length), and the canonical form of the principal cycle.
-
-    (1, b, (b^2 - d)/4) with b the largest b <= isqrt(d), b = d (mod 2), is
-    reduced and principal, so its cycle is walked first.
+    (canonical, length), and the canonical form of the principal cycle,
+    which is walked first.
     """
-    b = fl - ((fl - d) & 1)
-    first = (1, b, (b * b - d) >> 2)
     seen = set()
     classes = []
-    for f in (first, *_reduced_forms_pos(d, fl, table)):
+    for f in (_principal_form(d, fl), *_reduced_forms_pos(d, fl, table)):
         if f in seen:
             continue
         cyc = _cycle_of(f, d, fl)
@@ -372,11 +365,9 @@ def enumerate_classes(D) -> list[ClassRep]:
 
 
 def principal_class(D) -> ClassRep:
-    """The identity class: the class of (1, b0, (b0^2 - D)/4), b0 = D mod 2."""
-    disc = _coerce_disc(D)
-    d = disc.value
-    b0 = d & 1
-    return reduce_form(Form(1, b0, (b0 * b0 - d) >> 2, d))
+    """The identity class: the class of (1, b, (b^2 - D)/4), b = D (mod 2)."""
+    d = _coerce_disc(D).value
+    return reduce_form(Form(*_principal_form(d, math.isqrt(abs(d))), d))
 
 
 # ----------------------------------------------------------------------
@@ -558,7 +549,7 @@ def _classes_and_torsion(d, table=None):
     for d > 0 both are of the narrow class group."""
     if d < 0:
         forms = _reduced_forms_neg(d, table)
-        principal = _reduce_neg(1, d & 1, ((d & 1) - d) >> 2)
+        principal = _principal_form(d, 0)
         return len(forms), _three_torsion_neg(d, forms, principal)
     fl = math.isqrt(d)
     classes, principal = _classes_pos(d, fl, table)

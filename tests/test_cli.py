@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import pytest
 
@@ -181,6 +182,21 @@ class TestCache:
         cli.cache_store(str(path), [CacheRecord(229, 3, 3, -1, 1)])
         assert set(cli.cache_load(str(path))) == {5, 229}
 
+    @pytest.mark.parametrize("fault", [OSError, KeyboardInterrupt])
+    def test_failed_write_keeps_old_cache(self, tmp_path, fault):
+        class Faulty(int):
+            def __str__(self):
+                raise fault("write failed")
+
+        path = tmp_path / "cache.txt"
+        cli.cache_store(str(path), [CacheRecord(5, 1, 1, -1, 0), CacheRecord(229, 3, 3, -1, 1)])
+        before = path.read_bytes()
+        # Records are written in order of D, so the fault strikes after the line for 5.
+        with pytest.raises(fault):
+            cli.cache_store(str(path), [CacheRecord(13, 1, Faulty(1), -1, 0)])
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cache.txt"]
+
     def test_cli_corruption_exit_code(self, tmp_path, capsys):
         path = tmp_path / "cache.txt"
         path.write_text("garbage\n")
@@ -225,3 +241,18 @@ class TestEndToEndDeterminism:
                                "--format", "json")
         data = json.loads(out)
         assert data["certificates"][0]["certificate_d"] == 5
+
+
+class TestProgress:
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_progress_on_stderr_only(self, capsys, jobs):
+        args = ["pairs", "--m", "1", "--n", "4", "--t", "4", "--x", "3000", "--jobs", jobs]
+        code, plain, plain_err = run_cli(capsys, *args)
+        assert code == 0 and plain_err == ""
+        code, out, err = run_cli(capsys, *args, "--progress")
+        assert code == 0
+        assert out == plain
+        lines = err.splitlines()
+        assert lines and all(re.fullmatch(r"class groups: \d+/\d+", line) for line in lines)
+        done, total = lines[-1].split(": ")[1].split("/")
+        assert done == total

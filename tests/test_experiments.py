@@ -221,3 +221,112 @@ class TestDeterminismAndCache:
         serial = experiments.compute_class_infos(ds)
         pooled = experiments.compute_class_infos(ds, jobs=3)
         assert serial == pooled
+
+    def test_pool_size_bounded_by_cores_and_chunks(self, monkeypatch):
+        # A stand-in executor records max_workers and maps in this process,
+        # so no large pool is ever started.
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers, initializer, initargs):
+                sizes.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, chunks):
+                return map(fn, chunks)
+
+        ds = [d for d in range(-2000, 2000) if arith.is_fundamental_discriminant(d)]
+        serial = experiments.compute_class_infos(ds)
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(experiments, "_worker_table", None)
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 3)
+        assert experiments.compute_class_infos(ds, jobs=100000) == serial
+        assert experiments.compute_class_infos(ds, jobs=2) == serial
+        assert experiments.compute_class_infos(ds[:2], jobs=100000) == {
+            d: serial[d] for d in ds[:2]}
+        assert experiments.compute_class_infos(ds, jobs=0) == serial
+        assert sizes == [3, 2, 2]
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: None)
+        assert experiments.compute_class_infos(ds, jobs=100000) == serial
+        assert sizes == [3, 2, 2]
+
+
+SCAN_XS = (1, 2, 5, 6, 9, 500)
+
+
+def _brute_members(family, lo, hi):
+    return [d for d in range(lo, hi + 1)
+            if d % family.N == family.m % family.N and arith.is_fundamental_discriminant(d)]
+
+
+def _brute_progression(family, lo, hi):
+    return [d for d in range(lo, hi + 1) if d % family.N == family.m % family.N]
+
+
+class TestScanEquivalence:
+    """The progression scan against a brute-force filter through
+    arith.is_fundamental_discriminant, for both signs."""
+
+    @pytest.fixture(params=[(1, 4), (8, 16), (12, 16), (3, 9)], ids=lambda p: f"{p[0]}mod{p[1]}")
+    def nh_family(self, request):
+        return families.validate(*request.param, 0, "nh")
+
+    @pytest.fixture(params=[(5, 12, 8, "theorem"), (17, 12, 12, "lambda")],
+                    ids=["theorem-5mod12-t8", "lambda-17mod12-t12"])
+    def pair_family(self, request):
+        return families.validate(*request.param)
+
+    @pytest.mark.parametrize("x", SCAN_XS)
+    def test_enumerate_s_plus(self, nh_family, x):
+        got = [d.value for d in experiments.enumerate_s_plus(x, nh_family)]
+        assert got == _brute_members(nh_family, 1, x - 1)
+
+    @pytest.mark.parametrize("x", SCAN_XS)
+    def test_real_report_counts(self, nh_family, x):
+        cps = [c for c in SCAN_XS if c <= x]
+        for runner in (experiments.nh_average, experiments.indivisibility_density):
+            rep = runner(x, nh_family, cps)
+            for c, cp in zip(cps, rep.checkpoints):
+                assert cp.sets.S == len(_brute_progression(nh_family, 1, c))
+                assert cp.sets.S_plus == len(_brute_members(nh_family, 1, c - 1))
+
+    @pytest.mark.parametrize("x", SCAN_XS)
+    def test_imaginary_report_counts(self, nh_family, x):
+        cps = [c for c in SCAN_XS if c <= x]
+        rep = experiments.imaginary_density(x, nh_family, cps)
+        for c, cp in zip(cps, rep.checkpoints):
+            assert cp.sets.S == len(_brute_progression(nh_family, -c + 1, -1))
+            members = _brute_members(nh_family, -c + 1, -1)
+            assert cp.sets.S_plus == len(members)
+            assert cp.sets.L == (sum(h_of(d) % 3 != 0 for d in members) if members else None)
+
+    @pytest.mark.parametrize("x", SCAN_XS)
+    def test_pair_sets(self, pair_family, x):
+        cps = [c for c in SCAN_XS if c <= x]
+        t = pair_family.t
+        rep = experiments.pair_experiment(x, pair_family, cps)
+        for c, cp in zip(cps, rep.checkpoints):
+            prog = _brute_progression(pair_family, 1, c)
+            in_l = [arith.is_fundamental_discriminant(d) and h_of(d) % 3 != 0 for d in prog]
+            in_lt = [arith.is_fundamental_discriminant(d + t) and h_of(d + t) % 3 != 0
+                     for d in prog]
+            assert cp.sets.S == len(prog)
+            assert cp.sets.S_plus == len(_brute_members(pair_family, 1, c))
+            assert cp.sets.L == sum(in_l)
+            assert cp.sets.L_t == sum(in_lt)
+            assert cp.sets.L_cap_Lt == sum(a and b for a, b in zip(in_l, in_lt))
+
+    @pytest.mark.parametrize("x", SCAN_XS)
+    def test_lambda_certificates(self, x):
+        fam = families.validate(17, 12, 12, "lambda")
+        certs, _ = experiments.lambda_survey(x, fam)
+        expected = [d for d in _brute_progression(fam, 1, x)
+                    if all(arith.is_fundamental_discriminant(e) and h_of(e) % 3 != 0
+                           for e in (d, d + fam.t))]
+        assert [c.D.value for c in certs] == expected
