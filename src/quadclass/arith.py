@@ -77,7 +77,9 @@ def _factorize(n: int) -> list[tuple[int, int]]:
     """Prime factorization of n >= 1 as (p, e) pairs, ascending in p.
 
     Trial division by sieved primes up to sqrt(n); adequate for desk-scale
-    n <= 10**9.
+    n <= 10**9. It factors the modulus k of count_squarefree_in_ap and the
+    level gcd in families. Reduced-form enumeration does not use it: it reads
+    a divisor table or sieves a discriminant's whole scan at once.
     """
     out = []
     for p in primes_upto(math.isqrt(n)):
@@ -161,6 +163,24 @@ class SieveWindow:
         return int(self.squarefree_flags.sum())
 
 
+def _squarefree_cells(lo: int, hi: int, k: int, max_cells: int) -> np.ndarray:
+    """Squarefree flags of the cells lo, lo + k, ..., up to hi; needs gcd(k, lo) = 1.
+
+    For each prime p <= sqrt(hi) with p not dividing k, strikes the cells
+    i = -lo * k^-1 (mod p^2); a prime p | k never has p^2 dividing a cell,
+    since p does not divide lo. One byte per cell; a window is k = 1.
+    """
+    cells = (hi - lo) // k + 1
+    if cells > max_cells:
+        raise WindowTooLarge(f"window of {cells} cells exceeds bound {max_cells}")
+    flags = np.ones(cells, dtype=bool)
+    for p in primes_upto(math.isqrt(hi)):
+        if k % p:
+            q = p * p
+            flags[-lo * pow(k, -1, q) % q :: q] = False
+    return flags
+
+
 def sieve_squarefree(lo: int, hi: int, max_cells: int = DEFAULT_MAX_CELLS) -> SieveWindow:
     """Squarefree flags on [lo, hi] by striking multiples of p**2, p <= sqrt(hi).
 
@@ -169,16 +189,7 @@ def sieve_squarefree(lo: int, hi: int, max_cells: int = DEFAULT_MAX_CELLS) -> Si
     """
     if not 1 <= lo <= hi:
         raise ValueError("need 1 <= lo <= hi")
-    cells = hi - lo + 1
-    if cells > max_cells:
-        raise WindowTooLarge(f"window of {cells} cells exceeds bound {max_cells}")
-    flags = np.ones(cells, dtype=bool)
-    for p in primes_upto(math.isqrt(hi)):
-        q = p * p
-        start = ((lo + q - 1) // q) * q
-        if start <= hi:
-            flags[start - lo :: q] = False
-    return SieveWindow(lo, hi, flags)
+    return SieveWindow(lo, hi, _squarefree_cells(lo, hi, 1, max_cells))
 
 
 # ----------------------------------------------------------------------
@@ -306,7 +317,11 @@ class SquarefreeAPCount:
 
 
 def count_squarefree_in_ap(x: int, k: int, l: int, max_cells: int = DEFAULT_MAX_CELLS) -> SquarefreeAPCount:
-    """Exact count of squarefree integers m <= x, m = l (mod k), gcd(k, l) = 1."""
+    """Exact count of squarefree integers m <= x, m = l (mod k), gcd(k, l) = 1.
+
+    Sieves only the progression: about x/k cells of one byte each, and
+    max_cells bounds those cells (WindowTooLarge beyond it).
+    """
     if x < 1:
         raise ValueError("need x >= 1")
     if k < 1:
@@ -314,8 +329,7 @@ def count_squarefree_in_ap(x: int, k: int, l: int, max_cells: int = DEFAULT_MAX_
     l = (l - 1) % k + 1  # normalize the residue into [1, k]
     if math.gcd(k, l) != 1:
         raise ValueError(f"gcd(k, l) = {math.gcd(k, l)} != 1 violates the coprimality hypothesis")
-    window = sieve_squarefree(1, x, max_cells)
-    count = int(window.squarefree_flags[l - 1 :: k].sum())
+    count = int(_squarefree_cells(l, x, k, max_cells).sum()) if l <= x else 0
     prod = 1.0
     for p, _ in _factorize(k):
         prod *= 1.0 / (1.0 - 1.0 / (p * p))

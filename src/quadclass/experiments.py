@@ -75,7 +75,7 @@ _PAIR_BOUNDS = {"ratio_L": TARGET_SET_DENSITY,
 
 # Divisor tables larger than this many bytes (128 MiB, reached near
 # limit = 2.1e6, i.e. real X ~ 8e6 or imaginary X ~ 6e6) are not built;
-# enumeration then factors by trial division.
+# each discriminant's enumeration is then sieved on its own.
 _TABLE_CAP_BYTES = 1 << 27
 
 

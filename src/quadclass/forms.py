@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .arith import Discriminant, _factorize, classify_discriminant, kronecker, smallest_prime_factors
+from .arith import Discriminant, classify_discriminant, kronecker, primes_upto, smallest_prime_factors
 
 __all__ = [
     "ClassGroupInfo",
@@ -242,80 +242,155 @@ def divisor_table_bytes(limit: int) -> int:
     return 4 * (limit + 2 + entries)
 
 
+def _b_range(d):
+    # The b of the enumeration, b = d (mod 2): 0 < b <= isqrt(d) for d > 0,
+    # 0 <= b with 3b^2 <= |d| for d < 0.
+    if d > 0:
+        return range(2 - (d & 1), math.isqrt(d) + 1, 2)
+    return range(d & 1, math.isqrt(-d // 3) + 1, 2)
+
+
 def _largest_n(d):
     # The largest n = |d - b^2| / 4 the enumeration of _reduced_forms_* meets:
-    # smallest b for d > 0, largest b with 3b^2 <= |d| for d < 0.
+    # at the smallest b for d > 0, at the largest b for d < 0.
+    bs = _b_range(d)
+    b = bs[0] if d > 0 else bs[-1]
+    return abs(d - b * b) >> 2
+
+
+def _sqrt_mod(a, p):
+    """A root r of r^2 = a (mod p), for an odd prime p and a square a mod p."""
+    a %= p
+    if a == 0:
+        return 0
+    if p & 3 == 3:
+        return pow(a, (p + 1) >> 2, p)
+    # Tonelli-Shanks with p - 1 = q * 2^s, q odd.
+    s = ((p - 1) & (1 - p)).bit_length() - 1
+    q = (p - 1) >> s
+    z = 2
+    while pow(z, (p - 1) >> 1, p) != p - 1:
+        z += 1
+    c = pow(z, q, p)
+    t = pow(a, q, p)
+    r = pow(a, (q + 1) >> 1, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c = i, b * b % p
+        t = t * c % p
+        r = r * b % p
+    return r
+
+
+def _table_covers(table, d):
+    return table is not None and len(table[0]) - 2 >= _largest_n(d)
+
+
+def _sieved_windows(d, fl):
+    """(b, n, window) for each b of d's enumeration, n = |d - b^2| / 4 and
+    window the divisors a of n with fl - b + 1 <= 2a <= fl + b
+    (fl = isqrt(d)) for d > 0, or b <= a <= isqrt(n) for d < 0.
+
+    One polynomial sieve factors every n at once: an odd prime p divides n
+    iff b^2 = d (mod p), so p strikes the rows b = +-sqrt(d) (mod p) and no
+    others, and primes up to isqrt(max n) leave a cofactor that is 1 or
+    prime. Each row grows its divisors as its primes strike; divisors above
+    the window are never built.
+    """
+    bs = _b_range(d)
+    ns = [abs(d - b * b) >> 2 for b in bs]
     if d > 0:
-        b = 2 - (d & 1)
-        return (d - b * b) >> 2
-    b = math.isqrt(-d // 3)
-    b -= (b - d) & 1
-    return (b * b - d) >> 2
+        los = [(fl - b + 2) >> 1 for b in bs]
+        his = [(fl + b) >> 1 for b in bs]
+    else:
+        los = bs
+        his = [math.isqrt(n) for n in ns]
+    m = len(ns)
+    rem = list(ns)
+    divs = [[1] for _ in range(m)]
 
-
-def _table_views(table):
-    # (offsets, divisors, last row) of a divisor table. The memoryviews index
-    # to Python ints; last row 0 sends every n to trial division.
-    if table is None:
-        return None, None, 0
-    offsets, divisors = table
-    return offsets.data, divisors.data, len(offsets) - 2
-
-
-def _divisors(n):
-    divs = [1]
-    for p, e in _factorize(n):
-        grown = list(divs)
-        pk = 1
+    def strike(i, p):
+        # divide p^e out of row i and multiply its divisors by p, ..., p^e
+        n = rem[i] // p
+        e = 1
+        while n % p == 0:
+            n //= p
+            e += 1
+        rem[i] = n
+        row = layer = divs[i]
+        top = his[i] // p
         for _ in range(e):
-            pk *= p
-            grown.extend(d * pk for d in divs)
-        divs = grown
-    return divs
+            layer = [v * p for v in layer if v <= top]
+            row += layer
+
+    for i, n in enumerate(ns):
+        if not n & 1:
+            strike(i, 2)
+    b0 = bs[0]
+    for p in primes_upto(math.isqrt(max(ns)))[1:]:
+        dp = d % p
+        if dp and pow(dp, (p - 1) >> 1, p) != 1:
+            continue
+        r = _sqrt_mod(dp, p)
+        half = (p + 1) >> 1  # 2^-1 (mod p)
+        for root in (r, p - r) if r else (0,):
+            for i in range((root - b0) * half % p, m, p):
+                strike(i, p)
+    windows = []
+    for row, c, lo, hi in zip(divs, rem, los, his):
+        if 1 < c <= hi:  # a prime above every sieved p, so c^2 > n
+            top = hi // c
+            row += [v * c for v in row if v <= top]
+        windows.append([v for v in row if v >= lo])
+    return zip(bs, ns, windows)
 
 
 def _reduced_forms_neg(d, table=None):
-    # Scan 0 <= b, 3b^2 <= |d|, b = d (mod 2); each divisor a of
-    # n = (b^2 - d)/4 with b <= a <= sqrt(n) gives the reduced (a, +-b, n/a).
-    off, dv, top = _table_views(table)
+    # Each divisor a of n = (b^2 - d)/4 with b <= a <= sqrt(n) gives the
+    # reduced (a, +-b, n/a). A divisor table covering every n is bisected
+    # to that window row by row; otherwise the whole scan is sieved.
     out = []
-    b = d & 1
-    while 3 * b * b <= -d:
-        n = (b * b - d) >> 2
-        hi = math.isqrt(n)
-        if n <= top:
+    if _table_covers(table, d):
+        off, dv = table[0].data, table[1].data
+        for b in _b_range(d):
+            n = (b * b - d) >> 2
             i = off[n]
             j = off[n + 1]
-            window = dv[bisect_left(dv, b, i, j) : bisect_right(dv, hi, i, j)]
-        else:
-            window = [a for a in _divisors(n) if b <= a <= hi]
+            for a in dv[bisect_left(dv, b, i, j) : bisect_right(dv, math.isqrt(n), i, j)]:
+                c = n // a
+                out.append((a, b, c))
+                if 0 < b < a < c:
+                    out.append((a, -b, c))
+        return out
+    for b, n, window in _sieved_windows(d, 0):
         for a in window:
             c = n // a
             out.append((a, b, c))
             if 0 < b < a < c:
                 out.append((a, -b, c))
-        b += 2
     return out
 
 
 def _reduced_forms_pos(d, fl, table=None):
-    # Scan 0 < b <= isqrt(d), b = d (mod 2); each divisor pair of (d - b^2)/4
-    # inside the window yields a positive-a form and its negative-a mirror.
-    off, dv, top = _table_views(table)
+    # Each divisor v of n = (d - b^2)/4 with fl - b + 1 <= 2|v| <= fl + b
+    # yields a positive-a form and its negative-a mirror.
     out = []
-    for b in range(2 - (d & 1), fl + 1, 2):
-        n = (d - b * b) >> 2
-        if n == 0:
-            continue
-        # fl - b + 1 <= 2|a| <= fl + b, exact; as a window for |a|:
-        lo = (fl - b + 2) >> 1
-        hi = (fl + b) >> 1
-        if n <= top:
+    if _table_covers(table, d):
+        off, dv = table[0].data, table[1].data
+        for b in _b_range(d):
+            n = (d - b * b) >> 2
             i = off[n]
             j = off[n + 1]
-            window = dv[bisect_left(dv, lo, i, j) : bisect_right(dv, hi, i, j)]
-        else:
-            window = [v for v in _divisors(n) if lo <= v <= hi]
+            for v in dv[bisect_left(dv, (fl - b + 2) >> 1, i, j) : bisect_right(dv, (fl + b) >> 1, i, j)]:
+                w = n // v
+                out.append((v, b, -w))
+                out.append((-v, b, w))
+        return out
+    for b, n, window in _sieved_windows(d, fl):
         for v in window:
             w = n // v
             out.append((v, b, -w))
@@ -559,8 +634,8 @@ def _classes_and_torsion(d, table=None):
 def _core_info(d, table=None):
     """(h_plus, h, unit_norm, r3) for a trusted fundamental discriminant d.
 
-    table is an optional divisor_table covering the n of d's enumeration;
-    n beyond it are factored by trial division.
+    table is an optional divisor_table; unless it covers every n of d's
+    enumeration, d's enumeration is sieved instead (_sieved_windows).
     """
     h_plus, tt = _classes_and_torsion(d, table)
     if d < 0:

@@ -190,6 +190,27 @@ class TestSquarefreeInAP:
         with pytest.raises(ValueError):
             arith.count_squarefree_in_ap(100, 6, 3)
 
+    def test_below_residue_counts_nothing(self):
+        assert arith.count_squarefree_in_ap(4, 12, 5).count == 0
+        assert arith.count_squarefree_in_ap(1, 7, 3).count == 0
+
+    def test_modulus_one(self):
+        for x in (1, 2, 3, 4, 8, 9, 100, 2021):
+            expected = sum(1 for m in range(1, x + 1) if brute_squarefree(m))
+            for l in (0, 1, 5):  # every l is the residue 1 = k
+                assert arith.count_squarefree_in_ap(x, 1, l).count == expected, (x, l)
+        with pytest.raises(ValueError):
+            arith.count_squarefree_in_ap(100, 6, 6)
+
+    def test_max_cells_bounds_progression_cells(self):
+        # x = 1000, k = 10, l = 3: the members 3, 13, ..., 993 are 100 cells.
+        expected = sum(1 for m in range(3, 1001, 10) if brute_squarefree(m))
+        assert arith.count_squarefree_in_ap(1000, 10, 3, max_cells=100).count == expected
+        with pytest.raises(arith.WindowTooLarge):
+            arith.count_squarefree_in_ap(1000, 10, 3, max_cells=99)
+        with pytest.raises(arith.WindowTooLarge):
+            arith.count_squarefree_in_ap(10**12, 1, 1, max_cells=10**6)
+
     def test_residue_normalization(self):
         a = arith.count_squarefree_in_ap(500, 7, 3)
         b = arith.count_squarefree_in_ap(500, 7, 10)

@@ -3,6 +3,9 @@ import math
 import random
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadclass import arith, experiments, forms
 from quadclass.forms import ClassRep, Form
@@ -161,7 +164,7 @@ class TestDivisorTable:
         assert offsets.nbytes + divisors.nbytes == forms.divisor_table_bytes(limit)
         for n in range(1, limit + 1):
             row = divisors[offsets[n] : offsets[n + 1]].tolist()
-            assert row == sorted(forms._divisors(n)), n
+            assert row == sympy.divisors(n), n
 
     @staticmethod
     def _enumerated_ns(d):
@@ -192,10 +195,94 @@ class TestDivisorTable:
             assert forms._core_info(d, table) == forms._core_info(d), d
 
     def test_n_beyond_table_uses_trial_division(self):
+        # A table one row short of the largest n sends D to the sieve.
         for d in (-19999, 19997, 4 * 4999):
             top = max(self._enumerated_ns(d))
             short = forms.divisor_table(top - 1)
-            assert forms._core_info(d, short) == forms._core_info(d), d
+            assert forms._core_info(d, short) == forms._core_info(d, forms.divisor_table(top)), d
+
+
+def reference_forms(d):
+    """Reduced forms of d from sympy.divisors of each n = |d - b^2| / 4,
+    filtered by the reduction conditions (exact squares for d > 0)."""
+    out = []
+    if d < 0:
+        b = d & 1
+        while 3 * b * b <= -d:
+            n = (b * b - d) >> 2
+            for a in sympy.divisors(n):
+                c = n // a
+                if b <= a <= c:
+                    out.append((a, b, c))
+                    if 0 < b < a < c:
+                        out.append((a, -b, c))
+            b += 2
+        return out
+    for b in range(2 - (d & 1), math.isqrt(d) + 1, 2):
+        n = (d - b * b) >> 2
+        for v in sympy.divisors(n):
+            if forms._is_reduced_pos(v, b, -(n // v), d):
+                out.append((v, b, -(n // v)))
+                out.append((-v, b, n // v))
+    return out
+
+
+class TestPolynomialSieve:
+    def test_sqrt_mod_matches_brute_force(self):
+        # Every residue, a = 0 included, of every odd prime < 2000; the primes
+        # p = 1 (mod 8) run the Tonelli-Shanks loop for more than one round.
+        primes = arith.primes_upto(2000)[1:]
+        assert any(p % 8 == 1 for p in primes)
+        for p in primes:
+            roots = {}
+            for x in range(p):
+                roots.setdefault(x * x % p, set()).add(x)
+            for a, rs in roots.items():
+                assert forms._sqrt_mod(a, p) in rs, (a, p)
+                assert forms._sqrt_mod(a + 7 * p, p) in rs, (a, p)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2000, 10**15), st.integers(0, 10**15))
+    def test_sqrt_mod_property(self, lo, x):
+        p = sympy.nextprime(lo)
+        a = x * x % p
+        r = forms._sqrt_mod(a, p)
+        assert 0 <= r < p and r * r % p == a
+
+    @staticmethod
+    def _random_fundamental(rng, sign, count):
+        out = []
+        while len(out) < count:
+            d = sign * int(10 ** rng.uniform(6, 9))
+            if arith.is_fundamental_discriminant(d):
+                out.append(d)
+        return out
+
+    def _check(self, d, monkeypatch):
+        if d < 0:
+            got = forms._reduced_forms_neg(d)
+        else:
+            got = forms._reduced_forms_pos(d, math.isqrt(d))
+        want = reference_forms(d)
+        assert len(got) == len(set(got)) and set(got) == set(want), d
+        sieved = forms._core_info(d)
+        with monkeypatch.context() as m:
+            m.setattr(forms, "_reduced_forms_neg", lambda *_: want)
+            m.setattr(forms, "_reduced_forms_pos", lambda *_: want)
+            assert sieved == forms._core_info(d), d
+
+    def test_random_discriminants_match_reference(self, monkeypatch):
+        rng = random.Random(20261018)
+        for d in self._random_fundamental(rng, 1, 20) + self._random_fundamental(rng, -1, 20):
+            self._check(d, monkeypatch)
+
+    @pytest.mark.parametrize("d", [-3, -4, -8, 5, 8, 12, 13,
+                                   -4 * 3 * 5 * 7 * 11 * 13 * 17 * 19,
+                                   -3 * 5 * 7 * 11 * 13 * 17 * 19 * 23,
+                                   8 * 3 * 5 * 7 * 11 * 13 * 17 * 19])
+    def test_edge_cases_match_reference(self, d, monkeypatch):
+        assert arith.is_fundamental_discriminant(d)
+        self._check(d, monkeypatch)
 
 
 class TestPrincipalAndCompose:
