@@ -29,6 +29,7 @@ __all__ = [
     "primes_upto",
     "sieve_squarefree",
     "smallest_prime_factors",
+    "squarefree_mask",
 ]
 
 # Sieve windows larger than this many cells are refused (see sieve_squarefree).
@@ -137,6 +138,30 @@ def is_squarefree(n: int) -> bool:
         if n % pp == 0:
             return False
     return True
+
+
+def squarefree_mask(ns: np.ndarray) -> np.ndarray:
+    """Squarefree flags of an int64 array of positive integers, with no sieve
+    window: each prime p <= sqrt(max ns) tests the values >= p^2 for
+    divisibility by p^2 in one array operation. That is the work of trial
+    division of each value by the primes up to its square root; the last few
+    values, once too few are left to pay for an array operation, are tested
+    one by one with is_squarefree.
+    """
+    order = np.argsort(ns, kind="stable")
+    s = ns[order]
+    flags = np.ones(len(s), dtype=bool)
+    if len(s):
+        for p in primes_upto(math.isqrt(int(s[-1]))):
+            q = p * p
+            i = int(np.searchsorted(s, q))
+            if len(s) - i < 16:
+                flags[i:] &= [is_squarefree(int(n)) for n in s[i:]]
+                break
+            flags[i:] &= s[i:] % q != 0
+    out = np.empty_like(flags)
+    out[order] = flags
+    return out
 
 
 class WindowTooLarge(ValueError):

@@ -2,16 +2,22 @@
 a line-oriented result cache, and a worker-pool size flag.
 
 Exit codes: 0 success; 2 invalid family or flag values (verdict printed);
-3 domain error (e.g. a square discriminant); 4 cache corruption.
+3 domain error (e.g. a square discriminant); 4 cache corruption; 5 an
+invariant recheck failed (``invariant violated: ...``, naming D or x).
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
+import re
 import sys
+from concurrent.futures import BrokenExecutor
 from typing import NamedTuple
+
+import numpy as np
 
 from . import arith, experiments, families, forms
 
@@ -31,6 +37,7 @@ EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_DOMAIN = 3
 EXIT_CACHE = 4
+EXIT_INVARIANT = 5
 
 # Guards against composition intermediates outgrowing the desk-scale design.
 MAX_X = 1 << 48
@@ -157,48 +164,106 @@ def render_sieve_count(res: arith.SquarefreeAPCount, fmt: str = "csv") -> str:
 # cache file: one `D,h_plus,h,unit_norm,r3` line per discriminant
 # ----------------------------------------------------------------------
 
-def _validate_record(rec: CacheRecord) -> None:
-    if rec.D == 0 or rec.h_plus < 1 or rec.h < 1 or rec.r3 < 0:
-        raise CacheCorruption(f"impossible record {rec}")
-    if rec.unit_norm not in (-1, 0, 1):
-        raise CacheCorruption(f"unit_norm outside {{-1, 0, 1}} in {rec}")
-    if 3**rec.r3 > rec.h_plus:
-        raise CacheCorruption(f"3^r3 exceeds h_plus in {rec}")
-    if rec.D < 0:
-        if rec.unit_norm != 0 or rec.h != rec.h_plus:
-            raise CacheCorruption(f"imaginary record inconsistent: {rec}")
-    else:
-        if rec.unit_norm == 0 or rec.h_plus != rec.h * (2 if rec.unit_norm == 1 else 1):
-            raise CacheCorruption(f"real record inconsistent: {rec}")
+# A canonical field is what str() makes of an int: "0", or an optional "-"
+# and a nonzero digit, then more digits. At most 19 digits, so that it can
+# fit in int64; the parse refuses a 19-digit field beyond int64.
+_FIELD = rb"(?:0|-?[1-9][0-9]{0,18})"
+_LINE = rb"%s(?:,%s){4}" % (_FIELD, _FIELD)
+_BAD_LINE = re.compile(rb"^(?!%s$)" % _LINE, re.MULTILINE)
+_LONG_FIELD = re.compile(rb"-?[0-9]{19}")
+_INT64 = range(-(1 << 63), 1 << 63)
+
+
+def _record_faults(rows):
+    """(mask, reason) per invariant of a record, over the rows of an (n, 5)
+    int64 array, in the order a row's first fault is reported."""
+    d, h_plus, h, unit_norm, r3 = rows.T
+    real = d > 0
+    # 3^39 < 2^63 - 1 < 3^40, so r3 > 39 exceeds every int64 h_plus.
+    return [
+        ((d == 0) | (h_plus < 1) | (h < 1) | (r3 < 0), "impossible record"),
+        ((unit_norm < -1) | (unit_norm > 1), "unit_norm outside {-1, 0, 1} in"),
+        ((r3 > 39) | (3 ** np.clip(r3, 0, 39) > h_plus), "3^r3 exceeds h_plus in"),
+        (~real & ((unit_norm != 0) | (h != h_plus)), "imaginary record inconsistent:"),
+        (real & ((unit_norm == 0) | (h_plus - h != np.where(unit_norm == 1, h, 0))),
+         "real record inconsistent:"),
+    ]
+
+
+def _parse_rows(lines: bytes):
+    """The (n, 5) int64 array of canonical record lines; ValueError when a
+    field does not fit in int64."""
+    if not lines:
+        return np.empty((0, 5), dtype=np.int64)
+    return np.loadtxt(io.BytesIO(lines), dtype=np.int64, delimiter=",", ndmin=2)
+
+
+def _format_fault(line: bytes) -> str:
+    """Why a line that is not five canonical int64 fields is refused."""
+    try:
+        text = line.decode("ascii")
+    except UnicodeDecodeError:
+        return "non-ASCII byte"
+    parts = text.split(",")
+    if len(parts) != 5:
+        return "expected 5 fields"
+    try:
+        values = [int(p) for p in parts]
+    except ValueError as exc:
+        return str(exc)
+    if ",".join(map(str, values)) != text:
+        return "non-canonical formatting"
+    return "field outside the int64 range"
 
 
 def cache_load(path: str) -> dict[int, CacheRecord]:
-    """Load and validate a cache file; sorted ascending by D, no duplicates."""
-    records: dict[int, CacheRecord] = {}
-    prev = None
-    with open(path, encoding="ascii", newline="") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw[:-1] if raw.endswith("\n") else raw
-            parts = line.split(",")
-            if len(parts) != 5:
-                raise CacheCorruption(f"{path}:{lineno}: expected 5 fields")
-            try:
-                rec = CacheRecord(*(int(p) for p in parts))
-            except ValueError as exc:
-                raise CacheCorruption(f"{path}:{lineno}: {exc}") from None
-            if ",".join(str(v) for v in rec) != line:
-                raise CacheCorruption(f"{path}:{lineno}: non-canonical formatting")
-            _validate_record(rec)
-            if prev is not None and rec.D <= prev:
-                raise CacheCorruption(f"{path}:{lineno}: records not strictly ascending")
-            prev = rec.D
-            records[rec.D] = rec
+    """Load and validate a cache file; sorted ascending by D, no duplicates.
+
+    The file is read once. A pattern finds the first line that is not five
+    canonical integers, the lines before it are parsed into one int64 array,
+    and the record invariants and the ascending order are checked on that
+    array. CacheCorruption names path:lineno of the first bad line.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    bad = _BAD_LINE.search(data)
+    # After a final LF (or in an empty file) the search stops at len(data),
+    # where no line starts.
+    end = bad.start() if bad else len(data)
+    try:
+        rows = _parse_rows(data[:end])
+    except ValueError:  # a 19-digit field beyond int64; the lines before it stand
+        field = next(f for f in _LONG_FIELD.finditer(data, 0, end) if int(f[0]) not in _INT64)
+        end = data.rfind(b"\n", 0, field.start()) + 1
+        rows = _parse_rows(data[:end])
+    bad_line = data[end:].split(b"\n", 1)[0] if end < len(data) else None
+    del data
+    fault = np.zeros(len(rows), dtype=bool)
+    faults = _record_faults(rows)
+    for mask, _ in faults:
+        fault |= mask
+    fault[1:] |= rows[1:, 0] <= rows[:-1, 0]  # not np.diff, which can overflow
+    if fault.any():
+        i = int(fault.argmax())
+        rec = CacheRecord(*rows[i].tolist())
+        why = next((f"{reason} {rec}" for mask, reason in faults if mask[i]),
+                   "records not strictly ascending")
+        raise CacheCorruption(f"{path}:{i + 1}: {why}")
+    if bad_line is not None:
+        raise CacheCorruption(f"{path}:{len(rows) + 1}: {_format_fault(bad_line)}")
+    # Converted in blocks, so the Python lists of one block are all that
+    # exists beside the array and the records.
+    records = {}
+    for start in range(0, len(rows), 4096):
+        cols = rows[start:start + 4096].T.tolist()
+        records.update(zip(cols[0], map(CacheRecord, *cols)))
     return records
 
 
 def cache_store(path: str, records) -> None:
     """Merge records into the cache file; conflicting duplicates are corruption.
-    The file is replaced by a rename, so a failed write leaves the old one."""
+    The file is re-read first, so records another run stored meanwhile are
+    kept, and is replaced by a rename, so a failed write leaves the old one."""
     merged = cache_load(path) if os.path.exists(path) else {}
     for rec in records:
         old = merged.get(rec.D)
@@ -208,8 +273,7 @@ def cache_store(path: str, records) -> None:
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="ascii", newline="") as fh:
-            for d in sorted(merged):
-                fh.write(",".join(str(v) for v in merged[d]) + "\n")
+            fh.writelines(",".join(map(str, merged[d])) + "\n" for d in sorted(merged))
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
@@ -220,12 +284,20 @@ def _record_of(info: forms.ClassGroupInfo) -> CacheRecord:
     return CacheRecord(info.D.value, info.h_plus, info.h, info.unit_norm, info.r3)
 
 
+def _infos_of(records: dict[int, CacheRecord]) -> dict[int, forms.ClassGroupInfo]:
+    """The class data of cached records; every D must be a fundamental
+    discriminant, which one vectorized check over all of them confirms."""
+    ds = np.fromiter(records, dtype=np.int64, count=len(records))
+    bad = ds[~experiments._fundamental(ds)]
+    if len(bad):
+        raise CacheCorruption(f"cached D={int(bad[0])} is not a fundamental discriminant")
+    return {d: forms.ClassGroupInfo(experiments._trusted(d), rec.h_plus, rec.h,
+                                    rec.unit_norm, 3**rec.r3, rec.r3)
+            for d, rec in records.items()}
+
+
 def _info_of(rec: CacheRecord) -> forms.ClassGroupInfo:
-    try:
-        disc = arith.classify_discriminant(rec.D)
-    except arith.NotFundamental as exc:
-        raise CacheCorruption(f"cached D={rec.D} is not a fundamental discriminant") from exc
-    return forms.ClassGroupInfo(disc, rec.h_plus, rec.h, rec.unit_norm, 3**rec.r3, rec.r3)
+    return _infos_of({rec.D: rec})[rec.D]
 
 
 # ----------------------------------------------------------------------
@@ -297,6 +369,11 @@ def run(argv=None) -> int:
     except ValueError as exc:
         print(f"invalid arguments: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except BrokenExecutor:
+        raise  # a worker process died; no invariant was checked
+    except (AssertionError, RuntimeError) as exc:
+        print(f"invariant violated: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
 
 
 def _dispatch(args) -> int:
@@ -332,7 +409,8 @@ def _dispatch(args) -> int:
 
     cache_infos: dict = {}
     if args.cache and os.path.exists(args.cache):
-        cache_infos = {d: _info_of(rec) for d, rec in cache_load(args.cache).items()}
+        cache_infos = _infos_of(cache_load(args.cache))
+    loaded = len(cache_infos)
 
     certificates = None
     if args.command == "lambda":
@@ -342,7 +420,8 @@ def _dispatch(args) -> int:
         report = runner(args.x, family, args.checkpoints, jobs=args.jobs,
                         cache=cache_infos, progress=args.progress)
 
-    if args.cache:
+    # A run that computed nothing leaves an existing cache file untouched.
+    if args.cache and (len(cache_infos) > loaded or not os.path.exists(args.cache)):
         cache_store(args.cache, (_record_of(i) for i in cache_infos.values()))
     sys.stdout.write(render_report(report, args.format, certificates))
     return EXIT_OK

@@ -38,7 +38,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .arith import Discriminant, kronecker, mobius, sieve_squarefree
+from .arith import Discriminant, kronecker, mobius, sieve_squarefree, squarefree_mask
 from .arith import smallest_prime_factors  # noqa: F401  (perfbench/traced_cli.py wraps this name)
 from .families import LEVEL_LAMBDA, LEVEL_NH, LEVEL_THEOREM, LEVELS, CongruenceFamily
 from .forms import ClassGroupInfo, _core_info, _largest_n, divisor_table, divisor_table_bytes
@@ -269,13 +269,17 @@ def _progression(family, lo, hi):
     return range(lo + (family.m - lo) % family.N, hi + 1, family.N)
 
 
-def _fundamental(ds, sf):
-    """Mask of the fundamental discriminants in ds, an int64 array of one
-    sign; sf[i] is the squarefree flag of i + 1 and covers every |D|."""
+def _fundamental(ds, sf=None):
+    """Mask of the fundamental discriminants in ds, an int64 array. sf[i] is
+    the squarefree flag of i + 1 and covers every |D|; without sf the cores
+    are tested by arith.squarefree_mask, with no window to cover."""
     r = ds & 3
     q = ds >> 2  # floor division, so q & 3 is q mod 4 for either sign
     core = np.abs(np.where(r == 1, ds, q))  # 0 only for 1 < D < 4, rejected by ok
     ok = ((r == 1) & (ds != 1)) | ((r == 0) & ((q & 3) >= 2))
+    if sf is None:
+        ok[ok] = squarefree_mask(core[ok])
+        return ok
     return ok & sf[core - 1]
 
 

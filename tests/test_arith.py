@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 import sympy
 
@@ -39,6 +40,20 @@ class TestSquarefree:
         rng = random.Random(11)
         for n in [rng.randrange(1, 10**6) for _ in range(500)]:
             assert arith.is_squarefree(n) == brute_squarefree(n), n
+
+
+class TestSquarefreeMask:
+    def test_matches_is_squarefree(self):
+        rng = random.Random(17)
+        ns = list(range(1, 3000)) + [rng.randrange(1, 10**12) for _ in range(300)]
+        rng.shuffle(ns)
+        got = arith.squarefree_mask(np.array(ns, dtype=np.int64))
+        assert got.tolist() == [arith.is_squarefree(n) for n in ns]
+
+    @pytest.mark.parametrize("ns", [[], [1], [4, 1, 9], [10**12 + 39, 49 * 10**10, 7]])
+    def test_few_values(self, ns):
+        got = arith.squarefree_mask(np.array(ns, dtype=np.int64))
+        assert got.tolist() == [arith.is_squarefree(n) for n in ns]
 
 
 class TestSieve:

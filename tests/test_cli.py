@@ -1,10 +1,13 @@
 import json
 import random
 import re
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from quadclass import cli, experiments, families
+from quadclass import cli, experiments, families, forms
 from quadclass.cli import CacheCorruption, CacheRecord
 
 
@@ -256,3 +259,220 @@ class TestProgress:
         assert lines and all(re.fullmatch(r"class groups: \d+/\d+", line) for line in lines)
         done, total = lines[-1].split(": ")[1].split("/")
         assert done == total
+
+
+def _valid_record(rec):
+    """The record invariants cache_load enforces, one record at a time."""
+    d, h_plus, h, unit_norm, r3 = rec
+    if d == 0 or h_plus < 1 or h < 1 or r3 < 0 or unit_norm not in (-1, 0, 1):
+        return False
+    if 3**r3 > h_plus:
+        return False
+    if d < 0:
+        return unit_norm == 0 and h == h_plus
+    return unit_norm != 0 and h_plus == h * (2 if unit_norm == 1 else 1)
+
+
+def reference_load(path):
+    """The per-line loader that cache_load replaced, plus the int64 field bound:
+    the records of a valid file, or the number of its first bad line."""
+    records, prev = {}, None
+    with open(path, encoding="ascii", newline="") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            line = raw[:-1] if raw.endswith("\n") else raw
+            try:
+                rec = CacheRecord(*(int(p) for p in line.split(",")))
+            except (TypeError, ValueError):  # not 5 fields, or not integers
+                return lineno
+            if (",".join(str(v) for v in rec) != line
+                    or any(not -2**63 <= v < 2**63 for v in rec)
+                    or not _valid_record(rec)
+                    or (prev is not None and rec.D <= prev)):
+                return lineno
+            prev = rec.D
+            records[rec.D] = rec
+    return records
+
+
+def vectorized_load(path):
+    """cache_load's records, or the line number its CacheCorruption names."""
+    try:
+        return cli.cache_load(path)
+    except CacheCorruption as exc:
+        m = re.match(re.escape(path) + r":(\d+): ", str(exc))
+        assert m, str(exc)
+        return int(m[1])
+
+
+_JUNK_FIELDS = ["-0", "+5", "05", " 5", "5 ", "x", "", "1_0", "9223372036854775807",
+                "9223372036854775808", "-9223372036854775808", "-9223372036854775809",
+                "12157665459056928801", "40"]
+
+
+@st.composite
+def _record_lines(draw):
+    d = draw(st.integers(-10**6, 10**6).filter(bool))
+    r3 = draw(st.integers(0, 3))
+    h = 3**r3 * draw(st.integers(1, 4))
+    if d < 0:
+        return f"{d},{h},{h},0,{r3}"
+    unit_norm = draw(st.sampled_from([-1, 1]))
+    return f"{d},{h * (2 if unit_norm == 1 else 1)},{h},{unit_norm},{r3}"
+
+
+@st.composite
+def _mutated_record_lines(draw):
+    """A valid record line with one field replaced."""
+    fields = draw(_record_lines()).split(",")
+    small = st.integers(-3, 3).map(str)
+    fields[draw(st.integers(0, 4))] = draw(st.one_of(small, small, st.sampled_from(_JUNK_FIELDS)))
+    return ",".join(fields)
+
+
+_JUNK_LINES = st.one_of(
+    _mutated_record_lines(),
+    st.lists(st.one_of(st.integers(-3, 3).map(str), st.sampled_from(_JUNK_FIELDS)),
+             min_size=4, max_size=6).map(",".join),
+    st.text(alphabet="0123456789,-+ \r", max_size=16),
+)
+
+
+@st.composite
+def _cache_texts(draw):
+    lines = sorted(draw(st.lists(_record_lines(), max_size=8)),
+                   key=lambda line: int(line.split(",")[0]))
+    for _ in range(draw(st.integers(0, 2))):
+        junk = draw(st.one_of(_JUNK_LINES, _record_lines(), st.sampled_from(lines or [""])))
+        lines.insert(draw(st.integers(0, len(lines))), junk)
+    return "\n".join(lines) + draw(st.sampled_from(["\n", "", "\r\n", "\n\n"]))
+
+
+class TestCacheParserReference:
+    """cache_load accepts exactly the files the per-line reference accepts,
+    and names the same first bad line."""
+
+    @pytest.mark.parametrize("text,expected", [
+        ("-0,1,1,0,0\n", 1),
+        ("+5,1,1,-1,0\n", 1),
+        ("05,1,1,-1,0\n", 1),
+        ("5,1,1,-1,0\n229, 3,3,-1,1\n", 2),
+        ("5,1,1,-1,0\r\n229,3,3,-1,1\r\n", 1),
+        ("5,1,1,-1,0\n\n229,3,3,-1,1\n", 2),
+        ("5,1,1,-1,0\n229,3,3,-1,1", {5, 229}),
+        ("", set()),
+        ("5,1,1,-1,0\n5,1,1,-1,0\n", 2),
+        ("229,3,3,-1,1\n5,1,1,-1,0\n", 2),
+        ("5,9223372036854775807,9223372036854775807,-1,0\n", {5}),
+        ("5,1,1,-1,0\n8,9223372036854775808,9223372036854775808,-1,0\n", 2),
+        ("-9223372036854775809,1,1,0,0\n-9223372036854775808,1,1,0,0\n", 1),
+        ("5,9223372036854775807,9223372036854775807,-1,40\n", 1),
+        # 3^40 fits this h_plus, so the per-line rules without the int64
+        # bound accepted the line; the bound refuses the field.
+        ("5,12157665459056928801,12157665459056928801,-1,40\n", 1),
+        ("0,1,1,0,0\n5,1,1,-1,0\n", 1),
+        ("5,1,1,-1,0\n229,3,3,-2,1\n", 2),
+        ("5,1,1,-1,0\n12,2,1,1,1\n", 2),
+        ("-3,2,1,0,0\n", 1),
+        ("5,1,1,0,0\n", 1),
+        ("5,2,2,1,0\n", 1),
+    ], ids=["minus-zero", "plus-sign", "leading-zero", "padding", "crlf", "blank-line",
+            "missing-final-lf", "empty-file", "duplicate-d", "descending-d", "19-digits-int64",
+            "19-digits-beyond-int64", "below-int64", "r3-40", "r3-40-beyond-int64",
+            "d-zero", "unit-norm-range", "3-torsion-exceeds-h-plus", "imaginary-inconsistent",
+            "real-norm-zero", "real-h-plus-not-2h"])
+    def test_explicit_cases(self, tmp_path, text, expected):
+        path = tmp_path / "cache.txt"
+        path.write_bytes(text.encode("ascii"))
+        got = vectorized_load(str(path))
+        assert got == reference_load(str(path))
+        assert (set(got) if isinstance(got, dict) else got) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(_cache_texts())
+    def test_matches_reference(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("fuzz") / "cache.txt"
+        path.write_bytes(text.encode("ascii"))
+        assert vectorized_load(str(path)) == reference_load(str(path))
+
+    def test_non_ascii_byte_is_corruption(self, tmp_path):
+        path = tmp_path / "cache.txt"
+        path.write_bytes(b"5,1,1,-1,0\n2\xe9,1,1,-1,0\n")
+        with pytest.raises(CacheCorruption, match=r":2: non-ASCII byte"):
+            cli.cache_load(str(path))
+
+
+class TestWarmPath:
+    ARGS = ["indivisibility", "--m", "1", "--n", "4", "--x", "2000"]
+
+    def test_warm_run_leaves_cache_untouched(self, tmp_path, capsys):
+        cache = tmp_path / "c.txt"
+        code, cold, _ = run_cli(capsys, *self.ARGS, "--cache", str(cache))
+        assert code == 0
+        data, before = cache.read_bytes(), cache.stat()
+        code, warm, _ = run_cli(capsys, *self.ARGS, "--cache", str(cache))
+        after = cache.stat()
+        assert code == 0 and warm == cold
+        assert cache.read_bytes() == data
+        assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+        assert [p.name for p in tmp_path.iterdir()] == ["c.txt"]
+
+    def test_store_merges_record_written_during_run(self, tmp_path, capsys, monkeypatch):
+        cache = tmp_path / "c.txt"
+        run_cli(capsys, "imaginary", "--m", "1", "--n", "4", "--x", "100", "--cache", str(cache))
+        imaginary = set(cli.cache_load(str(cache)))
+        runner, level = cli._EXPERIMENTS["nh-average"]
+
+        def with_concurrent_store(*args, **kwargs):
+            # Another run stores -4 after this one loaded the cache.
+            cli.cache_store(str(cache), [CacheRecord(-4, 1, 1, 0, 0)])
+            return runner(*args, **kwargs)
+
+        monkeypatch.setitem(cli._EXPERIMENTS, "nh-average", (with_concurrent_store, level))
+        code, _, _ = run_cli(capsys, "nh-average", "--m", "1", "--n", "4", "--x", "300",
+                             "--cache", str(cache))
+        assert code == 0
+        stored = set(cli.cache_load(str(cache)))
+        assert -4 not in imaginary
+        assert imaginary | {-4, 5, 229} <= stored
+
+    def test_empty_family_creates_cache_file(self, tmp_path, capsys):
+        cache = tmp_path / "c.txt"
+        code, _, _ = run_cli(capsys, "nh-average", "--m", "1", "--n", "4", "--x", "1",
+                             "--cache", str(cache))
+        assert code == 0
+        assert cache.read_bytes() == b""
+
+    @pytest.mark.parametrize("line", ["1,1,1,-1,0", "9,1,1,-1,0", "4,1,1,-1,0", "-12,1,1,0,0",
+                                      "45,1,1,-1,0", "-72,1,1,0,0"])
+    def test_non_fundamental_cached_d_exits_4(self, tmp_path, capsys, line):
+        cache = tmp_path / "c.txt"
+        lines = sorted(["-3,1,1,0,0", "229,3,3,-1,1", line], key=lambda s: int(s.split(",")[0]))
+        cache.write_text("\n".join(lines) + "\n")
+        d = line.split(",")[0]
+        code, out, err = run_cli(capsys, *self.ARGS, "--cache", str(cache))
+        assert code == 4 and out == ""
+        assert f"cached D={d} is not a fundamental discriminant" in err
+
+
+class TestInvariantExit:
+    def test_runtime_error_exits_5(self, capsys, monkeypatch):
+        monkeypatch.setattr(experiments, "kronecker", lambda a, n: 1)
+        code, out, err = run_cli(capsys, "lambda", "--m", "17", "--n", "12", "--t", "12",
+                                 "--x", "300")
+        assert code == 5 and out == ""
+        assert err == ("invariant violated: Legendre symbol of certified D=5 is not -1; "
+                       "family congruences are broken\n")
+
+    def test_assertion_error_exits_5(self, capsys, monkeypatch):
+        monkeypatch.setattr(forms, "_cf_period", lambda d: 0)  # unit norm +1 for every D
+        code, out, err = run_cli(capsys, "nh-average", "--m", "1", "--n", "4", "--x", "300")
+        assert code == 5 and out == ""
+        assert err == "invariant violated: unit norm +1 with odd narrow class number for D=5\n"
+
+    def test_broken_pool_is_not_an_invariant(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise BrokenProcessPool("a worker process died")
+
+        monkeypatch.setitem(cli._EXPERIMENTS, "nh-average", (broken, families.LEVEL_NH))
+        with pytest.raises(BrokenProcessPool):
+            cli.run(["nh-average", "--m", "1", "--n", "4", "--x", "300"])

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from quadclass import arith, experiments, families, forms
@@ -330,3 +331,9 @@ class TestScanEquivalence:
                     if all(arith.is_fundamental_discriminant(e) and h_of(e) % 3 != 0
                            for e in (d, d + fam.t))]
         assert [c.D.value for c in certs] == expected
+
+    def test_fundamental_without_window(self):
+        rng = random.Random(19)
+        ds = list(range(-3000, 3001)) + [rng.randrange(-10**12, 10**12) for _ in range(300)]
+        got = experiments._fundamental(np.array(ds, dtype=np.int64))
+        assert got.tolist() == [arith.is_fundamental_discriminant(d) for d in ds]
