@@ -296,10 +296,6 @@ def _infos_of(records: dict[int, CacheRecord]) -> dict[int, forms.ClassGroupInfo
             for d, rec in records.items()}
 
 
-def _info_of(rec: CacheRecord) -> forms.ClassGroupInfo:
-    return _infos_of({rec.D: rec})[rec.D]
-
-
 # ----------------------------------------------------------------------
 # argument parsing and dispatch
 # ----------------------------------------------------------------------

@@ -7,14 +7,17 @@ All arithmetic is exact. Conventions:
 * indefinite forms (D > 0, nonsquare): reduced means 0 < b < sqrt(D) and
   sqrt(D) - b < 2|a| < sqrt(D) + b, decided exactly by comparing squares;
   the reduction step `rho` permutes the reduced forms into cycles, and the
-  number of cycles is the narrow class number h+.
+  number of cycles is the narrow class number h+. The sign of a alternates
+  around every cycle, so the cycles are found from the a > 0 forms alone.
 * class representatives are canonicalized to the lexicographically least
   (a, b, c) of their cycle, so equality of classes is equality of tuples.
 
-The narrow class group and the ideal class group have the same odd part
-(their index is 1 or 2), so 3-torsion counts computed on cycles are the
-3-torsion counts of the ideal class group; the wide class number h is
-recovered from h+ and the norm of the fundamental unit.
+A class x is 3-torsion exactly when x^2 = x^-1, so the 3-torsion count
+takes one composition and one reduction per class. The narrow class group
+and the ideal class group have the same odd part (their index is 1 or 2),
+so 3-torsion counts computed on cycles are the 3-torsion counts of the
+ideal class group; the wide class number h is recovered from h+ and the
+norm of the fundamental unit.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -134,8 +138,8 @@ def _rho(a, b, c, D, fl):
 
 def _reduce_pos(a, b, c, D, fl):
     # |c| shrinks by roughly sqrt(D) per step until it is below sqrt(D),
-    # after which at most a few more steps land in the reduced set.
-    while not _is_reduced_pos(a, b, c, D):
+    # after which at most a few more steps land on a reduced form with a > 0.
+    while a < 0 or not _is_reduced_pos(a, b, c, D):
         a, b, c = _rho(a, b, c, D, fl)
     return a, b, c
 
@@ -290,16 +294,13 @@ def _table_covers(table, d):
     return table is not None and len(table[0]) - 2 >= _largest_n(d)
 
 
-def _sieved_windows(d, fl):
-    """(b, n, window) for each b of d's enumeration, n = |d - b^2| / 4 and
+def _rows(d, fl, table=None):
+    """(b, n, window) for each b of d's enumeration: n = |d - b^2| / 4 and
     window the divisors a of n with fl - b + 1 <= 2a <= fl + b
     (fl = isqrt(d)) for d > 0, or b <= a <= isqrt(n) for d < 0.
 
-    One polynomial sieve factors every n at once: an odd prime p divides n
-    iff b^2 = d (mod p), so p strikes the rows b = +-sqrt(d) (mod p) and no
-    others, and primes up to isqrt(max n) leave a cofactor that is 1 or
-    prime. Each row grows its divisors as its primes strike; divisors above
-    the window are never built.
+    A divisor table covering every n is bisected to each window; otherwise
+    the whole scan is sieved (_sieved_windows).
     """
     bs = _b_range(d)
     ns = [abs(d - b * b) >> 2 for b in bs]
@@ -309,6 +310,25 @@ def _sieved_windows(d, fl):
     else:
         los = bs
         his = [math.isqrt(n) for n in ns]
+    if _table_covers(table, d):
+        off, dv = table[0].data, table[1].data
+        windows = [dv[bisect_left(dv, lo, i := off[n], j := off[n + 1]) : bisect_right(dv, hi, i, j)]
+                   for n, lo, hi in zip(ns, los, his)]
+    else:
+        windows = _sieved_windows(d, bs, ns, los, his)
+    return zip(bs, ns, windows)
+
+
+def _sieved_windows(d, bs, ns, los, his):
+    """The divisors v of each ns[i] with los[i] <= v <= his[i], where
+    ns[i] = |d - bs[i]^2| / 4.
+
+    One polynomial sieve factors every n at once: an odd prime p divides n
+    iff b^2 = d (mod p), so p strikes the rows b = +-sqrt(d) (mod p) and no
+    others, and primes up to isqrt(max n) leave a cofactor that is 1 or
+    prime. Each row grows its divisors as its primes strike; divisors above
+    the window are never built.
+    """
     m = len(ns)
     rem = list(ns)
     divs = [[1] for _ in range(m)]
@@ -346,27 +366,13 @@ def _sieved_windows(d, fl):
             top = hi // c
             row += [v * c for v in row if v <= top]
         windows.append([v for v in row if v >= lo])
-    return zip(bs, ns, windows)
+    return windows
 
 
 def _reduced_forms_neg(d, table=None):
-    # Each divisor a of n = (b^2 - d)/4 with b <= a <= sqrt(n) gives the
-    # reduced (a, +-b, n/a). A divisor table covering every n is bisected
-    # to that window row by row; otherwise the whole scan is sieved.
+    # Each a in the window of n = (b^2 - d)/4 gives the reduced (a, +-b, n/a).
     out = []
-    if _table_covers(table, d):
-        off, dv = table[0].data, table[1].data
-        for b in _b_range(d):
-            n = (b * b - d) >> 2
-            i = off[n]
-            j = off[n + 1]
-            for a in dv[bisect_left(dv, b, i, j) : bisect_right(dv, math.isqrt(n), i, j)]:
-                c = n // a
-                out.append((a, b, c))
-                if 0 < b < a < c:
-                    out.append((a, -b, c))
-        return out
-    for b, n, window in _sieved_windows(d, 0):
+    for b, n, window in _rows(d, 0, table):
         for a in window:
             c = n // a
             out.append((a, b, c))
@@ -376,26 +382,11 @@ def _reduced_forms_neg(d, table=None):
 
 
 def _reduced_forms_pos(d, fl, table=None):
-    # Each divisor v of n = (d - b^2)/4 with fl - b + 1 <= 2|v| <= fl + b
-    # yields a positive-a form and its negative-a mirror.
-    out = []
-    if _table_covers(table, d):
-        off, dv = table[0].data, table[1].data
-        for b in _b_range(d):
-            n = (d - b * b) >> 2
-            i = off[n]
-            j = off[n + 1]
-            for v in dv[bisect_left(dv, (fl - b + 2) >> 1, i, j) : bisect_right(dv, (fl + b) >> 1, i, j)]:
-                w = n // v
-                out.append((v, b, -w))
-                out.append((-v, b, w))
-        return out
-    for b, n, window in _sieved_windows(d, fl):
-        for v in window:
-            w = n // v
-            out.append((v, b, -w))
-            out.append((-v, b, w))
-    return out
+    # The reduced forms of d with a > 0: (v, b, -n/v) for each v in the window
+    # of n = (d - b^2)/4. Their mirrors (-v, b, n/v) are the a < 0 half; rho
+    # sends (a, b, c) to (c, ., .) and ac < 0, so a alternates in sign around
+    # every cycle and each cycle holds a form of each half.
+    return [(v, b, -(n // v)) for b, n, window in _rows(d, fl, table) for v in window]
 
 
 def _principal_form(d, fl):
@@ -407,20 +398,20 @@ def _principal_form(d, fl):
 
 def _classes_pos(d, fl, table=None):
     """All rho-cycles of reduced forms of d > 0 as a sorted list of
-    (canonical, length), and the canonical form of the principal cycle,
-    which is walked first.
+    (canonical, length), and a dict from every reduced form with a > 0 to
+    the canonical form of its cycle.
     """
-    seen = set()
+    owner = {}
     classes = []
-    for f in (_principal_form(d, fl), *_reduced_forms_pos(d, fl, table)):
-        if f in seen:
+    for f in _reduced_forms_pos(d, fl, table):
+        if f in owner:
             continue
         cyc = _cycle_of(f, d, fl)
-        seen.update(cyc)
-        classes.append((min(cyc), len(cyc)))
-    principal = classes[0][0]
+        canonical = min(cyc)
+        owner.update(zip(cyc[::2], repeat(canonical)))  # the a > 0 forms, as a alternates
+        classes.append((canonical, len(cyc)))
     classes.sort()
-    return classes, principal
+    return classes, owner
 
 
 def enumerate_classes(D) -> list[ClassRep]:
@@ -514,38 +505,35 @@ def compose(x: ClassRep, y: ClassRep) -> ClassRep:
 # 3-torsion, unit norm, assembled invariants
 # ----------------------------------------------------------------------
 
-def _cube_is_principal(f, principal, d, fl):
-    sq = _compose_raw(f, f)
-    if d < 0:
-        sq = _reduce_neg(*sq)
-        cb = _reduce_neg(*_compose_raw(sq, f))
-        return cb == principal
-    sq = _reduce_pos(*sq, d, fl)
-    cb = _reduce_pos(*_compose_raw(sq, f), d, fl)
-    return min(_cycle_of(cb, d, fl)) == principal
+# x^3 = 1 exactly when x^2 = x^-1, so each torsion test squares a class once
+# and compares the square with the inverse: (a, -b, c) for a definite form,
+# and the cycle of (c, b, a), which is equivalent to (a, -b, c), for an
+# indefinite one. A canonical indefinite form has a < 0, the least a of its
+# cycle, so (c, b, a) is one of the a > 0 forms that _classes_pos maps.
 
-
-def _three_torsion_neg(d, forms, principal):
+def _three_torsion_neg(forms):
     # Lagrange: a nontrivial 3-torsion element needs 3 | h. Classes come in
-    # inverse pairs (a, b, c) <-> (a, -b, c) with the same cube-triviality,
-    # so only b >= 0 forms are cubed.
+    # inverse pairs (a, b, c) <-> (a, -b, c) with the same answer, so only
+    # b >= 0 forms are squared.
     if len(forms) % 3 != 0:
         return 1
     count = 0
-    for a, b, c in forms:
+    for f in forms:
+        a, b, c = f
         if b < 0:
             continue
-        if _cube_is_principal((a, b, c), principal, d, 0):
+        if _reduce_neg(*_compose_raw(f, f)) == _reduce_neg(a, -b, c):
             count += 2 if 0 < b < a < c else 1
     return count
 
 
-def _three_torsion_pos(d, fl, classes, principal):
+def _three_torsion_pos(d, fl, classes, owner):
     if len(classes) % 3 != 0:
         return 1
     count = 0
     for f, _ in classes:
-        if _cube_is_principal(f, principal, d, fl):
+        a, b, c = f
+        if owner[_reduce_pos(*_compose_raw(f, f), d, fl)] == owner[c, b, a]:
             count += 1
     return count
 
@@ -556,19 +544,8 @@ def three_torsion_count(D) -> int:
     For D > 0 this counts in the narrow class group, which has the same
     3-torsion as the ideal class group.
     """
-    _, count = _classes_and_torsion(_coerce_disc(D).value)
-    r3 = _log3(count)
-    if 3**r3 != count:  # pragma: no cover
-        raise AssertionError(f"3-torsion count {count} is not a power of 3")
-    return count
-
-
-def _log3(n):
-    r = 0
-    while n >= 3:
-        n //= 3
-        r += 1
-    return r
+    _, r3 = _classes_and_r3(_coerce_disc(D).value)
+    return 3**r3
 
 
 def unit_norm(D) -> int:
@@ -619,16 +596,22 @@ class ClassGroupInfo:
     r3: int
 
 
-def _classes_and_torsion(d, table=None):
-    """(class count, 3-torsion count) of a trusted fundamental discriminant d;
-    for d > 0 both are of the narrow class group."""
+def _classes_and_r3(d, table=None):
+    """(class count, r3) of a trusted fundamental discriminant d; for d > 0
+    both are of the narrow class group. The 3-torsion count must be 3^r3."""
     if d < 0:
         forms = _reduced_forms_neg(d, table)
-        principal = _principal_form(d, 0)
-        return len(forms), _three_torsion_neg(d, forms, principal)
-    fl = math.isqrt(d)
-    classes, principal = _classes_pos(d, fl, table)
-    return len(classes), _three_torsion_pos(d, fl, classes, principal)
+        h, count = len(forms), _three_torsion_neg(forms)
+    else:
+        fl = math.isqrt(d)
+        classes, owner = _classes_pos(d, fl, table)
+        h, count = len(classes), _three_torsion_pos(d, fl, classes, owner)
+    r3 = 0
+    while 3 ** (r3 + 1) <= count:
+        r3 += 1
+    if 3**r3 != count:
+        raise AssertionError(f"3-torsion count {count} is not a power of 3 for D={d}")
+    return h, r3
 
 
 def _core_info(d, table=None):
@@ -637,9 +620,9 @@ def _core_info(d, table=None):
     table is an optional divisor_table; unless it covers every n of d's
     enumeration, d's enumeration is sieved instead (_sieved_windows).
     """
-    h_plus, tt = _classes_and_torsion(d, table)
+    h_plus, r3 = _classes_and_r3(d, table)
     if d < 0:
-        return h_plus, h_plus, UNIT_NORM_NOT_APPLICABLE, _log3(tt)
+        return h_plus, h_plus, UNIT_NORM_NOT_APPLICABLE, r3
     un = -1 if _cf_period(d) & 1 else 1
     if un == 1:
         if h_plus & 1:  # pragma: no cover
@@ -647,7 +630,7 @@ def _core_info(d, table=None):
         h = h_plus >> 1
     else:
         h = h_plus
-    return h_plus, h, un, _log3(tt)
+    return h_plus, h, un, r3
 
 
 def class_group_info(D) -> ClassGroupInfo:

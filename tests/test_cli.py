@@ -230,7 +230,7 @@ class TestEndToEndDeterminism:
         run_cli(capsys, "imaginary", "--m", "1", "--n", "4", "--x", "400", "--cache", str(cache))
         recs = cli.cache_load(str(cache))
         assert recs and all(d < 0 for d in recs)
-        infos = {d: cli._info_of(r) for d, r in recs.items()}
+        infos = cli._infos_of(recs)
         fresh = experiments.compute_class_infos(list(recs))
         assert infos == fresh
 
@@ -266,7 +266,8 @@ def _valid_record(rec):
     d, h_plus, h, unit_norm, r3 = rec
     if d == 0 or h_plus < 1 or h < 1 or r3 < 0 or unit_norm not in (-1, 0, 1):
         return False
-    if 3**r3 > h_plus:
+    # 3^r3 >= 2^r3, so a large r3 is refused before 3**r3 is computed.
+    if r3 >= h_plus.bit_length() or 3**r3 > h_plus:
         return False
     if d < 0:
         return unit_norm == 0 and h == h_plus
@@ -375,11 +376,12 @@ class TestCacheParserReference:
         ("-3,2,1,0,0\n", 1),
         ("5,1,1,0,0\n", 1),
         ("5,2,2,1,0\n", 1),
+        ("5,2,1,1,9223372036854775807\n", 1),
     ], ids=["minus-zero", "plus-sign", "leading-zero", "padding", "crlf", "blank-line",
             "missing-final-lf", "empty-file", "duplicate-d", "descending-d", "19-digits-int64",
             "19-digits-beyond-int64", "below-int64", "r3-40", "r3-40-beyond-int64",
             "d-zero", "unit-norm-range", "3-torsion-exceeds-h-plus", "imaginary-inconsistent",
-            "real-norm-zero", "real-h-plus-not-2h"])
+            "real-norm-zero", "real-h-plus-not-2h", "r3-int64-max"])
     def test_explicit_cases(self, tmp_path, text, expected):
         path = tmp_path / "cache.txt"
         path.write_bytes(text.encode("ascii"))
@@ -468,6 +470,14 @@ class TestInvariantExit:
         code, out, err = run_cli(capsys, "nh-average", "--m", "1", "--n", "4", "--x", "300")
         assert code == 5 and out == ""
         assert err == "invariant violated: unit norm +1 with odd narrow class number for D=5\n"
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_torsion_count_not_power_of_three_exits_5(self, capsys, monkeypatch, jobs):
+        monkeypatch.setattr(forms, "_three_torsion_pos", lambda *_: 2)
+        code, out, err = run_cli(capsys, "nh-average", "--m", "1", "--n", "4", "--x", "300",
+                                 "--jobs", jobs)
+        assert code == 5 and out == ""
+        assert err == "invariant violated: 3-torsion count 2 is not a power of 3 for D=5\n"
 
     def test_broken_pool_is_not_an_invariant(self, monkeypatch):
         def broken(*args, **kwargs):

@@ -95,11 +95,25 @@ class TestRho:
             assert forms.is_reduced(g)
 
     def test_bijection_on_reduced_forms(self):
+        # _reduced_forms_pos lists the a > 0 half; rho maps it onto the a < 0
+        # half, which is its mirror.
         for d in fundamental_range(2, 500):
             fl = math.isqrt(d)
             reduced = set(forms._reduced_forms_pos(d, fl))
+            assert all(a > 0 for a, _, _ in reduced), d
             images = {forms._rho(*f, d, fl) for f in reduced}
-            assert images == reduced, d
+            assert images == {(-a, b, -c) for a, b, c in reduced}, d
+
+    def test_sign_of_a_alternates_around_every_cycle(self):
+        for d in fundamental_range(2, 20000):
+            fl = math.isqrt(d)
+            steps = 0
+            for rep in forms.enumerate_classes(d):
+                cyc = forms._cycle_of(tuple(rep.canonical_form)[:3], d, fl)
+                assert len(cyc) == rep.cycle_length and len(cyc) % 2 == 0, d
+                assert all(f[0] * g[0] < 0 for f, g in zip(cyc, cyc[1:] + cyc[:1])), d
+                steps += rep.cycle_length
+            assert steps == 2 * len(forms._reduced_forms_pos(d, fl)), d
 
 
 class TestReduce:
@@ -204,7 +218,8 @@ class TestDivisorTable:
 
 def reference_forms(d):
     """Reduced forms of d from sympy.divisors of each n = |d - b^2| / 4,
-    filtered by the reduction conditions (exact squares for d > 0)."""
+    filtered by the reduction conditions (exact squares for d > 0); only
+    the a > 0 forms for d > 0."""
     out = []
     if d < 0:
         b = d & 1
@@ -223,7 +238,6 @@ def reference_forms(d):
         for v in sympy.divisors(n):
             if forms._is_reduced_pos(v, b, -(n // v), d):
                 out.append((v, b, -(n // v)))
-                out.append((-v, b, n // v))
     return out
 
 
@@ -357,6 +371,24 @@ class TestThreeTorsion:
     @pytest.mark.parametrize("d,tt", [(5, 1), (229, 3), (32009, 9), (-23, 3), (-3299, 9)])
     def test_examples(self, d, tt):
         assert forms.three_torsion_count(d) == tt
+
+    def test_matches_cubing_oracle(self):
+        # Beyond the exhaustive tables of TestGroupLaws (|D| < 2000): count the
+        # classes whose cube, by the public compose, is the principal class,
+        # for every D with 3 | h(+) in the two ranges. The real range reaches
+        # the first real r3 = 2 case, D = 32009; the ranges hold the r3 = 2
+        # cases listed.
+        r3_two = []
+        for d in fundamental_range(-12000, -2000) + fundamental_range(2000, 33000):
+            classes = forms.enumerate_classes(d)
+            if len(classes) % 3:
+                continue
+            e = forms.principal_class(d)
+            cubes = sum(1 for x in classes if forms.compose(forms.compose(x, x), x) == e)
+            assert forms.three_torsion_count(d) == cubes, d
+            if cubes == 9:
+                r3_two.append(d)
+        assert r3_two == [-11651, -10015, -9748, -8751, -6583, -5703, -4027, -3896, -3299, 32009]
 
     def test_always_power_of_three(self):
         for d in fundamental_range(-400, 400):
