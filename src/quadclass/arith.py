@@ -4,6 +4,11 @@ integers in arithmetic progressions compared against their main term.
 
 Everything here is integer-exact; floats appear only in main-term and
 relative-error fields of :class:`SquarefreeAPCount`.
+
+numpy is imported inside the functions that build arrays
+(smallest_prime_factors, squarefree_mask, the squarefree sieves), never at
+module level, so the single-discriminant path (primes_upto, is_squarefree,
+classify_discriminant) and ``import quadclass`` run without loading it.
 """
 
 from __future__ import annotations
@@ -11,8 +16,11 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import compress
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Discriminant",
@@ -45,16 +53,21 @@ _prime_limit = 0
 
 
 def primes_upto(n: int) -> list[int]:
-    """All primes <= n, ascending. The sieve result is cached and grown on demand."""
+    """All primes <= n, ascending. The sieve result is cached and grown on demand.
+
+    An odd-only bytearray sieve: flags[i] stands for 2i + 1.
+    """
     global _primes, _prime_limit
     if n > _prime_limit:
         limit = max(n, 2 * _prime_limit, 1 << 10)
-        flags = np.ones(limit + 1, dtype=bool)
-        flags[:2] = False
-        for p in range(2, math.isqrt(limit) + 1):
-            if flags[p]:
-                flags[p * p :: p] = False
-        _primes = np.flatnonzero(flags).tolist()
+        half = (limit + 1) // 2
+        flags = bytearray(b"\x01") * half
+        flags[0] = 0  # 1 is not prime
+        for p in range(3, math.isqrt(limit) + 1, 2):
+            if flags[p >> 1]:
+                start = p * p >> 1
+                flags[start::p] = bytes((half - 1 - start) // p + 1)
+        _primes = [2, *compress(range(1, limit + 1, 2), flags)]
         _prime_limit = limit
     return _primes[: bisect_right(_primes, n)]
 
@@ -64,6 +77,8 @@ def smallest_prime_factors(limit: int) -> list[int]:
 
     Used by callers that evaluate multiplicative functions on every n <= limit.
     """
+    import numpy as np
+
     spf = np.zeros(limit + 1, dtype=np.int64)
     for p in range(2, math.isqrt(limit) + 1):
         if spf[p] == 0:
@@ -148,6 +163,8 @@ def squarefree_mask(ns: np.ndarray) -> np.ndarray:
     values, once too few are left to pay for an array operation, are tested
     one by one with is_squarefree.
     """
+    import numpy as np
+
     order = np.argsort(ns, kind="stable")
     s = ns[order]
     flags = np.ones(len(s), dtype=bool)
@@ -195,6 +212,8 @@ def _squarefree_cells(lo: int, hi: int, k: int, max_cells: int) -> np.ndarray:
     i = -lo * k^-1 (mod p^2); a prime p | k never has p^2 dividing a cell,
     since p does not divide lo. One byte per cell; a window is k = 1.
     """
+    import numpy as np
+
     cells = (hi - lo) // k + 1
     if cells > max_cells:
         raise WindowTooLarge(f"window of {cells} cells exceeds bound {max_cells}")

@@ -17,8 +17,6 @@ import sys
 from concurrent.futures import BrokenExecutor
 from typing import NamedTuple
 
-import numpy as np
-
 from . import arith, experiments, families, forms
 
 __all__ = [
@@ -177,11 +175,19 @@ _INT64 = range(-(1 << 63), 1 << 63)
 def _record_faults(rows):
     """(mask, reason) per invariant of a record, over the rows of an (n, 5)
     int64 array, in the order a row's first fault is reported."""
+    import numpy as np
+
     d, h_plus, h, unit_norm, r3 = rows.T
     real = d > 0
+    # Every experiment sieves [1, max |D|] within arith.DEFAULT_MAX_CELLS
+    # cells, so no run stores a larger |D|; refusing one here spares the
+    # fundamental check a sieve up to sqrt|D|. Not np.abs(d), which
+    # overflows on -2^63.
+    bound = arith.DEFAULT_MAX_CELLS
     # 3^39 < 2^63 - 1 < 3^40, so r3 > 39 exceeds every int64 h_plus.
     return [
         ((d == 0) | (h_plus < 1) | (h < 1) | (r3 < 0), "impossible record"),
+        ((d > bound) | (d < -bound), "|D| exceeds 2^27 in"),
         ((unit_norm < -1) | (unit_norm > 1), "unit_norm outside {-1, 0, 1} in"),
         ((r3 > 39) | (3 ** np.clip(r3, 0, 39) > h_plus), "3^r3 exceeds h_plus in"),
         (~real & ((unit_norm != 0) | (h != h_plus)), "imaginary record inconsistent:"),
@@ -193,6 +199,8 @@ def _record_faults(rows):
 def _parse_rows(lines: bytes):
     """The (n, 5) int64 array of canonical record lines; ValueError when a
     field does not fit in int64."""
+    import numpy as np
+
     if not lines:
         return np.empty((0, 5), dtype=np.int64)
     return np.loadtxt(io.BytesIO(lines), dtype=np.int64, delimiter=",", ndmin=2)
@@ -224,6 +232,8 @@ def cache_load(path: str) -> dict[int, CacheRecord]:
     and the record invariants and the ascending order are checked on that
     array. CacheCorruption names path:lineno of the first bad line.
     """
+    import numpy as np
+
     with open(path, "rb") as fh:
         data = fh.read()
     bad = _BAD_LINE.search(data)
@@ -287,6 +297,8 @@ def _record_of(info: forms.ClassGroupInfo) -> CacheRecord:
 def _infos_of(records: dict[int, CacheRecord]) -> dict[int, forms.ClassGroupInfo]:
     """The class data of cached records; every D must be a fundamental
     discriminant, which one vectorized check over all of them confirms."""
+    import numpy as np
+
     ds = np.fromiter(records, dtype=np.int64, count=len(records))
     bad = ds[~experiments._fundamental(ds)]
     if len(bad):

@@ -36,8 +36,6 @@ from contextlib import ExitStack
 from dataclasses import dataclass
 from typing import Iterator
 
-import numpy as np
-
 from .arith import Discriminant, kronecker, mobius, sieve_squarefree, squarefree_mask
 from .arith import smallest_prime_factors  # noqa: F401  (perfbench/traced_cli.py wraps this name)
 from .families import LEVEL_LAMBDA, LEVEL_NH, LEVEL_THEOREM, LEVELS, CongruenceFamily
@@ -273,6 +271,8 @@ def _fundamental(ds, sf=None):
     """Mask of the fundamental discriminants in ds, an int64 array. sf[i] is
     the squarefree flag of i + 1 and covers every |D|; without sf the cores
     are tested by arith.squarefree_mask, with no window to cover."""
+    import numpy as np
+
     r = ds & 3
     q = ds >> 2  # floor division, so q & 3 is q mod 4 for either sign
     core = np.abs(np.where(r == 1, ds, q))  # 0 only for 1 < D < 4, rejected by ok
@@ -286,6 +286,8 @@ def _fundamental(ds, sf=None):
 def _members(family, lo, hi):
     """The fundamental discriminants lo <= D <= hi of the progression, all of
     one sign, as an int list sorted by |D|."""
+    import numpy as np
+
     prog = _progression(family, lo, hi)
     if not prog:
         return []
@@ -382,6 +384,8 @@ def indivisibility_density(x: int, family: CongruenceFamily, checkpoints=None, *
 def _pair_survey(x, family, checkpoints, **run):
     """Checkpoints of the sets L, L_t over the progression members D <= x,
     the members of L with L_t, and the class data of D and D + t."""
+    import numpy as np
+
     cps = _checkpoints(checkpoints, x)
     t = family.t
     prog = _progression(family, 1, x)

@@ -26,11 +26,12 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .arith import Discriminant, classify_discriminant, kronecker, primes_upto, smallest_prime_factors
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "ClassGroupInfo",
@@ -216,6 +217,8 @@ def divisor_table(limit: int) -> tuple[np.ndarray, np.ndarray]:
     numpy passes with no per-n loop. Its size is divisor_table_bytes(limit),
     about 4 * limit * (ln limit + 1) bytes.
     """
+    import numpy as np
+
     if not 0 <= limit <= 10**8:
         raise ValueError("divisor_table needs 0 <= limit <= 10**8 (int32 offsets)")
     s = math.isqrt(limit)

@@ -1,3 +1,5 @@
+import bisect
+import functools
 import math
 import random
 
@@ -40,6 +42,43 @@ class TestSquarefree:
         rng = random.Random(11)
         for n in [rng.randrange(1, 10**6) for _ in range(500)]:
             assert arith.is_squarefree(n) == brute_squarefree(n), n
+
+
+class TestPrimesUpto:
+    """primes_upto against sympy.primerange, sieved from an empty cache."""
+
+    # 37^2 and 1031^2 are sieved to a prime square root, so a sieve that stops
+    # one short of isqrt(limit) reports them prime.
+    LIMITS = [0, 1, 2, 3, 4, 5, 24, 25, 1023, 1024, 1025, 37**2, 65537, 1031**2, 10**6]
+
+    @staticmethod
+    @functools.cache
+    def _sympy_primes():
+        return list(sympy.primerange(max(TestPrimesUpto.LIMITS) + 1))
+
+    def expected(self, n):
+        primes = self._sympy_primes()
+        return primes[: bisect.bisect_right(primes, n)]
+
+    @pytest.fixture
+    def empty_cache(self, monkeypatch):
+        monkeypatch.setattr(arith, "_primes", [])
+        monkeypatch.setattr(arith, "_prime_limit", 0)
+
+    @pytest.mark.parametrize("n", LIMITS)
+    def test_matches_sympy(self, empty_cache, n):
+        assert arith.primes_upto(n) == self.expected(n)
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["growing", "shrinking"])
+    def test_cache_grows_in_either_order(self, empty_cache, reverse):
+        for n in sorted(self.LIMITS, reverse=reverse):
+            assert arith.primes_upto(n) == self.expected(n), n
+
+    def test_returned_list_is_a_copy(self, empty_cache):
+        primes = arith.primes_upto(100)
+        primes[0] = 4
+        primes.append(101)
+        assert arith.primes_upto(100) == self.expected(100)
 
 
 class TestSquarefreeMask:

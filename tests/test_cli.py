@@ -266,6 +266,8 @@ def _valid_record(rec):
     d, h_plus, h, unit_norm, r3 = rec
     if d == 0 or h_plus < 1 or h < 1 or r3 < 0 or unit_norm not in (-1, 0, 1):
         return False
+    if abs(d) > 2**27:  # beyond every experiment's squarefree sieve
+        return False
     # 3^r3 >= 2^r3, so a large r3 is refused before 3**r3 is computed.
     if r3 >= h_plus.bit_length() or 3**r3 > h_plus:
         return False
@@ -377,11 +379,15 @@ class TestCacheParserReference:
         ("5,1,1,0,0\n", 1),
         ("5,2,2,1,0\n", 1),
         ("5,2,1,1,9223372036854775807\n", 1),
+        ("-134217731,1,1,0,0\n5,1,1,-1,0\n", 1),
+        ("5,1,1,-1,0\n134217729,1,1,-1,0\n", 2),
+        ("-134217728,1,1,0,0\n134217728,2,1,1,0\n", {-134217728, 134217728}),
     ], ids=["minus-zero", "plus-sign", "leading-zero", "padding", "crlf", "blank-line",
             "missing-final-lf", "empty-file", "duplicate-d", "descending-d", "19-digits-int64",
             "19-digits-beyond-int64", "below-int64", "r3-40", "r3-40-beyond-int64",
             "d-zero", "unit-norm-range", "3-torsion-exceeds-h-plus", "imaginary-inconsistent",
-            "real-norm-zero", "real-h-plus-not-2h", "r3-int64-max"])
+            "real-norm-zero", "real-h-plus-not-2h", "r3-int64-max", "d-below-minus-2^27",
+            "d-above-2^27", "d-at-plus-minus-2^27"])
     def test_explicit_cases(self, tmp_path, text, expected):
         path = tmp_path / "cache.txt"
         path.write_bytes(text.encode("ascii"))
@@ -454,6 +460,16 @@ class TestWarmPath:
         code, out, err = run_cli(capsys, *self.ARGS, "--cache", str(cache))
         assert code == 4 and out == ""
         assert f"cached D={d} is not a fundamental discriminant" in err
+
+    def test_cached_d_beyond_sieve_bound_exits_4(self, tmp_path, capsys):
+        # Refused by the parse, before a fundamental check would sieve the
+        # primes up to 10^8.
+        cache = tmp_path / "c.txt"
+        cache.write_text("10000000000000001,1,1,-1,0\n")
+        code, out, err = run_cli(capsys, "nh-average", "--m", "1", "--n", "4", "--x", "10",
+                                 "--cache", str(cache))
+        assert code == 4 and out == ""
+        assert f"cache corruption: {cache}:1: |D| exceeds 2^27" in err
 
 
 class TestInvariantExit:
