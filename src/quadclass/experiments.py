@@ -31,7 +31,6 @@ import math
 import os
 import sys
 from bisect import bisect_left, bisect_right
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass
 from typing import Iterator
@@ -39,7 +38,8 @@ from typing import Iterator
 from .arith import Discriminant, kronecker, mobius, sieve_squarefree, squarefree_mask
 from .arith import smallest_prime_factors  # noqa: F401  (perfbench/traced_cli.py wraps this name)
 from .families import LEVEL_LAMBDA, LEVEL_NH, LEVEL_THEOREM, LEVELS, CongruenceFamily
-from .forms import ClassGroupInfo, _core_info, _largest_n, divisor_table, divisor_table_bytes
+from .forms import (ClassGroupInfo, _batch_core_info, _core_info, _largest_n, divisor_table,
+                    divisor_table_bytes)
 
 __all__ = [
     "DensityReport",
@@ -174,7 +174,9 @@ def _pool_chunk(chunk):
 
 
 def _chunk_rows(chunk, table):
-    return [(d,) + _core_info(d, table) for d in chunk]
+    if table is None:
+        return [(d,) + _core_info(d) for d in chunk]
+    return _batch_core_info(chunk, table)
 
 
 def _class_table(ds):
@@ -198,7 +200,8 @@ def _core_rows(todo, jobs, progress):
     The divisor table is built once here and handed to pool workers through
     the initializer; it and the pool are released when this returns. The
     pool has at most one worker per chunk and per core, since the fork
-    start method starts them all at the first submit.
+    start method starts them all at the first submit. The pool module is
+    imported here, so processes that start no pool never load it.
     """
     table = _class_table(todo)
     workers = max(1, min(jobs, os.cpu_count() or 1))
@@ -207,6 +210,8 @@ def _core_rows(todo, jobs, progress):
     workers = min(workers, len(chunks))
     with ExitStack() as stack:
         if workers > 1:
+            from concurrent.futures import ProcessPoolExecutor
+
             pool = stack.enter_context(ProcessPoolExecutor(
                 max_workers=workers, initializer=_pool_init, initargs=(table,)))
             parts = pool.map(_pool_chunk, chunks)

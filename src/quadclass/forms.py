@@ -18,12 +18,21 @@ and the ideal class group have the same odd part (their index is 1 or 2),
 so 3-torsion counts computed on cycles are the 3-torsion counts of the
 ideal class group; the wide class number h is recovered from h+ and the
 norm of the fundamental unit.
+
+Two routes compute the same class data. A single discriminant
+(_core_info, behind class_group_info) factors every n = |D - b^2|/4 of its
+enumeration with one polynomial sieve and walks its cycles in Python. Bulk
+runs that fit a divisor_table (_batch_core_info) work a block of
+discriminants at a time in numpy: every (D, b) row's window of divisors is
+bisected out of the table at once, and for D > 0 the cycles are labelled by
+pointer doubling on the permutation that two rho steps induce on the a > 0
+forms. Only the 3-torsion test (when 3 divides the class count), the CF
+period and the invariant checks stay per discriminant, shared by both routes.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import repeat
 from typing import TYPE_CHECKING, NamedTuple
@@ -293,17 +302,11 @@ def _sqrt_mod(a, p):
     return r
 
 
-def _table_covers(table, d):
-    return table is not None and len(table[0]) - 2 >= _largest_n(d)
-
-
-def _rows(d, fl, table=None):
+def _rows(d, fl):
     """(b, n, window) for each b of d's enumeration: n = |d - b^2| / 4 and
     window the divisors a of n with fl - b + 1 <= 2a <= fl + b
-    (fl = isqrt(d)) for d > 0, or b <= a <= isqrt(n) for d < 0.
-
-    A divisor table covering every n is bisected to each window; otherwise
-    the whole scan is sieved (_sieved_windows).
+    (fl = isqrt(d)) for d > 0, or b <= a <= isqrt(n) for d < 0. One sieve
+    over the whole scan finds every window (_sieved_windows).
     """
     bs = _b_range(d)
     ns = [abs(d - b * b) >> 2 for b in bs]
@@ -313,13 +316,7 @@ def _rows(d, fl, table=None):
     else:
         los = bs
         his = [math.isqrt(n) for n in ns]
-    if _table_covers(table, d):
-        off, dv = table[0].data, table[1].data
-        windows = [dv[bisect_left(dv, lo, i := off[n], j := off[n + 1]) : bisect_right(dv, hi, i, j)]
-                   for n, lo, hi in zip(ns, los, his)]
-    else:
-        windows = _sieved_windows(d, bs, ns, los, his)
-    return zip(bs, ns, windows)
+    return zip(bs, ns, _sieved_windows(d, bs, ns, los, his))
 
 
 def _sieved_windows(d, bs, ns, los, his):
@@ -372,10 +369,10 @@ def _sieved_windows(d, bs, ns, los, his):
     return windows
 
 
-def _reduced_forms_neg(d, table=None):
+def _reduced_forms_neg(d):
     # Each a in the window of n = (b^2 - d)/4 gives the reduced (a, +-b, n/a).
     out = []
-    for b, n, window in _rows(d, 0, table):
+    for b, n, window in _rows(d, 0):
         for a in window:
             c = n // a
             out.append((a, b, c))
@@ -384,12 +381,12 @@ def _reduced_forms_neg(d, table=None):
     return out
 
 
-def _reduced_forms_pos(d, fl, table=None):
+def _reduced_forms_pos(d, fl):
     # The reduced forms of d with a > 0: (v, b, -n/v) for each v in the window
     # of n = (d - b^2)/4. Their mirrors (-v, b, n/v) are the a < 0 half; rho
     # sends (a, b, c) to (c, ., .) and ac < 0, so a alternates in sign around
     # every cycle and each cycle holds a form of each half.
-    return [(v, b, -(n // v)) for b, n, window in _rows(d, fl, table) for v in window]
+    return [(v, b, -(n // v)) for b, n, window in _rows(d, fl) for v in window]
 
 
 def _principal_form(d, fl):
@@ -399,14 +396,14 @@ def _principal_form(d, fl):
     return 1, b, (b * b - d) >> 2
 
 
-def _classes_pos(d, fl, table=None):
+def _classes_pos(d, fl):
     """All rho-cycles of reduced forms of d > 0 as a sorted list of
     (canonical, length), and a dict from every reduced form with a > 0 to
     the canonical form of its cycle.
     """
     owner = {}
     classes = []
-    for f in _reduced_forms_pos(d, fl, table):
+    for f in _reduced_forms_pos(d, fl):
         if f in owner:
             continue
         cyc = _cycle_of(f, d, fl)
@@ -511,14 +508,14 @@ def compose(x: ClassRep, y: ClassRep) -> ClassRep:
 # x^3 = 1 exactly when x^2 = x^-1, so each torsion test squares a class once
 # and compares the square with the inverse: (a, -b, c) for a definite form,
 # and the cycle of (c, b, a), which is equivalent to (a, -b, c), for an
-# indefinite one. A canonical indefinite form has a < 0, the least a of its
-# cycle, so (c, b, a) is one of the a > 0 forms that _classes_pos maps.
+# indefinite one. owner maps every reduced a > 0 form of d to a label of its
+# cycle, and _reduce_pos lands both the square and (c, b, a) on such forms.
 
-def _three_torsion_neg(forms):
+def _three_torsion_neg(h, forms):
     # Lagrange: a nontrivial 3-torsion element needs 3 | h. Classes come in
     # inverse pairs (a, b, c) <-> (a, -b, c) with the same answer, so only
-    # b >= 0 forms are squared.
-    if len(forms) % 3 != 0:
+    # the b >= 0 forms among the reduced forms listed are squared.
+    if h % 3 != 0:
         return 1
     count = 0
     for f in forms:
@@ -530,13 +527,14 @@ def _three_torsion_neg(forms):
     return count
 
 
-def _three_torsion_pos(d, fl, classes, owner):
-    if len(classes) % 3 != 0:
+def _three_torsion_pos(d, fl, reps, owner):
+    # reps holds one reduced form of each class.
+    if len(reps) % 3 != 0:
         return 1
     count = 0
-    for f, _ in classes:
+    for f in reps:
         a, b, c = f
-        if owner[_reduce_pos(*_compose_raw(f, f), d, fl)] == owner[c, b, a]:
+        if owner[_reduce_pos(*_compose_raw(f, f), d, fl)] == owner[_reduce_pos(c, b, a, d, fl)]:
             count += 1
     return count
 
@@ -547,8 +545,8 @@ def three_torsion_count(D) -> int:
     For D > 0 this counts in the narrow class group, which has the same
     3-torsion as the ideal class group.
     """
-    _, r3 = _classes_and_r3(_coerce_disc(D).value)
-    return 3**r3
+    d = _coerce_disc(D).value
+    return 3 ** _r3(d, _classes_and_torsion(d)[1])
 
 
 def unit_norm(D) -> int:
@@ -599,31 +597,32 @@ class ClassGroupInfo:
     r3: int
 
 
-def _classes_and_r3(d, table=None):
-    """(class count, r3) of a trusted fundamental discriminant d; for d > 0
-    both are of the narrow class group. The 3-torsion count must be 3^r3."""
+def _classes_and_torsion(d):
+    """(class count, 3-torsion count) of a trusted fundamental discriminant d;
+    for d > 0 both are of the narrow class group."""
     if d < 0:
-        forms = _reduced_forms_neg(d, table)
-        h, count = len(forms), _three_torsion_neg(forms)
-    else:
-        fl = math.isqrt(d)
-        classes, owner = _classes_pos(d, fl, table)
-        h, count = len(classes), _three_torsion_pos(d, fl, classes, owner)
+        forms = _reduced_forms_neg(d)
+        return len(forms), _three_torsion_neg(len(forms), forms)
+    fl = math.isqrt(d)
+    classes, owner = _classes_pos(d, fl)
+    return len(classes), _three_torsion_pos(d, fl, [f for f, _ in classes], owner)
+
+
+def _r3(d, count):
+    """r3 with 3^r3 = count, the 3-torsion count of d; any other count is a bug."""
     r3 = 0
     while 3 ** (r3 + 1) <= count:
         r3 += 1
     if 3**r3 != count:
         raise AssertionError(f"3-torsion count {count} is not a power of 3 for D={d}")
-    return h, r3
+    return r3
 
 
-def _core_info(d, table=None):
-    """(h_plus, h, unit_norm, r3) for a trusted fundamental discriminant d.
-
-    table is an optional divisor_table; unless it covers every n of d's
-    enumeration, d's enumeration is sieved instead (_sieved_windows).
-    """
-    h_plus, r3 = _classes_and_r3(d, table)
+def _core_row(d, h_plus, count):
+    """(h_plus, h, unit_norm, r3) of a trusted fundamental d from its (narrow)
+    class count and 3-torsion count, checking that the count is a power of 3
+    and that a unit of norm +1 comes with an even h_plus."""
+    r3 = _r3(d, count)
     if d < 0:
         return h_plus, h_plus, UNIT_NORM_NOT_APPLICABLE, r3
     un = -1 if _cf_period(d) & 1 else 1
@@ -636,11 +635,153 @@ def _core_info(d, table=None):
     return h_plus, h, un, r3
 
 
+def _core_info(d):
+    """(h_plus, h, unit_norm, r3) for a trusted fundamental discriminant d,
+    its enumeration sieved on its own (_sieved_windows)."""
+    return _core_row(d, *_classes_and_torsion(d))
+
+
 def class_group_info(D) -> ClassGroupInfo:
     """Assembled class-group invariants of a fundamental discriminant."""
     disc = _coerce_disc(D)
     h_plus, h, un, r3 = _core_info(disc.value)
     return ClassGroupInfo(disc, h_plus, h, un, 3**r3, r3)
+
+
+# ----------------------------------------------------------------------
+# batched class data over a divisor table
+# ----------------------------------------------------------------------
+
+# The most b-rows in one block of _batch_core_info (a block holds at least one
+# discriminant): its temporaries are a few arrays of this length and of the
+# block's forms, about 1 MB.
+_BLOCK_ROWS = 1 << 12
+
+
+def _batch_core_info(ds, table):
+    """(d, h_plus, h, unit_norm, r3) for each trusted fundamental d of ds, in
+    order, equal to (d,) + _core_info(d).
+
+    table is a divisor_table covering every n the enumeration of ds meets; a
+    shorter one is refused with ValueError. Runs of one sign are computed a
+    block of at most _BLOCK_ROWS b-rows at a time (_block_rows).
+    """
+    top = len(table[0]) - 2
+    out = []
+    block, rows = [], 0
+    for d in ds:
+        if _largest_n(d) > top:
+            raise ValueError(f"divisor table up to n = {top} does not cover D={d}")
+        r = len(_b_range(d))
+        if block and ((d > 0) != (block[0] > 0) or rows + r > _BLOCK_ROWS):
+            out += _block_rows(block, *table)
+            block, rows = [], 0
+        block.append(d)
+        rows += r
+    if block:
+        out += _block_rows(block, *table)
+    return out
+
+
+def _bisect(dv, lo, hi, x):
+    """For each i, the first j in [lo[i], hi[i]) with dv[j] >= x[i], or hi[i]:
+    bisect_left on every sorted run dv[lo[i]:hi[i]] at once."""
+    import numpy as np
+
+    size = hi - lo
+    for _ in range(int(size.max()).bit_length()):
+        half = size >> 1
+        go = (size > 0) & (dv.take(lo + half, mode="clip") < x)
+        lo = np.where(go, lo + half + 1, lo)
+        size = np.where(go, size - half - 1, half)
+    return lo
+
+
+def _block_rows(block, off, dv):
+    """_batch_core_info of one block of discriminants of one sign.
+
+    Every (D, b) row of the block is built with np.repeat, and its window of
+    divisors a of n = |D - b^2| / 4 is bisected out of the table (for D < 0,
+    the divisors a <= isqrt(n) are the first ceil(tau(n)/2) of the row). The
+    forms are listed by (D, b, a). For D < 0 each is a class, and so is its
+    mirror (a, -b, c) when 0 < b < a < c. For D > 0 these are the a > 0
+    reduced forms, and two rho steps send each to the next a > 0 form of its
+    cycle: that permutation is found by np.searchsorted on a (D, b, a) key,
+    and pointer doubling labels every form with the least index of its cycle,
+    so h+ counts the forms that are their own label. Every value is at most
+    4|D| in magnitude, which int64 holds exactly. What stays per D in Python
+    is the 3-torsion test (only when 3 | h(+)), the CF period and
+    _core_row's checks.
+    """
+    import numpy as np
+
+    k = len(block)
+    d = np.array(block, np.int64)
+    if block[0] > 0:
+        fl = np.array([math.isqrt(x) for x in block], np.int64)
+        b0 = 2 - (d & 1)
+        count = (fl - b0) // 2 + 1
+    else:
+        b0 = d & 1
+        count = (np.array([math.isqrt(-x // 3) for x in block], np.int64) - b0) // 2 + 1
+    j = np.repeat(np.arange(k), count)  # the block index of each row
+    b = b0[j] + 2 * (np.arange(len(j)) - (np.cumsum(count) - count)[j])
+    n = np.abs(d[j] - b * b) >> 2
+    start = off[n].astype(np.int64)
+    end = off[n + 1].astype(np.int64)
+    if block[0] > 0:
+        lo = _bisect(dv, start, end, (fl[j] - b + 2) >> 1)
+        hi = _bisect(dv, lo, end, ((fl[j] + b) >> 1) + 1)
+    else:
+        lo = _bisect(dv, start, end, b)
+        hi = start + ((end - start + 1) >> 1)
+    width = hi - lo
+    r = np.repeat(np.arange(len(j)), width)  # the row of each form
+    a = dv[lo[r] + np.arange(len(r)) - (np.cumsum(width) - width)[r]].astype(np.int64)
+    b, j = b[r], j[r]
+    c = n[r] // a
+    out = []
+    if block[0] < 0:
+        h = np.bincount(j, minlength=k) + np.bincount(j[(0 < b) & (b < a) & (a < c)], minlength=k)
+        need = (h % 3 == 0)[j]
+        forms = list(zip(a[need].tolist(), b[need].tolist(), c[need].tolist()))
+        ends = np.cumsum(np.bincount(j[need], minlength=k)).tolist()
+        first = 0
+        for x, hx, last in zip(block, h.tolist(), ends):
+            out.append((x,) + _core_row(x, hx, _three_torsion_neg(hx, forms[first:last])))
+            first = last
+        return out
+    c = -c
+    D, F = d[j], fl[j]
+    b1 = F - (F + b) % (-2 * c)
+    c1 = (b1 * b1 - D) // (4 * c)  # rho: (a, b, c) -> (c, b1, c1), c1 > 0
+    b2 = F - (F + b1) % (2 * c1)  # rho: -> (c1, b2, .)
+    m = int(fl.max()) + 1  # a reduced form has 0 < a, b <= isqrt(D)
+    key = (j * m + b) * m + a  # ascending
+    image = (j * m + b2) * m + c1
+    nxt = np.minimum(np.searchsorted(key, image), len(key) - 1)
+    lost = key[nxt] != image
+    if lost.any():
+        raise AssertionError(f"a rho^2 image is missing from the reduced forms of "
+                             f"D={block[int(j[lost.argmax()])]}")
+    label = np.arange(len(key))
+    jump = nxt
+    while True:
+        label = np.minimum(label, label[jump])
+        if (label[nxt] == label).all():
+            break
+        jump = jump[jump]
+    root = label == np.arange(len(key))
+    h_plus = np.bincount(j[root], minlength=k)
+    need = (h_plus % 3 == 0)[j]
+    owner = dict(zip(zip(a[need].tolist(), b[need].tolist(), c[need].tolist()),
+                     label[need].tolist()))
+    reps = list(zip(a[root].tolist(), b[root].tolist(), c[root].tolist()))
+    first = 0
+    for x, f, hx, last in zip(block, fl.tolist(), h_plus.tolist(), np.cumsum(h_plus).tolist()):
+        out.append((x,) + _core_row(x, hx, _three_torsion_pos(x, f, reps[first:last], owner)))
+        first = last
+    return out
 
 
 # ----------------------------------------------------------------------

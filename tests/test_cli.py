@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from quadclass import cli, experiments, families, forms
 from quadclass.cli import CacheCorruption, CacheRecord
+from test_forms import without_divisor
 
 
 def run_cli(capsys, *argv):
@@ -494,6 +495,19 @@ class TestInvariantExit:
                                  "--jobs", jobs)
         assert code == 5 and out == ""
         assert err == "invariant violated: 3-torsion count 2 is not a power of 3 for D=5\n"
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_missing_divisor_exits_5(self, capsys, monkeypatch, jobs):
+        # The bulk table loses the divisor 4 of n = 44, and with it the form
+        # (4, 1, -11) of D = 257 that the rho^2 step reaches.
+        table = experiments.divisor_table
+        monkeypatch.setattr(experiments, "divisor_table",
+                            lambda limit: without_divisor(table(limit), 44, 4))
+        code, out, err = run_cli(capsys, "nh-average", "--m", "1", "--n", "4", "--x", "300",
+                                 "--jobs", jobs)
+        assert code == 5 and out == ""
+        assert err == ("invariant violated: a rho^2 image is missing from the reduced forms "
+                       "of D=257\n")
 
     def test_broken_pool_is_not_an_invariant(self, monkeypatch):
         def broken(*args, **kwargs):

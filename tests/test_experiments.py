@@ -1,3 +1,4 @@
+import concurrent.futures
 import random
 
 import numpy as np
@@ -244,7 +245,9 @@ class TestDeterminismAndCache:
 
         ds = [d for d in range(-2000, 2000) if arith.is_fundamental_discriminant(d)]
         serial = experiments.compute_class_infos(ds)
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+        # _core_rows imports the executor from concurrent.futures when it
+        # starts a pool.
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(experiments, "_worker_table", None)
         monkeypatch.setattr(experiments.os, "cpu_count", lambda: 3)
         assert experiments.compute_class_infos(ds, jobs=100000) == serial

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -192,28 +193,75 @@ class TestDivisorTable:
             b += 2
         return out
 
+    @staticmethod
+    def _batch_matches_sieve(ds, table=None):
+        table = table or experiments._class_table(ds)
+        assert forms._batch_core_info(ds, table) == [(d,) + forms._core_info(d) for d in ds]
+
     def test_table_path_matches_trial_division(self):
-        # The bulk table covers exactly the largest n met, so the D that meets
-        # it reads the table's last row.
+        # Every fundamental |D| < 2*10^4 of both signs goes through the batch in
+        # one call and matches the per-D sieve core. The bulk table covers
+        # exactly the largest n met, so the D that meets it reads the table's
+        # last row.
         ds = fundamental_range(-20000, 20000)
         table = experiments._class_table(ds)
         assert len(table[0]) - 2 == max(max(self._enumerated_ns(d)) for d in ds)
         for d in ds:
             assert forms._largest_n(d) == max(self._enumerated_ns(d)), d
-            if d < 0:
-                assert set(forms._reduced_forms_neg(d, table)) == set(forms._reduced_forms_neg(d)), d
-            else:
-                fl = math.isqrt(d)
-                assert (set(forms._reduced_forms_pos(d, fl, table))
-                        == set(forms._reduced_forms_pos(d, fl))), d
-            assert forms._core_info(d, table) == forms._core_info(d), d
+        self._batch_matches_sieve(ds, table)
 
     def test_n_beyond_table_uses_trial_division(self):
-        # A table one row short of the largest n sends D to the sieve.
+        # A table one row short of the largest n is refused, never read past;
+        # a table that covers D answers as the per-D sieve does.
         for d in (-19999, 19997, 4 * 4999):
             top = max(self._enumerated_ns(d))
-            short = forms.divisor_table(top - 1)
-            assert forms._core_info(d, short) == forms._core_info(d, forms.divisor_table(top)), d
+            with pytest.raises(ValueError, match=f"does not cover D={d}$"):
+                forms._batch_core_info([d], forms.divisor_table(top - 1))
+            self._batch_matches_sieve([d], forms.divisor_table(top))
+
+    @pytest.mark.parametrize("ds", [
+        [5], [8], [12], [-3], [-4], [-8], [229], [-3299],
+        [5, 8, 12, 13, 17, 21, 24, 28, 29, 229],
+        [-3299, -23, -20, -8, -7, -4, -3],
+        [-3299, -23, -4, 5, 12, 229, 32009],
+        [229, -23, 5, -3299, 32009, -4],
+    ], ids=lambda ds: ",".join(map(str, ds)))
+    def test_chunks(self, ds):
+        # one D, one sign, and mixed signs, sorted or not
+        self._batch_matches_sieve(ds)
+
+    @pytest.mark.parametrize("cap", [1, 7, 100])
+    def test_block_boundaries_do_not_change_rows(self, cap, monkeypatch):
+        # A cap below one D's rows makes every D its own block.
+        ds = fundamental_range(-2000, 2000)
+        table = experiments._class_table(ds)
+        whole = forms._batch_core_info(ds, table)
+        monkeypatch.setattr(forms, "_BLOCK_ROWS", cap)
+        assert forms._batch_core_info(ds, table) == whole
+
+    def test_r3_two_anchors(self):
+        ds = TestThreeTorsion.R3_TWO
+        rows = forms._batch_core_info(ds, experiments._class_table(ds))
+        assert [row[4] for row in rows] == [2] * len(ds)
+        self._batch_matches_sieve(ds)
+
+    def test_missing_divisor_names_d(self):
+        # Without the divisor 4 of n = 44 the form (4, 1, -11) of D = 257 is
+        # lost, and so is the rho^2 image of the form before it in its cycle.
+        ds = [5, 229, 257, 269]
+        table = without_divisor(experiments._class_table(ds), 44, 4)
+        with pytest.raises(AssertionError, match="reduced forms of D=257$"):
+            forms._batch_core_info(ds, table)
+        self._batch_matches_sieve([5, 229, 269], table)
+
+
+def without_divisor(table, n, a):
+    """A divisor_table with the divisor a of n deleted from row n."""
+    off, dv = table
+    i = off[n] + dv[off[n] : off[n + 1]].tolist().index(a)
+    off = off.copy()
+    off[n + 1 :] -= 1
+    return off, np.delete(dv, i)
 
 
 def reference_forms(d):
@@ -368,6 +416,8 @@ class TestGroupLaws:
 
 
 class TestThreeTorsion:
+    R3_TWO = [-11651, -10015, -9748, -8751, -6583, -5703, -4027, -3896, -3299, 32009]
+
     @pytest.mark.parametrize("d,tt", [(5, 1), (229, 3), (32009, 9), (-23, 3), (-3299, 9)])
     def test_examples(self, d, tt):
         assert forms.three_torsion_count(d) == tt
@@ -388,7 +438,7 @@ class TestThreeTorsion:
             assert forms.three_torsion_count(d) == cubes, d
             if cubes == 9:
                 r3_two.append(d)
-        assert r3_two == [-11651, -10015, -9748, -8751, -6583, -5703, -4027, -3896, -3299, 32009]
+        assert r3_two == self.R3_TWO
 
     def test_always_power_of_three(self):
         for d in fundamental_range(-400, 400):

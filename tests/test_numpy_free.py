@@ -1,7 +1,9 @@
-"""The single-discriminant path never loads numpy: `import quadclass`, a
-`classgroup` query and the public single-form API each run in a fresh
-interpreter, which must end without numpy in sys.modules. Surveys,
-`sieve-count` and `--cache` do load it; their own tests cover them."""
+"""The single-discriminant path never loads numpy or the process pool:
+`import quadclass`, a `classgroup` query and the public single-form API each
+run in a fresh interpreter, which must end without numpy or
+concurrent.futures.process in sys.modules. Surveys, `sieve-count` and
+`--cache` do load numpy, and surveys with --jobs above 1 the pool; their own
+tests cover them."""
 
 import os
 import subprocess
@@ -47,7 +49,11 @@ SCRIPTS = {
 
 @pytest.mark.parametrize("name", SCRIPTS)
 def test_numpy_not_loaded(name):
-    script = textwrap.dedent(SCRIPTS[name]) + "\nimport sys\nassert 'numpy' not in sys.modules\n"
+    script = textwrap.dedent(SCRIPTS[name]) + textwrap.dedent("""
+        import sys
+        assert 'numpy' not in sys.modules
+        assert 'concurrent.futures.process' not in sys.modules
+    """)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
