@@ -666,12 +666,9 @@ def _batch_core_info(ds, table):
     shorter one is refused with ValueError. Runs of one sign are computed a
     block of at most _BLOCK_ROWS b-rows at a time (_block_rows).
     """
-    top = len(table[0]) - 2
     out = []
     block, rows = [], 0
     for d in ds:
-        if _largest_n(d) > top:
-            raise ValueError(f"divisor table up to n = {top} does not cover D={d}")
         r = len(_b_range(d))
         if block and ((d > 0) != (block[0] > 0) or rows + r > _BLOCK_ROWS):
             out += _block_rows(block, *table)
@@ -727,6 +724,9 @@ def _block_rows(block, off, dv):
     j = np.repeat(np.arange(k), count)  # the block index of each row
     b = b0[j] + 2 * (np.arange(len(j)) - (np.cumsum(count) - count)[j])
     n = np.abs(d[j] - b * b) >> 2
+    if n.max() > len(off) - 2:
+        raise ValueError(f"divisor table up to n = {len(off) - 2} does not cover "
+                         f"D={block[int(j[n.argmax()])]}")
     start = off[n].astype(np.int64)
     end = off[n + 1].astype(np.int64)
     if block[0] > 0:
@@ -739,7 +739,7 @@ def _block_rows(block, off, dv):
     r = np.repeat(np.arange(len(j)), width)  # the row of each form
     a = dv[lo[r] + np.arange(len(r)) - (np.cumsum(width) - width)[r]].astype(np.int64)
     b, j = b[r], j[r]
-    c = n[r] // a
+    c = n[r] // a  # the forms are (a, b, c) for D < 0 and (a, b, -c) for D > 0
     out = []
     if block[0] < 0:
         h = np.bincount(j, minlength=k) + np.bincount(j[(0 < b) & (b < a) & (a < c)], minlength=k)
