@@ -654,7 +654,7 @@ def class_group_info(D) -> ClassGroupInfo:
 
 # The most b-rows in one block of _batch_core_info (a block holds at least one
 # discriminant): its temporaries are a few arrays of this length and of the
-# block's forms, about 1 MB.
+# block's forms, under 2 MB at |D| ~ 4·10^4.
 _BLOCK_ROWS = 1 << 12
 
 
@@ -706,7 +706,8 @@ def _block_rows(block, off, dv):
     cycle: that permutation is found by np.searchsorted on a (D, b, a) key,
     and pointer doubling labels every form with the least index of its cycle,
     so h+ counts the forms that are their own label. Every value is at most
-    4|D| in magnitude, which int64 holds exactly. What stays per D in Python
+    4|D| in magnitude and every key below k * (isqrt|D| + 1)^2 for k
+    discriminants, which int64 holds exactly. What stays per D in Python
     is the 3-torsion test (only when 3 | h(+)), the CF period and
     _core_row's checks.
     """

@@ -499,7 +499,7 @@ class TestInvariantExit:
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_missing_divisor_exits_5(self, capsys, monkeypatch, jobs):
         # The bulk table loses the divisor 4 of n = 44, and with it the form
-        # (4, 1, -11) of D = 257 that the rho^2 step reaches.
+        # (4, 9, -11) of D = 257 that the rho^2 step reaches.
         table = experiments.divisor_table
         monkeypatch.setattr(experiments, "divisor_table",
                             lambda limit: without_divisor(table(limit), 44, 4))

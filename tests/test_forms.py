@@ -195,8 +195,9 @@ class TestDivisorTable:
 
     @staticmethod
     def _batch_matches_sieve(ds, table=None):
-        table = table or experiments._class_table(ds)
-        assert forms._batch_core_info(ds, table) == [(d,) + forms._core_info(d) for d in ds]
+        rows = forms._batch_core_info(ds, table or experiments._class_table(ds))
+        assert rows == [(d,) + forms._core_info(d) for d in ds]
+        return rows
 
     def test_table_path_matches_trial_division(self):
         # Every fundamental |D| < 2*10^4 of both signs goes through the batch in
@@ -241,12 +242,10 @@ class TestDivisorTable:
 
     def test_r3_two_anchors(self):
         ds = TestThreeTorsion.R3_TWO
-        rows = forms._batch_core_info(ds, experiments._class_table(ds))
-        assert [row[4] for row in rows] == [2] * len(ds)
-        self._batch_matches_sieve(ds)
+        assert [row[4] for row in self._batch_matches_sieve(ds)] == [2] * len(ds)
 
     def test_missing_divisor_names_d(self):
-        # Without the divisor 4 of n = 44 the form (4, 1, -11) of D = 257 is
+        # Without the divisor 4 of n = 44 the form (4, 9, -11) of D = 257 is
         # lost, and so is the rho^2 image of the form before it in its cycle.
         ds = [5, 229, 257, 269]
         table = without_divisor(experiments._class_table(ds), 44, 4)
