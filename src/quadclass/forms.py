@@ -667,16 +667,17 @@ def _batch_core_info(ds, table):
     block of at most _BLOCK_ROWS b-rows at a time (_block_rows).
     """
     out = []
-    block, rows = [], 0
+    block, ranges, rows = [], [], 0
     for d in ds:
-        r = len(_b_range(d))
-        if block and ((d > 0) != (block[0] > 0) or rows + r > _BLOCK_ROWS):
-            out += _block_rows(block, *table)
-            block, rows = [], 0
+        bs = _b_range(d)
+        if block and ((d > 0) != (block[0] > 0) or rows + len(bs) > _BLOCK_ROWS):
+            out += _block_rows(block, ranges, *table)
+            block, ranges, rows = [], [], 0
         block.append(d)
-        rows += r
+        ranges.append(bs)
+        rows += len(bs)
     if block:
-        out += _block_rows(block, *table)
+        out += _block_rows(block, ranges, *table)
     return out
 
 
@@ -694,8 +695,9 @@ def _bisect(dv, lo, hi, x):
     return lo
 
 
-def _block_rows(block, off, dv):
-    """_batch_core_info of one block of discriminants of one sign.
+def _block_rows(block, ranges, off, dv):
+    """_batch_core_info of one block of discriminants of one sign, with
+    ranges[i] = _b_range(block[i]).
 
     Every (D, b) row of the block is built with np.repeat, and its window of
     divisors a of n = |D - b^2| / 4 is bisected out of the table (for D < 0,
@@ -715,13 +717,10 @@ def _block_rows(block, off, dv):
 
     k = len(block)
     d = np.array(block, np.int64)
+    b0 = np.array([bs.start for bs in ranges], np.int64)
+    count = np.array([len(bs) for bs in ranges], np.int64)
     if block[0] > 0:
         fl = np.array([math.isqrt(x) for x in block], np.int64)
-        b0 = 2 - (d & 1)
-        count = (fl - b0) // 2 + 1
-    else:
-        b0 = d & 1
-        count = (np.array([math.isqrt(-x // 3) for x in block], np.int64) - b0) // 2 + 1
     j = np.repeat(np.arange(k), count)  # the block index of each row
     b = b0[j] + 2 * (np.arange(len(j)) - (np.cumsum(count) - count)[j])
     n = np.abs(d[j] - b * b) >> 2

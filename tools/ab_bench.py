@@ -3,16 +3,17 @@
 usage, from anywhere:
 
     python3 tools/ab_bench.py --parent DIR --change DIR --workload NAME \
-        [--pairs 10] [--seconds 25] [--seed 1001] [--out BENCH.json]
+        [--pairs 10] [--seed 1001] --out BENCH.json
 
 Each pair runs `python3 perfbench/run.py --workload NAME --seed S --seconds
-25 --trace 0` once in each checkout, with the same seed S (--seed, then one
-more per pair), the order alternating from pair to pair so that the host's
-drift falls on both sides alike. Before every run the checkout's
-__pycache__ directories are deleted and PYTHONDONTWRITEBYTECODE=1 is set, so
-every process compiles its sources as a fresh checkout does (setup_s would
-otherwise reward whichever side happened to leave bytecode behind). Each
-run's perfbench/run.py comes from its own checkout.
+R --trace 0` once in each checkout, with R the run_seconds of the change's
+BENCHMARK.json and the same seed S (--seed, then one more per pair), the
+order alternating from pair to pair so that the host's drift falls on both
+sides alike. Before every run the checkout's __pycache__ directories are
+deleted and PYTHONDONTWRITEBYTECODE=1 is set, so every process compiles its
+sources as a fresh checkout does (setup_s would otherwise reward whichever
+side happened to leave bytecode behind). Each run's perfbench/run.py comes
+from its own checkout.
 
 The result goes to --out (a JSON file; the workload's entry is replaced and
 the others kept): the machine, the command, every run's metrics, and per
@@ -25,27 +26,17 @@ harness with exit 1.
 import argparse
 import json
 import os
-import platform
 import shutil
 import statistics
 import subprocess
 import sys
 
-
-def machine():
-    cpu = platform.processor()
-    try:
-        with open("/proc/cpuinfo", encoding="utf-8") as fh:
-            cpu = next(line.split(":", 1)[1].strip() for line in fh if line.startswith("model name"))
-    except (OSError, StopIteration):
-        pass
-    try:
-        import numpy
-        numpy_version = numpy.__version__
-    except ImportError:
-        numpy_version = None
-    return {"nproc": os.cpu_count(), "cpu_model": cpu, "python": platform.python_version(),
-            "numpy": numpy_version, "platform": platform.platform()}
+# The machine record of perfbench/baseline.py, imported without leaving
+# bytecode in perfbench/.
+sys.dont_write_bytecode = True
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                                "perfbench"))
+from baseline import machine  # noqa: E402
 
 
 def clear_pycache(root):
@@ -98,7 +89,6 @@ def main(argv=None):
     ap.add_argument("--change", required=True)
     ap.add_argument("--workload", required=True)
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=25)
     ap.add_argument("--seed", type=int, default=1001)
     ap.add_argument("--out", required=True)
     args = ap.parse_args(argv)
@@ -106,7 +96,8 @@ def main(argv=None):
         ap.error("--pairs must be at least 2, for quartiles")
     sides = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
     with open(os.path.join(sides["change"], "BENCHMARK.json"), encoding="utf-8") as fh:
-        metrics = json.load(fh)["end_to_end"]
+        spec = json.load(fh)
+    metrics, seconds = spec["end_to_end"], spec["run_seconds"]
 
     pairs = []
     for i in range(args.pairs):
@@ -114,7 +105,7 @@ def main(argv=None):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         pair = {"seed": seed, "first": order[0]}
         for side in order:
-            pair[side] = run_once(sides[side], args.workload, seed, args.seconds)
+            pair[side] = run_once(sides[side], args.workload, seed, seconds)
         pairs.append(pair)
         print(f"pair {i + 1}/{args.pairs} seed {seed}: wall_s parent "
               f"{pair['parent']['wall_s']:.3f} change {pair['change']['wall_s']:.3f}", flush=True)
@@ -124,7 +115,7 @@ def main(argv=None):
         with open(args.out, encoding="utf-8") as fh:
             report = json.load(fh)
     report["machine"] = machine()
-    report["command"] = (f"perfbench/run.py --workload W --seed S --seconds {args.seconds:g} "
+    report["command"] = (f"perfbench/run.py --workload W --seed S --seconds {seconds:g} "
                          "--trace 0, alternating parent/change pairs, __pycache__ cleared "
                          "and PYTHONDONTWRITEBYTECODE=1 before every run")
     report.setdefault("workloads", {})[args.workload] = {
