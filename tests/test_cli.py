@@ -3,6 +3,7 @@ import random
 import re
 from concurrent.futures.process import BrokenProcessPool
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -483,18 +484,29 @@ class TestInvariantExit:
                        "family congruences are broken\n")
 
     def test_assertion_error_exits_5(self, capsys, monkeypatch):
-        monkeypatch.setattr(forms, "_cf_period", lambda d: 0)  # unit norm +1 for every D
+        # unit norm +1 for every D of the batch
+        monkeypatch.setattr(forms, "_unit_norms", lambda d, *_: np.ones_like(d))
         code, out, err = run_cli(capsys, "nh-average", "--m", "1", "--n", "4", "--x", "300")
         assert code == 5 and out == ""
         assert err == "invariant violated: unit norm +1 with odd narrow class number for D=5\n"
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_torsion_count_not_power_of_three_exits_5(self, capsys, monkeypatch, jobs):
-        monkeypatch.setattr(forms, "_three_torsion_pos", lambda *_: 2)
+        monkeypatch.setattr(forms, "_torsion_pos", lambda h_plus, *_: np.full_like(h_plus, 2))
         code, out, err = run_cli(capsys, "nh-average", "--m", "1", "--n", "4", "--x", "300",
                                  "--jobs", jobs)
         assert code == 5 and out == ""
         assert err == "invariant violated: 3-torsion count 2 is not a power of 3 for D=5\n"
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_imaginary_torsion_count_not_power_of_three_exits_5(self, capsys, monkeypatch,
+                                                                jobs):
+        # the survey computes its members in ascending order, so D=-299 comes first
+        monkeypatch.setattr(forms, "_torsion_neg", lambda h, *_: np.full_like(h, 2))
+        code, out, err = run_cli(capsys, "imaginary", "--m", "1", "--n", "4", "--x", "300",
+                                 "--jobs", jobs)
+        assert code == 5 and out == ""
+        assert err == "invariant violated: 3-torsion count 2 is not a power of 3 for D=-299\n"
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_missing_divisor_exits_5(self, capsys, monkeypatch, jobs):

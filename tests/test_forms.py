@@ -254,6 +254,60 @@ class TestDivisorTable:
         self._batch_matches_sieve([5, 229, 269], table)
 
 
+class TestBatchAcrossSigns:
+    """The batch on every fundamental 0 < D < 10^5 and on the discriminants
+    D* of Q(sqrt(-3D)), -3D if 3 does not divide D and -D/3 otherwise."""
+
+    @pytest.fixture(scope="class")
+    def reflected(self):
+        ds = fundamental_range(1, 10**5)
+        stars = [-3 * d if d % 3 else -d // 3 for d in ds]
+        real = forms._batch_core_info(ds, experiments._class_table(ds))
+        imag = forms._batch_core_info(sorted(stars), experiments._class_table(stars))
+        r3 = {row[0]: row[4] for row in imag}
+        return ds, real, [r3[s] for s in stars]
+
+    def test_scholz_reflection(self, reflected):
+        # Scholz (1932): r3(D) <= r3(D*) <= r3(D) + 1. The two signs share
+        # only the squaring; their reductions and inverse tests are separate.
+        ds, real, r3_star = reflected
+        gaps = [s - row[4] for row, s in zip(real, r3_star)]
+        assert [d for d, g in zip(ds, gaps) if g not in (0, 1)] == []
+        assert set(gaps) == {0, 1}
+
+    def test_unit_norm_matches_cf_walk(self, reflected):
+        ds, real, _ = reflected
+        assert [row[3] for row in real] == [forms.unit_norm(d) for d in ds]
+
+
+class TestBatchArithmetic:
+    # Fundamental D of each sign at |D| ~ 4·10^8, where the batch's int64
+    # bound ends (no divisor table covers a larger |D|): the int64 squaring
+    # and reduction must equal the exact Python ones on the forms with the
+    # largest a, whose squares are largest, and on a random sample of the
+    # rest, enumerated without a table.
+    @pytest.mark.parametrize("d", [400000001, 399999992, -399999999, -400000004])
+    def test_square_and_reduce_match_python(self, d):
+        fl = math.isqrt(abs(d))
+        if d > 0:
+            fs = forms._reduced_forms_pos(d, fl)
+        else:
+            fs = [f for f in forms._reduced_forms_neg(d) if f[1] >= 0]
+        fs.sort()
+        fs = fs[-200:] + random.Random(d).sample(fs[:-200], 800)
+        a, b, c = (np.array(x, np.int64) for x in zip(*fs))
+        square = forms._square_np(a, b, c)
+        squares = [forms._compose_raw(f, f) for f in fs]
+        assert list(zip(*(x.tolist() for x in square))) == squares
+        if d > 0:
+            got = forms._reduce_pos_np(*square, np.full_like(a, d), np.full_like(a, fl))
+            want = [forms._reduce_pos(*f, d, fl) for f in squares]
+        else:
+            got = forms._reduce_neg_np(*square)
+            want = [forms._reduce_neg(*f) for f in squares]
+        assert list(zip(*got.tolist())) == want
+
+
 def without_divisor(table, n, a):
     """A divisor_table with the divisor a of n deleted from row n."""
     off, dv = table
