@@ -224,13 +224,14 @@ def _format_fault(line: bytes) -> str:
     return "field outside the int64 range"
 
 
-def cache_load(path: str) -> dict[int, CacheRecord]:
+def cache_load(path: str) -> experiments.ClassTable:
     """Load and validate a cache file; sorted ascending by D, no duplicates.
 
     The file is read once. A pattern finds the first line that is not five
     canonical integers, the lines before it are parsed into one int64 array,
     and the record invariants and the ascending order are checked on that
-    array. CacheCorruption names path:lineno of the first bad line.
+    array, which an experiments.ClassTable of CacheRecords then reads.
+    CacheCorruption names path:lineno of the first bad line.
     """
     import numpy as np
 
@@ -261,25 +262,21 @@ def cache_load(path: str) -> dict[int, CacheRecord]:
         raise CacheCorruption(f"{path}:{i + 1}: {why}")
     if bad_line is not None:
         raise CacheCorruption(f"{path}:{len(rows) + 1}: {_format_fault(bad_line)}")
-    # Converted in blocks, so the Python lists of one block are all that
-    # exists beside the array and the records.
-    records = {}
-    for start in range(0, len(rows), 4096):
-        cols = rows[start:start + 4096].T.tolist()
-        records.update(zip(cols[0], map(CacheRecord, *cols)))
-    return records
+    return experiments.ClassTable(rows, CacheRecord)
 
 
 def cache_store(path: str, records) -> None:
-    """Merge records into the cache file; conflicting duplicates are corruption.
+    """Merge records, (D, h_plus, h, unit_norm, r3) sequences, into the cache
+    file; conflicting duplicates are corruption.
     The file is re-read first, so records another run stored meanwhile are
     kept, and is replaced by a rename, so a failed write leaves the old one."""
-    merged = cache_load(path) if os.path.exists(path) else {}
-    for rec in records:
-        old = merged.get(rec.D)
-        if old is not None and old != rec:
-            raise CacheCorruption(f"conflicting records for D={rec.D}: {old} vs {rec}")
-        merged[rec.D] = rec
+    stored = cache_load(path).rows.tolist() if os.path.exists(path) else []
+    merged = {r[0]: tuple(r) for r in stored}
+    for rec in map(tuple, records):
+        old = merged.setdefault(rec[0], rec)
+        if old != rec:
+            raise CacheCorruption(f"conflicting records for D={rec[0]}: "
+                                  f"{CacheRecord(*old)} vs {CacheRecord(*rec)}")
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="ascii", newline="") as fh:
@@ -290,22 +287,14 @@ def cache_store(path: str, records) -> None:
             os.remove(tmp)
 
 
-def _record_of(info: forms.ClassGroupInfo) -> CacheRecord:
-    return CacheRecord(info.D.value, info.h_plus, info.h, info.unit_norm, info.r3)
-
-
-def _infos_of(records: dict[int, CacheRecord]) -> dict[int, forms.ClassGroupInfo]:
-    """The class data of cached records; every D must be a fundamental
-    discriminant, which one vectorized check over all of them confirms."""
-    import numpy as np
-
-    ds = np.fromiter(records, dtype=np.int64, count=len(records))
+def _infos_of(records: experiments.ClassTable) -> experiments.ClassTable:
+    """The class data of cached records, over their rows; every D must be a
+    fundamental discriminant, which one vectorized check confirms."""
+    ds = records.rows[:, 0]
     bad = ds[~experiments._fundamental(ds)]
     if len(bad):
         raise CacheCorruption(f"cached D={int(bad[0])} is not a fundamental discriminant")
-    return {d: forms.ClassGroupInfo(experiments._trusted(d), rec.h_plus, rec.h,
-                                    rec.unit_norm, 3**rec.r3, rec.r3)
-            for d, rec in records.items()}
+    return experiments.ClassTable(records.rows)
 
 
 # ----------------------------------------------------------------------
@@ -415,22 +404,19 @@ def _dispatch(args) -> int:
         return EXIT_INVALID
     family = verdict
 
-    cache_infos: dict = {}
     if args.cache and os.path.exists(args.cache):
-        cache_infos = _infos_of(cache_load(args.cache))
-    loaded = len(cache_infos)
-
-    certificates = None
-    if args.command == "lambda":
-        certificates, report = runner(args.x, family, args.checkpoints, jobs=args.jobs,
-                                      cache=cache_infos, progress=args.progress)
+        table = _infos_of(cache_load(args.cache))
     else:
-        report = runner(args.x, family, args.checkpoints, jobs=args.jobs,
-                        cache=cache_infos, progress=args.progress)
+        table = experiments.ClassTable()
+    loaded = len(table)
+
+    result = runner(args.x, family, args.checkpoints, jobs=args.jobs, cache=table,
+                    progress=args.progress)
+    certificates, report = result if args.command == "lambda" else (None, result)
 
     # A run that computed nothing leaves an existing cache file untouched.
-    if args.cache and (len(cache_infos) > loaded or not os.path.exists(args.cache)):
-        cache_store(args.cache, (_record_of(i) for i in cache_infos.values()))
+    if args.cache and (len(table) > loaded or not os.path.exists(args.cache)):
+        cache_store(args.cache, table.rows.tolist())
     sys.stdout.write(render_report(report, args.format, certificates))
     return EXIT_OK
 

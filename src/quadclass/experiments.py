@@ -21,16 +21,18 @@ denominator its ratios use.
 
 Per-discriminant work is pure and fans out to a process pool (``jobs``);
 aggregation sorts by discriminant, so reports are byte-identical for any
-worker count. An optional ``cache`` mapping D -> ClassGroupInfo is consulted
-before computing and extended in place.
+worker count. An optional ``cache``, a ClassTable or a mapping D ->
+ClassGroupInfo, is consulted before computing and extended in place.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import os
 import sys
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
+from collections.abc import Mapping
 from contextlib import ExitStack
 from dataclasses import dataclass
 from typing import Iterator
@@ -42,6 +44,7 @@ from .forms import (ClassGroupInfo, _batch_core_info, _core_info, _largest_n, di
                     divisor_table_bytes)
 
 __all__ = [
+    "ClassTable",
     "DensityReport",
     "DiscriminantSets",
     "Lambda3Certificate",
@@ -204,6 +207,10 @@ def _core_rows(todo, jobs, progress):
     imported here, so processes that start no pool never load it.
     """
     table = _class_table(todo)
+    # Freeing one 1 MiB block raises glibc's dynamic mmap threshold, so the
+    # batch's temporaries (up to about 1 MiB a block) reuse heap pages instead
+    # of faulting in fresh mmapped ones (pool workers inherit it at the fork).
+    bytearray(1 << 20)
     workers = max(1, min(jobs, os.cpu_count() or 1))
     size = -(-len(todo) // (8 * workers))
     chunks = [todo[i : i + size] for i in range(0, len(todo), size)]
@@ -225,21 +232,76 @@ def _core_rows(todo, jobs, progress):
     return rows
 
 
-def compute_class_infos(ds, *, jobs: int = 1, cache: dict | None = None,
-                        progress: bool = False) -> dict[int, ClassGroupInfo]:
+def _info(d, h_plus, h, unit_norm, r3):
+    return ClassGroupInfo(_trusted(d), h_plus, h, unit_norm, 3**r3, r3)
+
+
+class ClassTable(Mapping):
+    """An (n, 5) int64 array ``rows`` of (D, h_plus, h, unit_norm, r3) sorted
+    by D, read as a mapping D -> value(*row), built when read; keys other
+    than integers within int64 are absent. ``add`` merges rows of new D."""
+
+    def __init__(self, rows=None, value=_info):
+        import numpy as np
+
+        # Column-major, so that searchsorted reads the D column in place.
+        self.rows = np.asfortranarray(np.empty((0, 5), np.int64) if rows is None else rows)
+        self._value = value
+
+    def add(self, rows):
+        import numpy as np
+
+        rows = np.concatenate((self.rows, rows))
+        self.rows = np.asfortranarray(rows[rows[:, 0].argsort(kind="stable")])
+
+    def _find(self, d):
+        """The row index of key d, or None."""
+        try:
+            d = operator.index(d)
+        except TypeError:
+            return None
+        i = int(self.rows[:, 0].searchsorted(d))
+        return i if i < len(self) and self.rows[i, 0] == d else None
+
+    def __getitem__(self, d):
+        i = self._find(d)
+        if i is None:
+            raise KeyError(d)
+        return self._value(*self.rows[i].tolist())
+
+    def __contains__(self, d):
+        return self._find(d) is not None
+
+    def __iter__(self):
+        return iter(self.rows[:, 0].tolist())
+
+    def __len__(self):
+        return len(self.rows)
+
+
+def compute_class_infos(ds, *, jobs: int = 1, cache: Mapping | None = None,
+                        progress: bool = False) -> ClassTable:
     """Class data for every fundamental discriminant in ds, cache-aware.
 
-    Results are keyed by discriminant; the cache mapping (if given) is
-    extended in place. Output is independent of ``jobs``.
+    Returns a ClassTable of exactly the D of ds. A ClassTable cache gains the
+    computed rows; a mapping D -> ClassGroupInfo is consulted first and gains
+    a ClassGroupInfo per computed D. Output is independent of ``jobs``.
     """
-    wanted = sorted(set(ds))
-    if cache is None:
-        cache = {}
-    todo = [d for d in wanted if d not in cache]
-    if todo:
-        for d, h_plus, h, un, r3 in _core_rows(todo, jobs, progress):
-            cache[d] = ClassGroupInfo(_trusted(d), h_plus, h, un, 3**r3, r3)
-    return {d: cache[d] for d in wanted}
+    import numpy as np
+
+    wanted = np.unique(np.asarray(ds if isinstance(ds, np.ndarray) else list(ds), np.int64))
+    table = cache
+    if not isinstance(cache, ClassTable):
+        hits = [cache[d] for d in wanted.tolist() if d in cache] if cache else []
+        table = ClassTable(np.array([(i.D.value, i.h_plus, i.h, i.unit_norm, i.r3) for i in hits],
+                                    np.int64).reshape(-1, 5))
+    todo = wanted[np.isin(wanted, table.rows[:, 0], invert=True)]
+    if len(todo):
+        rows = np.array(_core_rows(todo.tolist(), jobs, progress), np.int64).reshape(-1, 5)
+        table.add(rows)
+        if cache is not None and cache is not table:
+            cache.update(zip(todo.tolist(), map(_info, *rows.T.tolist())))
+    return ClassTable(table.rows[np.isin(table.rows[:, 0], wanted)])
 
 
 # ----------------------------------------------------------------------
@@ -290,55 +352,51 @@ def _fundamental(ds, sf=None):
 
 def _members(family, lo, hi):
     """The fundamental discriminants lo <= D <= hi of the progression, all of
-    one sign, as an int list sorted by |D|."""
+    one sign, as an int64 array sorted by |D|."""
     import numpy as np
 
     prog = _progression(family, lo, hi)
-    if not prog:
-        return []
     ds = np.arange(prog.start, prog.stop, prog.step, dtype=np.int64)
+    if not prog:
+        return ds
     if hi < 0:
         ds = ds[::-1]
     sf = sieve_squarefree(1, max(-lo, hi)).squarefree_flags
-    return ds[_fundamental(ds, sf)].tolist()
+    return ds[_fundamental(ds, sf)]
 
 
 def enumerate_s_plus(x: int, family: CongruenceFamily) -> Iterator[Discriminant]:
     """Fundamental discriminants 0 < D < x with D = m (mod N), ascending."""
     _require_family(family)
-    return (_trusted(d) for d in _members(family, 1, x - 1))
+    return (_trusted(d) for d in _members(family, 1, x - 1).tolist())
 
 
 # ----------------------------------------------------------------------
 # experiments
 # ----------------------------------------------------------------------
 
-def _prefix(values):
-    out = [0]
-    acc = 0
-    for v in values:
-        acc += v
-        out.append(acc)
-    return out
+def _running(col):
+    """The running totals of a nonnegative integer column, exact."""
+    wide = len(col) and int(col.max()) * len(col) >= 1 << 63
+    return col.cumsum(dtype=object if wide else "int64")
 
 
 def _survey(x, family, checkpoints, negative, stats, point, **run):
     """One Checkpoint per checkpoint c; point(c, |S|, k, *sums) builds those
     with data. The real side takes the members 0 < D <= x and counts |S| as
     1 <= D <= c, the imaginary side -x < D < 0 and -c < D < 0; k counts the
-    members with |D| < c, and sums[i] totals stats[i](info) over them."""
+    members with |D| < c, and sums[i] totals the column stats[i](rows) over them."""
     cps = _checkpoints(checkpoints, x)
     fund = _members(family, 1 - x, -1) if negative else _members(family, 1, x)
-    infos = compute_class_infos(fund, **run)
-    pre = [_prefix([stat(infos[d]) for d in fund]) for stat in stats]
+    rows = compute_class_infos(fund, **run).rows  # ascending D: fund's order, or its reverse
+    sums = [_running(stat(rows[::-1] if negative else rows)) for stat in stats]
     points = []
-    for c in cps:
+    for c, k in zip(cps, abs(fund).searchsorted(cps).tolist()):
         s = len(_progression(family, 1 - c, -1) if negative else _progression(family, 1, c))
-        k = bisect_left(fund, c, key=abs)
         if k == 0:
             points.append(Checkpoint(x=c, sets=DiscriminantSets(c, family, s, 0), no_data=True))
         else:
-            points.append(point(c, s, k, *[p[k] for p in pre]))
+            points.append(point(c, s, k, *[int(p[k - 1]) for p in sums]))
     return points
 
 
@@ -350,7 +408,7 @@ def nh_average(x: int, family: CongruenceFamily, checkpoints=None, *,
     def point(c, s, k, tor):
         return Checkpoint(x=c, sets=DiscriminantSets(c, family, s, k), nh_average=tor / k)
 
-    points = _survey(x, family, checkpoints, False, [lambda i: i.three_torsion_count], point,
+    points = _survey(x, family, checkpoints, False, [lambda r: 3 ** r[:, 4]], point,
                      jobs=jobs, cache=cache, progress=progress)
     return DensityReport("nh-average", family, "S_plus", TARGET_NH_AVERAGE,
                          {"nh_average": TARGET_NH_AVERAGE}, points)
@@ -380,7 +438,7 @@ def indivisibility_density(x: int, family: CongruenceFamily, checkpoints=None, *
         )
 
     points = _survey(x, family, checkpoints, False,
-                     [lambda i: i.three_torsion_count, lambda i: i.r3 == 0], point,
+                     [lambda r: 3 ** r[:, 4], lambda r: r[:, 4] == 0], point,
                      jobs=jobs, cache=cache, progress=progress)
     return DensityReport("indivisibility", family, "S_plus", TARGET_INDIVISIBLE,
                          {"indivisible_ratio": TARGET_INDIVISIBLE}, points)
@@ -399,14 +457,11 @@ def _pair_survey(x, family, checkpoints, **run):
     # Members are 1 (mod 4) at theorem level, so L's base is exactly S+.
     base_l = _fundamental(ds, sf)
     base_lt = _fundamental(ds + t, sf)
-    infos = compute_class_infos(np.concatenate((ds[base_l], ds[base_lt] + t)).tolist(), **run)
-    in_l = [f and infos[d].h % 3 != 0 for d, f in zip(prog, base_l.tolist())]
-    in_lt = [f and infos[d + t].h % 3 != 0 for d, f in zip(prog, base_lt.tolist())]
-    pre_l = _prefix(in_l)
-    pre_lt = _prefix(in_lt)
-    pre_cap = _prefix([a and b for a, b in zip(in_l, in_lt)])
-    pre_cup = _prefix([a or b for a, b in zip(in_l, in_lt)])
-    pre_fund = _prefix(base_l.tolist())
+    infos = compute_class_infos(np.concatenate((ds[base_l], ds[base_lt] + t)), **run)
+    indivisible = infos.rows[infos.rows[:, 2] % 3 != 0, 0]
+    in_l, in_lt = np.isin(ds, indivisible), np.isin(ds + t, indivisible)
+    pre_l, pre_lt, pre_cap, pre_cup, pre_fund = map(
+        _running, (in_l, in_lt, in_l & in_lt, in_l | in_lt, base_l))
     points = []
     for c in cps:
         k = bisect_right(prog, c)  # the L-sets count D <= checkpoint
@@ -417,14 +472,13 @@ def _pair_survey(x, family, checkpoints, **run):
             sets = DiscriminantSets(c, family, 0, 0, L=0, L_t=0, L_cap_Lt=0)
             points.append(Checkpoint(x=c, sets=sets, no_data=True))
             continue
-        l, lt, cap, cup = pre_l[k], pre_lt[k], pre_cap[k], pre_cup[k]
+        l, lt, cap, cup, fund = (int(p[k - 1]) for p in (pre_l, pre_lt, pre_cap, pre_cup, pre_fund))
         if cap != l + lt - cup:  # pragma: no cover
             raise AssertionError(f"inclusion-exclusion violated at x={c}")
-        sets = DiscriminantSets(c, family, s, pre_fund[k], L=l, L_t=lt, L_cap_Lt=cap)
+        sets = DiscriminantSets(c, family, s, fund, L=l, L_t=lt, L_cap_Lt=cap)
         points.append(Checkpoint(x=c, sets=sets, ratio_L=l / s, ratio_Lt=lt / s,
                                  ratio_intersection=cap / s))
-    both = [d for d, a, b in zip(prog, in_l, in_lt) if a and b]
-    return points, both, infos
+    return points, ds[in_l & in_lt].tolist(), infos
 
 
 def pair_experiment(x: int, family: CongruenceFamily, checkpoints=None, *,
@@ -491,7 +545,7 @@ def imaginary_density(x: int, family: CongruenceFamily, checkpoints=None, *,
         return Checkpoint(x=c, sets=DiscriminantSets(c, family, s, k, L=indiv),
                           indivisible_ratio=indiv / k, ratio_L=indiv / k)
 
-    points = _survey(x, family, checkpoints, True, [lambda i: i.h % 3 != 0], point,
+    points = _survey(x, family, checkpoints, True, [lambda r: r[:, 2] % 3 != 0], point,
                      jobs=jobs, cache=cache, progress=progress)
     return DensityReport("imaginary", family, "S_minus", TARGET_IMAGINARY_INDIVISIBLE,
                          {"indivisible_ratio": TARGET_IMAGINARY_INDIVISIBLE}, points)

@@ -395,7 +395,7 @@ class TestCacheParserReference:
         path.write_bytes(text.encode("ascii"))
         got = vectorized_load(str(path))
         assert got == reference_load(str(path))
-        assert (set(got) if isinstance(got, dict) else got) == expected
+        assert (got if isinstance(got, int) else set(got)) == expected
 
     @settings(max_examples=300, deadline=None)
     @given(_cache_texts())
@@ -472,6 +472,102 @@ class TestWarmPath:
                                  "--cache", str(cache))
         assert code == 4 and out == ""
         assert f"cache corruption: {cache}:1: |D| exceeds 2^27" in err
+
+
+    def test_torsion_totals_beyond_int64_stay_exact(self, tmp_path, capsys):
+        # Valid records whose sum of 3^r3 exceeds int64: 3 * 3^39 > 2^63.
+        h = 3**39
+        cache = tmp_path / "c.txt"
+        cache.write_text("".join(f"{d},{h},{h},-1,39\n" for d in (5, 13, 17)))
+        code, out, _ = run_cli(capsys, "nh-average", "--m", "1", "--n", "4", "--x", "20",
+                               "--cache", str(cache), "--format", "json")
+        assert code == 0
+        assert json.loads(out)["checkpoints"][0]["nh_average"] == round(float(h), 6)
+
+
+SURVEY_ARGS = {
+    "nh-average": ("1", "4", "0"),
+    "indivisibility": ("1", "4", "0"),
+    "pairs": ("1", "4", "8"),
+    "lambda": ("17", "12", "12"),
+    "imaginary": ("1", "4", "0"),
+}
+
+
+def _family_argv(name, x):
+    m, n, t = SURVEY_ARGS[name]
+    return [name, "--m", m, "--n", n, "--t", t, "--x", str(x)]
+
+
+class TestColumnarPath:
+    """Class data reaches the surveys as ClassTable columns: a warm run builds
+    no per-record ClassGroupInfo, and every kind of cache gives the same bytes."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The ClassGroupInfo objects constructed in this process."""
+        calls = []
+        init = forms.ClassGroupInfo.__init__
+
+        def counting(self, *args, **kwargs):
+            calls.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(forms.ClassGroupInfo, "__init__", counting)
+        return calls
+
+    @pytest.mark.parametrize("name", ["nh-average", "indivisibility", "pairs", "imaginary"])
+    def test_warm_survey_builds_no_class_group_info(self, tmp_path, capsys, built, name):
+        argv = _family_argv(name, 3000) + ["--cache", str(tmp_path / "c.txt")]
+        code, cold, _ = run_cli(capsys, *argv)
+        assert code == 0
+        built.clear()
+        code, warm, _ = run_cli(capsys, *argv)
+        assert code == 0 and warm == cold
+        assert built == []
+
+    def test_warm_lambda_builds_at_most_three_per_certificate(self, tmp_path, capsys, built):
+        cache = str(tmp_path / "c.txt")
+        # Records the lambda run never reads, which a per-record load would build.
+        assert run_cli(capsys, *_family_argv("imaginary", 3000), "--cache", cache)[0] == 0
+        argv = _family_argv("lambda", 3000) + ["--cache", cache]
+        assert run_cli(capsys, *argv)[0] == 0
+        built.clear()
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        lines = out.splitlines()
+        certificates = len(lines) - 1 - lines.index(",".join(cli.CERT_COLUMNS))
+        assert certificates > 0
+        assert 0 < len(built) <= 3 * certificates
+
+    @pytest.mark.parametrize("name", SURVEY_ARGS)
+    def test_cache_kinds_give_identical_bytes(self, tmp_path, capsys, name):
+        x = 1500
+        runner, level = cli._EXPERIMENTS[name]
+        m, n, t = map(int, SURVEY_ARGS[name])
+        family = families.validate(m, n, t, level)
+
+        def render(**kwargs):
+            result = runner(x, family, **kwargs)
+            certs, report = result if name == "lambda" else (None, result)
+            return [cli.render_report(report, fmt, certs) for fmt in ("csv", "json")]
+
+        expected = render()
+        for jobs in (1, 2):
+            plain, table = {}, experiments.ClassTable()
+            for cache in (None, plain, plain, table, table):  # cold, then warm
+                assert render(jobs=jobs, cache=cache) == expected
+            path = tmp_path / f"c{jobs}.txt"
+            for _ in ("cold", "warm"):
+                for i, fmt in enumerate(("csv", "json")):
+                    code, out, _ = run_cli(capsys, *_family_argv(name, x), "--jobs", str(jobs),
+                                           "--format", fmt, "--cache", str(path))
+                    assert code == 0 and out == expected[i]
+            # The file format: sorted by D, LF endings, canonical integers.
+            assert path.read_bytes() == "".join(
+                f"{d},{info.h_plus},{info.h},{info.unit_norm},{info.r3}\n"
+                for d, info in sorted(plain.items())).encode("ascii")
+            assert set(plain) == set(table)
 
 
 class TestInvariantExit:

@@ -1,4 +1,6 @@
 import concurrent.futures
+import dataclasses
+import json
 import random
 
 import numpy as np
@@ -259,6 +261,70 @@ class TestDeterminismAndCache:
         monkeypatch.setattr(experiments.os, "cpu_count", lambda: None)
         assert experiments.compute_class_infos(ds, jobs=100000) == serial
         assert sizes == [3, 2, 2]
+
+
+class TestClassTable:
+    """The mapping view over class rows that the surveys and the CLI share."""
+
+    @pytest.fixture
+    def table(self):
+        return experiments.compute_class_infos([229, 5, -23, 5])
+
+    def test_equals_dict_of_class_group_info(self, table):
+        expected = {d: forms.class_group_info(d) for d in (-23, 5, 229)}
+        assert table == expected and expected == table
+        assert list(table) == [-23, 5, 229]
+        assert table.rows.tolist() == [[-23, 3, 3, 0, 1], [5, 1, 1, -1, 0], [229, 3, 3, -1, 1]]
+
+    @pytest.mark.parametrize("key", [2**70, -2**70, 2**63, -2**63 - 1, "5", 5.0, np.float64(5),
+                                     None, (5,), b"5", 7, -2**63, 2**63 - 1],
+                             ids=repr)
+    def test_absent_keys(self, table, key):
+        assert key not in table
+        with pytest.raises(KeyError):
+            table[key]
+        assert table.get(key) is None
+
+    @pytest.mark.parametrize("key", [5, np.int64(5), np.int32(5), np.uint64(5)], ids=repr)
+    def test_integer_keys(self, table, key):
+        assert key in table
+        assert table[key] == forms.class_group_info(5)
+
+    def test_empty(self):
+        table = experiments.ClassTable()
+        assert len(table) == 0 and list(table) == [] and 5 not in table and table == {}
+        assert table.rows.shape == (0, 5) and table.rows.dtype == np.int64
+        with pytest.raises(KeyError):
+            table[5]
+
+    def test_add_merges_in_order(self, table):
+        table.add(experiments.compute_class_infos([13, -4]).rows)
+        assert list(table) == [-23, -4, 5, 13, 229]
+        assert table[13] == forms.class_group_info(13)
+        assert table[-4] == forms.class_group_info(-4)
+
+    def test_table_cache_is_extended(self, table):
+        got = experiments.compute_class_infos(iter([17, 12, 13, 5]), cache=table)
+        assert list(got) == [5, 12, 13, 17]
+        assert list(table) == [-23, 5, 12, 13, 17, 229]
+
+    def test_running_totals_do_not_overflow(self):
+        totals = experiments._running(np.full(3, 3**39, np.int64))
+        assert [int(v) for v in totals] == [3**39, 2 * 3**39, 3 * 3**39]
+        assert experiments._running(np.array([True, False, True])).tolist() == [1, 1, 2]
+
+    def test_checkpoints_hold_python_numbers(self, fam14, fam_lambda):
+        reports = [experiments.nh_average(500, fam14),
+                   experiments.indivisibility_density(500, fam14),
+                   experiments.pair_experiment(500, fam14),
+                   experiments.lambda_survey(500, fam_lambda)[1],
+                   experiments.imaginary_density(500, fam14)]
+        for rep in reports:
+            for cp in rep.checkpoints:
+                values = dataclasses.asdict(cp)
+                json.dumps(values, default=lambda o: pytest.fail(f"{type(o)} in {rep.experiment}"))
+                for v in [*values.values(), *values["sets"].values()]:
+                    assert type(v) in (int, float, bool, type(None), dict), (rep.experiment, v)
 
 
 SCAN_XS = (1, 2, 5, 6, 9, 500)
