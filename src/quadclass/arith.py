@@ -6,9 +6,10 @@ Everything here is integer-exact; floats appear only in main-term and
 relative-error fields of :class:`SquarefreeAPCount`.
 
 numpy is imported inside the functions that build arrays
-(smallest_prime_factors, squarefree_mask, the squarefree sieves), never at
+(smallest_prime_factors, squarefree_mask, sieve_squarefree), never at
 module level, so the single-discriminant path (primes_upto, is_squarefree,
-classify_discriminant) and ``import quadclass`` run without loading it.
+classify_discriminant), count_squarefree_in_ap and ``import quadclass`` run
+without loading it.
 """
 
 from __future__ import annotations
@@ -205,23 +206,24 @@ class SieveWindow:
         return int(self.squarefree_flags.sum())
 
 
-def _squarefree_cells(lo: int, hi: int, k: int, max_cells: int) -> np.ndarray:
-    """Squarefree flags of the cells lo, lo + k, ..., up to hi; needs gcd(k, lo) = 1.
+def _squarefree_cells(lo: int, hi: int, k: int, max_cells: int) -> bytearray:
+    """Squarefree flags (1 or 0) of the cells lo, lo + k, ..., up to hi; needs
+    gcd(k, lo) = 1.
 
     For each prime p <= sqrt(hi) with p not dividing k, strikes the cells
     i = -lo * k^-1 (mod p^2); a prime p | k never has p^2 dividing a cell,
-    since p does not divide lo. One byte per cell; a window is k = 1.
+    since p does not divide lo. One byte per cell; a window is k = 1. A
+    bytearray, so that counting cells needs no numpy.
     """
-    import numpy as np
-
     cells = (hi - lo) // k + 1
     if cells > max_cells:
         raise WindowTooLarge(f"window of {cells} cells exceeds bound {max_cells}")
-    flags = np.ones(cells, dtype=bool)
+    flags = bytearray(b"\x01") * cells
     for p in primes_upto(math.isqrt(hi)):
         if k % p:
             q = p * p
-            flags[-lo * pow(k, -1, q) % q :: q] = False
+            i = -lo * pow(k, -1, q) % q
+            flags[i::q] = bytes(len(range(i, cells, q)))
     return flags
 
 
@@ -231,9 +233,11 @@ def sieve_squarefree(lo: int, hi: int, max_cells: int = DEFAULT_MAX_CELLS) -> Si
     Cost is quasi-linear in the window length plus a prime sieve up to
     sqrt(hi); memory is one byte per window cell.
     """
+    import numpy as np
+
     if not 1 <= lo <= hi:
         raise ValueError("need 1 <= lo <= hi")
-    return SieveWindow(lo, hi, _squarefree_cells(lo, hi, 1, max_cells))
+    return SieveWindow(lo, hi, np.frombuffer(_squarefree_cells(lo, hi, 1, max_cells), bool))
 
 
 # ----------------------------------------------------------------------
@@ -373,7 +377,7 @@ def count_squarefree_in_ap(x: int, k: int, l: int, max_cells: int = DEFAULT_MAX_
     l = (l - 1) % k + 1  # normalize the residue into [1, k]
     if math.gcd(k, l) != 1:
         raise ValueError(f"gcd(k, l) = {math.gcd(k, l)} != 1 violates the coprimality hypothesis")
-    count = int(_squarefree_cells(l, x, k, max_cells).sum()) if l <= x else 0
+    count = _squarefree_cells(l, x, k, max_cells).count(1) if l <= x else 0
     prod = 1.0
     for p, _ in _factorize(k):
         prod *= 1.0 / (1.0 - 1.0 / (p * p))

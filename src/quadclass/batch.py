@@ -1,0 +1,361 @@
+"""Batched class data for bulk runs: a block of discriminants at a time in numpy.
+
+Bulk runs that fit a divisor_table (_batch_core_info) work a block of
+discriminants at a time: every (D, b) row's window of divisors is bisected
+out of the table at once, and for D > 0 the cycles are labelled by pointer
+doubling on the permutation that two rho steps induce on the a > 0 forms.
+The batch also squares and reduces the classes in numpy for the 3-torsion
+test, reads the unit norm off the cycle labels (it is -1 exactly when
+(-1, b, c) lies in the principal cycle) and checks the invariants as masks.
+Its rows equal those of forms._core_info, the single-discriminant route,
+which needs no numpy and is the reference the batch is tested against.
+
+numpy is imported inside each function, as in arith, so importing this
+module (experiments does) loads no numpy until a batch or a table is built.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import TYPE_CHECKING
+
+from .forms import _b_range
+
+if TYPE_CHECKING:
+    import numpy as np
+
+__all__ = ["divisor_table", "divisor_table_bytes"]
+
+
+# ----------------------------------------------------------------------
+# divisor table
+# ----------------------------------------------------------------------
+
+def divisor_table(limit: int) -> tuple[np.ndarray, np.ndarray]:
+    """The divisors of every 1 <= n <= limit, ascending, as compressed sparse rows.
+
+    Returns int32 arrays (offsets, divisors): the divisors of n are
+    divisors[offsets[n]:offsets[n + 1]], and row 0 is empty. With
+    s = isqrt(limit), each row lists n's divisors d <= s by ascending d, then
+    its divisors n/k > s by descending k <= s, so the build is 2s strided
+    numpy passes with no per-n loop. Its size is divisor_table_bytes(limit),
+    about 4 * limit * (ln limit + 1) bytes.
+    """
+    import numpy as np
+
+    if not 0 <= limit <= 10**8:
+        raise ValueError("divisor_table needs 0 <= limit <= 10**8 (int32 offsets)")
+    s = math.isqrt(limit)
+    count = np.zeros(limit + 1, np.int32)
+    for d in range(1, s + 1):
+        count[d::d] += 1
+        count[d * (s + 1) :: d] += 1
+    offsets = np.zeros(limit + 2, np.int32)
+    np.cumsum(count, dtype=np.int32, out=offsets[1:])
+    divisors = np.empty(int(offsets[-1]), np.int32)
+    cursor = offsets[:-1].copy()  # next free slot of each row
+    for d in range(1, s + 1):
+        rows = cursor[d::d]
+        divisors[rows] = d
+        rows += 1
+    for k in range(s, 0, -1):
+        rows = cursor[k * (s + 1) :: k]
+        divisors[rows] = np.arange(s + 1, s + 1 + len(rows), dtype=np.int32)
+        rows += 1
+    return offsets, divisors
+
+
+def divisor_table_bytes(limit: int) -> int:
+    """Bytes of divisor_table(limit): 4 * (limit + 2 + sum_{n <= limit} tau(n))."""
+    s = math.isqrt(limit)
+    # sum_{n <= L} tau(n) counts pairs k * m <= L: 2 sum_{k <= s} floor(L/k) - s^2.
+    entries = 2 * sum(limit // k for k in range(1, s + 1)) - s * s
+    return 4 * (limit + 2 + entries)
+
+
+# ----------------------------------------------------------------------
+# batched class data over a divisor table
+# ----------------------------------------------------------------------
+
+# The most b-rows in one block of _batch_core_info (a block holds at least one
+# discriminant): its temporaries are a few arrays of this length and of the
+# block's forms, under 2 MB at |D| ~ 4·10^4.
+_BLOCK_ROWS = 1 << 12
+
+
+def _batch_core_info(ds, table):
+    """(d, h_plus, h, unit_norm, r3) for each trusted fundamental d of ds, in
+    order, equal to (d,) + _core_info(d).
+
+    table is a divisor_table covering every n the enumeration of ds meets; a
+    shorter one is refused with ValueError. Runs of one sign are computed a
+    block of at most _BLOCK_ROWS b-rows at a time (_block_rows).
+    """
+    out = []
+    block, ranges, rows = [], [], 0
+    for d in ds:
+        bs = _b_range(d)
+        if block and ((d > 0) != (block[0] > 0) or rows + len(bs) > _BLOCK_ROWS):
+            out += _block_rows(block, ranges, *table)
+            block, ranges, rows = [], [], 0
+        block.append(d)
+        ranges.append(bs)
+        rows += len(bs)
+    if block:
+        out += _block_rows(block, ranges, *table)
+    return out
+
+
+def _bisect(dv, lo, hi, x):
+    """For each i, the first j in [lo[i], hi[i]) with dv[j] >= x[i], or hi[i]:
+    bisect_left on every sorted run dv[lo[i]:hi[i]] at once."""
+    import numpy as np
+
+    size = hi - lo
+    for _ in range(int(size.max()).bit_length()):
+        half = size >> 1
+        go = (size > 0) & (dv.take(lo + half, mode="clip") < x)
+        lo = np.where(go, lo + half + 1, lo)
+        size = np.where(go, size - half - 1, half)
+    return lo
+
+
+def _block_rows(block, ranges, off, dv):
+    """_batch_core_info of one block of discriminants of one sign, with
+    ranges[i] = _b_range(block[i]).
+
+    Every (D, b) row of the block is built with np.repeat, and its window of
+    divisors a of n = |D - b^2| / 4 is bisected out of the table (for D < 0,
+    the divisors a <= isqrt(n) are the first ceil(tau(n)/2) of the row). The
+    forms are listed by (D, b, a): for D < 0 the classes (a, b, c) with
+    b >= 0, for D > 0 the a > 0 reduced forms (_pos_rows). All that stays
+    per D in Python is building the output rows.
+    """
+    import numpy as np
+
+    k = len(block)
+    d = np.array(block, np.int64)
+    b0 = np.array([bs.start for bs in ranges], np.int64)
+    count = np.array([len(bs) for bs in ranges], np.int64)
+    if block[0] > 0:
+        fl = np.array([math.isqrt(x) for x in block], np.int64)
+    j = np.repeat(np.arange(k), count)  # the block index of each row
+    b = b0[j] + 2 * (np.arange(len(j)) - (np.cumsum(count) - count)[j])
+    n = np.abs(d[j] - b * b) >> 2
+    if n.max() > len(off) - 2:
+        raise ValueError(f"divisor table up to n = {len(off) - 2} does not cover "
+                         f"D={block[int(j[n.argmax()])]}")
+    start = off[n].astype(np.int64)
+    end = off[n + 1].astype(np.int64)
+    if block[0] > 0:
+        lo = _bisect(dv, start, end, (fl[j] - b + 2) >> 1)
+        hi = _bisect(dv, lo, end, ((fl[j] + b) >> 1) + 1)
+    else:
+        lo = _bisect(dv, start, end, b)
+        hi = start + ((end - start + 1) >> 1)
+    width = hi - lo
+    r = np.repeat(np.arange(len(j)), width)  # the row of each form
+    a = dv[lo[r] + np.arange(len(r)) - (np.cumsum(width) - width)[r]].astype(np.int64)
+    b, j = b[r], j[r]
+    c = n[r] // a
+    if block[0] > 0:
+        return _pos_rows(block, d, fl, j, a, b, -c)
+    # each form (a, b, c) is a class, and so is its mirror (a, -b, c) when 0 < b < a < c
+    h = np.bincount(j, minlength=k) + np.bincount(j[(0 < b) & (b < a) & (a < c)], minlength=k)
+    return _checked_rows(block, h, _torsion_neg(h, j, a, b, c), np.zeros(k, np.int64))
+
+
+# The batch's int64 arithmetic is exact up to |D| = 4·10^8 + 4, beyond which
+# no divisor_table covers a discriminant. Listed forms have 0 < a <= sqrt|D|,
+# 0 <= b <= sqrt|D| and |c| <= |D|/3, and keys stay below k * (sqrt|D| + 1)^2
+# for k discriminants. _square_np's products stay below 2|D|^1.5, and the
+# square (A, B, C) has 0 < A < |D|, 0 <= B < 2|D| + sqrt|D| and
+# |C| < |D| + sqrt|D|. For D < 0, every later value of _reduce_neg_np is below
+# 4|D|, as each translation lands on a c below |D|. For D > 0, a rho step from
+# a form with third coefficient c takes an r with |r| < 2|c| + sqrt(D), and
+# the next third coefficient is at most max(|c|, sqrt D) in magnitude, so
+# every rho step of the batch has r^2 < (2D + 3 sqrt D)^2 < 6.5·10^17 < 2^63.
+# The reduced test of _reduce_pos_np compares 2a - b and 2a + b with isqrt(D)
+# and squares nothing.
+
+def _torsion_neg(h, j, a, b, c):
+    """The 3-torsion count of each D of a block, from its b >= 0 classes
+    (a, b, c) listed by block index j and its class numbers h: 1 unless
+    3 | h, else the classes x with x^2 = x^-1, counting a mirror with its
+    form (_three_torsion_neg)."""
+    import numpy as np
+
+    k = len(h)
+    i = np.flatnonzero(h[j] % 3 == 0)
+    j, a, b, c = j[i], a[i], b[i], c[i]
+    mirror = (0 < b) & (b < a) & (a < c)
+    sa, sb, sc = _reduce_neg_np(*_square_np(a, b, c))
+    # the reduced inverse is (a, -b, c) for a mirrored form, else (a, b, c)
+    hit = (sa == a) & (sb == np.where(mirror, -b, b)) & (sc == c)
+    count = np.bincount(j[hit], minlength=k) + np.bincount(j[hit & mirror], minlength=k)
+    return np.where(h % 3 == 0, count, 1)
+
+
+def _pos_rows(block, d, fl, j, a, b, c):
+    """The rows of a block of D > 0 from its a > 0 reduced forms (a, b, c),
+    listed by (block index j, b, a).
+
+    Two rho steps send each form to the next a > 0 form of its cycle: that
+    permutation is found by np.searchsorted on a (j, b, a) key, and pointer
+    doubling labels every form with the least index of its cycle, so h+
+    counts the forms that are their own label (the roots).
+    """
+    import numpy as np
+
+    k = len(block)
+    D, F = d[j], fl[j]
+    b1 = F - (F + b) % (-2 * c)
+    c1 = (b1 * b1 - D) // (4 * c)  # rho: (a, b, c) -> (c, b1, c1), c1 > 0
+    b2 = F - (F + b1) % (2 * c1)  # rho: -> (c1, b2, .)
+    m = int(fl.max()) + 1  # a reduced form has 0 < a, b <= isqrt(D)
+    key = (j * m + b) * m + a  # ascending
+
+    def find(jj, bb, aa, what):
+        # the index of each reduced form (aa, bb, .) of block[jj] in key
+        x = (jj * m + bb) * m + aa
+        i = np.minimum(np.searchsorted(key, x), len(key) - 1)
+        lost = key[i] != x
+        if lost.any():
+            raise AssertionError(f"{what} is missing from the reduced forms of "
+                                 f"D={block[int(jj[lost.argmax()])]}")
+        return i
+
+    nxt = find(j, b2, c1, "a rho^2 image")
+    label = np.arange(len(key))
+    jump = nxt
+    while True:
+        label = np.minimum(label, label[jump])
+        if (label[nxt] == label).all():
+            break
+        jump = jump[jump]
+    root = label == np.arange(len(key))
+    h_plus = np.bincount(j[root], minlength=k)
+
+    def label_of(jj, bb, aa):
+        return label[find(jj, bb, aa, "a reduced form")]
+
+    count = _torsion_pos(h_plus, j[root], a[root], b[root], c[root], D[root], F[root], label_of)
+    return _checked_rows(block, h_plus, count, _unit_norms(d, fl, label_of))
+
+
+def _torsion_pos(h_plus, j, a, b, c, D, F, label_of):
+    """The 3-torsion count of each D > 0 of a block, from one reduced form
+    (a, b, c) with a > 0 of each class, listed by block index j, and its
+    narrow class numbers h_plus: 1 unless 3 | h+, else the classes whose
+    square and (c, b, a) reduce into one cycle (_three_torsion_pos). The
+    form (c, b, a) is reduced too, so one rho step takes it to the a > 0
+    form (a, F - (F + b) mod 2a, .) of its cycle."""
+    import numpy as np
+
+    k = len(h_plus)
+    i = np.flatnonzero(h_plus[j] % 3 == 0)
+    j, a, b, c, D, F = j[i], a[i], b[i], c[i], D[i], F[i]
+    sa, sb, _ = _reduce_pos_np(*_square_np(a, b, c), D, F)
+    hit = label_of(j, sb, sa) == label_of(j, F - (F + b) % (2 * a), a)
+    return np.where(h_plus % 3 == 0, np.bincount(j[hit], minlength=k), 1)
+
+
+def _unit_norms(d, fl, label_of):
+    """The norm of the fundamental unit of each d > 0 of a block: -1 exactly
+    when the reduced form (-1, b, c), b = fl - ((fl - d) & 1), lies in the
+    principal cycle, that of (1, b, -c). One rho step sends (-1, b, c) to the
+    a > 0 form (c, r, .) of its cycle."""
+    import numpy as np
+
+    j = np.arange(len(d))
+    b = fl - ((fl - d) & 1)
+    c = (d - b * b) >> 2
+    r = fl - (fl + b) % (2 * c)
+    return np.where(label_of(j, b, 1) == label_of(j, r, c), -1, 1)
+
+
+def _checked_rows(block, h_plus, count, norm):
+    """The rows (d, h_plus, h, unit_norm, r3) of a block from its arrays of
+    (narrow) class numbers, 3-torsion counts and unit norms (0 for d < 0),
+    with _core_row's checks as masks: the first d that fails one raises
+    _core_row's message."""
+    import numpy as np
+
+    pow3 = 3 ** np.arange(21, dtype=np.int64)  # 3^20 exceeds any h+ a table can cover
+    r3 = np.minimum(np.searchsorted(pow3, count), 20)
+    bad_count = pow3[r3] != count
+    bad_norm = (norm == 1) & (h_plus & 1 == 1)
+    if (bad_count | bad_norm).any():
+        i = int((bad_count | bad_norm).argmax())
+        if bad_count[i]:
+            raise AssertionError(f"3-torsion count {count[i]} is not a power of 3 "
+                                 f"for D={block[i]}")
+        raise AssertionError(f"unit norm +1 with odd narrow class number for D={block[i]}")
+    h = np.where(norm == 1, h_plus >> 1, h_plus)
+    return list(zip(block, h_plus.tolist(), h.tolist(), norm.tolist(), r3.tolist()))
+
+
+def _xgcd_np(x, y):
+    """(g, u) with g = gcd(x, y) and u the coefficient of x of _xgcd(x, y),
+    so u*x = g (mod y), for int64 arrays x >= 0 and y > 0. Euclid's steps
+    are taken on the rows whose remainder is not yet 0 only."""
+    import numpy as np
+
+    g, u = np.empty_like(x), np.empty_like(x)
+    i = np.arange(len(x))
+    r0, r1, s0, s1 = x, y, np.ones_like(x), np.zeros_like(x)
+    while len(i):
+        done = r1 == 0
+        g[i[done]], u[i[done]] = r0[done], s0[done]
+        go = ~done
+        i, r0, r1, s0, s1 = i[go], r0[go], r1[go], s0[go], s1[go]
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        s0, s1 = s1, s0 - q * s1
+    return g, u
+
+
+def _square_np(a, b, c):
+    """_compose_raw(f, f) for every form f = (a, b, c) of int64 arrays with
+    a > 0 and b >= 0: with g = gcd(a, b), u*b = g (mod a) and v = a/g, the
+    square is (v^2, b + 2vr, (cg + r(b + vr)) / v) for r = -uc mod v."""
+    g, u = _xgcd_np(b, a)
+    v = a // g
+    r = -u * c % v
+    return v * v, b + 2 * v * r, (c * g + r * (b + v * r)) // v
+
+
+def _reduce_neg_np(a, b, c):
+    """_reduce_neg on every row of int64 arrays; a row leaves the loop once
+    it is reduced."""
+    import numpy as np
+
+    out = np.empty((3, len(a)), np.int64)
+    i = np.arange(len(a))
+    while len(i):
+        r = (a - b) // (2 * a)  # 0 when -a < b <= a
+        c = c + (a * r + b) * r
+        b = b + 2 * a * r
+        swap = (a > c) | ((a == c) & (b < 0))
+        done = ~swap
+        out[:, i[done]] = a[done], b[done], c[done]
+        i, a, b, c = i[swap], c[swap], -b[swap], a[swap]
+    return out
+
+
+def _reduce_pos_np(a, b, c, D, F):
+    """_reduce_pos on every row of int64 arrays, with F = isqrt(D); a row
+    leaves the loop once it is a reduced form with a > 0, which is
+    0 < b <= F, 2a - b <= F < 2a + b, exactly as sqrt(D) is irrational."""
+    import numpy as np
+
+    out = np.empty((3, len(a)), np.int64)
+    i = np.arange(len(a))
+    while len(i):
+        done = (0 < b) & (b <= F) & (2 * a - b <= F) & (F < 2 * a + b)
+        out[:, i[done]] = a[done], b[done], c[done]
+        go = ~done
+        i, a, b, c, D, F = i[go], a[go], b[go], c[go], D[go], F[go]
+        r = F - (F + b) % (2 * np.abs(c))  # rho: (a, b, c) -> (c, r, .)
+        a, b, c = c, r, (r * r - D) // (4 * c)
+    return out

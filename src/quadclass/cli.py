@@ -14,10 +14,12 @@ import json
 import os
 import re
 import sys
-from concurrent.futures import BrokenExecutor
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from . import arith, experiments, families, forms
+from . import arith, forms
+
+if TYPE_CHECKING:
+    from . import experiments
 
 __all__ = [
     "CacheCorruption",
@@ -235,6 +237,8 @@ def cache_load(path: str) -> experiments.ClassTable:
     """
     import numpy as np
 
+    from . import experiments
+
     with open(path, "rb") as fh:
         data = fh.read()
     bad = _BAD_LINE.search(data)
@@ -290,6 +294,8 @@ def cache_store(path: str, records) -> None:
 def _infos_of(records: experiments.ClassTable) -> experiments.ClassTable:
     """The class data of cached records, over their rows; every D must be a
     fundamental discriminant, which one vectorized check confirms."""
+    from . import experiments
+
     ds = records.rows[:, 0]
     bad = ds[~experiments._fundamental(ds)]
     if len(bad):
@@ -308,13 +314,24 @@ def _parse_checkpoints(text):
         raise argparse.ArgumentTypeError(f"bad checkpoint list {text!r}")
 
 
+def _survey(name):
+    """The runner experiments.<name>, which imports experiments when it is
+    called: a classgroup or sieve-count process never loads it."""
+    def runner(*args, **kwargs):
+        from . import experiments
+
+        return getattr(experiments, name)(*args, **kwargs)
+
+    return runner
+
+
 _EXPERIMENTS = {
-    # command -> (runner, required family level)
-    "nh-average": (experiments.nh_average, families.LEVEL_NH),
-    "indivisibility": (experiments.indivisibility_density, families.LEVEL_NH),
-    "pairs": (experiments.pair_experiment, families.LEVEL_THEOREM),
-    "lambda": (experiments.lambda_survey, families.LEVEL_LAMBDA),
-    "imaginary": (experiments.imaginary_density, families.LEVEL_NH),
+    # command -> (runner, required family level, one of families.LEVELS)
+    "nh-average": (_survey("nh_average"), "nh"),
+    "indivisibility": (_survey("indivisibility_density"), "nh"),
+    "pairs": (_survey("pair_experiment"), "theorem"),
+    "lambda": (_survey("lambda_survey"), "lambda"),
+    "imaginary": (_survey("imaginary_density"), "nh"),
 }
 
 
@@ -366,9 +383,11 @@ def run(argv=None) -> int:
     except ValueError as exc:
         print(f"invalid arguments: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except BrokenExecutor:
-        raise  # a worker process died; no invariant was checked
     except (AssertionError, RuntimeError) as exc:
+        from concurrent.futures import BrokenExecutor
+
+        if isinstance(exc, BrokenExecutor):
+            raise  # a worker process died; no invariant was checked
         print(f"invariant violated: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
 
@@ -393,6 +412,8 @@ def _dispatch(args) -> int:
         res = arith.count_squarefree_in_ap(args.x, args.k, args.l)
         sys.stdout.write(render_sieve_count(res, args.format))
         return EXIT_OK
+
+    from . import experiments, families
 
     runner, level = _EXPERIMENTS[args.command]
     if args.x > MAX_X:

@@ -40,8 +40,8 @@ from typing import Iterator
 from .arith import Discriminant, kronecker, mobius, sieve_squarefree, squarefree_mask
 from .arith import smallest_prime_factors  # noqa: F401  (perfbench/traced_cli.py wraps this name)
 from .families import LEVEL_LAMBDA, LEVEL_NH, LEVEL_THEOREM, LEVELS, CongruenceFamily
-from .forms import (ClassGroupInfo, _batch_core_info, _core_info, _largest_n, divisor_table,
-                    divisor_table_bytes)
+from .batch import _batch_core_info, divisor_table, divisor_table_bytes
+from .forms import ClassGroupInfo, _core_info, _largest_n
 
 __all__ = [
     "ClassTable",

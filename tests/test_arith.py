@@ -117,6 +117,22 @@ class TestSieve:
         with pytest.raises(arith.WindowTooLarge):
             arith.sieve_squarefree(1, 10**7, max_cells=10**6)
 
+    @pytest.mark.parametrize("k", [1, 4, 12, 49])
+    def test_cells_shorter_than_a_prime_square(self, k):
+        # Progressions of few cells: for most p the first cell p^2 strikes
+        # lies past the last cell.
+        for x in range(1, 201):
+            for l in range(1, min(k, x) + 1):
+                if math.gcd(k, l) == 1:
+                    want = [int(brute_squarefree(m)) for m in range(l, x + 1, k)]
+                    assert list(arith._squarefree_cells(l, x, k, 10**6)) == want, (x, k, l)
+
+    def test_flags_are_a_bool_array(self):
+        w = arith.sieve_squarefree(45, 100)
+        assert isinstance(w.squarefree_flags, np.ndarray) and w.squarefree_flags.dtype == bool
+        assert w.squarefree_flags.tolist() == [brute_squarefree(n) for n in range(45, 101)]
+        assert w.count() == sum(map(brute_squarefree, range(45, 101)))
+
     def test_bad_bounds(self):
         with pytest.raises(ValueError):
             arith.sieve_squarefree(5, 4)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadclass import cli, experiments, families, forms
+from quadclass import batch, cli, experiments, families, forms
 from quadclass.cli import CacheCorruption, CacheRecord
 from test_forms import without_divisor
 
@@ -581,14 +581,14 @@ class TestInvariantExit:
 
     def test_assertion_error_exits_5(self, capsys, monkeypatch):
         # unit norm +1 for every D of the batch
-        monkeypatch.setattr(forms, "_unit_norms", lambda d, *_: np.ones_like(d))
+        monkeypatch.setattr(batch, "_unit_norms", lambda d, *_: np.ones_like(d))
         code, out, err = run_cli(capsys, "nh-average", "--m", "1", "--n", "4", "--x", "300")
         assert code == 5 and out == ""
         assert err == "invariant violated: unit norm +1 with odd narrow class number for D=5\n"
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_torsion_count_not_power_of_three_exits_5(self, capsys, monkeypatch, jobs):
-        monkeypatch.setattr(forms, "_torsion_pos", lambda h_plus, *_: np.full_like(h_plus, 2))
+        monkeypatch.setattr(batch, "_torsion_pos", lambda h_plus, *_: np.full_like(h_plus, 2))
         code, out, err = run_cli(capsys, "nh-average", "--m", "1", "--n", "4", "--x", "300",
                                  "--jobs", jobs)
         assert code == 5 and out == ""
@@ -598,7 +598,7 @@ class TestInvariantExit:
     def test_imaginary_torsion_count_not_power_of_three_exits_5(self, capsys, monkeypatch,
                                                                 jobs):
         # the survey computes its members in ascending order, so D=-299 comes first
-        monkeypatch.setattr(forms, "_torsion_neg", lambda h, *_: np.full_like(h, 2))
+        monkeypatch.setattr(batch, "_torsion_neg", lambda h, *_: np.full_like(h, 2))
         code, out, err = run_cli(capsys, "imaginary", "--m", "1", "--n", "4", "--x", "300",
                                  "--jobs", jobs)
         assert code == 5 and out == ""

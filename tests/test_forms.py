@@ -8,7 +8,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadclass import arith, experiments, forms
+from quadclass import arith, batch, experiments, forms
 from quadclass.forms import ClassRep, Form
 
 
@@ -173,10 +173,10 @@ class TestEnumerateClasses:
 class TestDivisorTable:
     @pytest.mark.parametrize("limit", [0, 1, 2, 3, 8, 9, 10, 99, 100, 2000])
     def test_rows_are_sorted_divisors(self, limit):
-        offsets, divisors = forms.divisor_table(limit)
+        offsets, divisors = batch.divisor_table(limit)
         assert offsets.dtype == divisors.dtype == "int32"
         assert len(offsets) == limit + 2 and offsets[0] == offsets[1] == 0
-        assert offsets.nbytes + divisors.nbytes == forms.divisor_table_bytes(limit)
+        assert offsets.nbytes + divisors.nbytes == batch.divisor_table_bytes(limit)
         for n in range(1, limit + 1):
             row = divisors[offsets[n] : offsets[n + 1]].tolist()
             assert row == sympy.divisors(n), n
@@ -195,7 +195,7 @@ class TestDivisorTable:
 
     @staticmethod
     def _batch_matches_sieve(ds, table=None):
-        rows = forms._batch_core_info(ds, table or experiments._class_table(ds))
+        rows = batch._batch_core_info(ds, table or experiments._class_table(ds))
         assert rows == [(d,) + forms._core_info(d) for d in ds]
         return rows
 
@@ -217,8 +217,8 @@ class TestDivisorTable:
         for d in (-19999, 19997, 4 * 4999):
             top = max(self._enumerated_ns(d))
             with pytest.raises(ValueError, match=f"does not cover D={d}$"):
-                forms._batch_core_info([d], forms.divisor_table(top - 1))
-            self._batch_matches_sieve([d], forms.divisor_table(top))
+                batch._batch_core_info([d], batch.divisor_table(top - 1))
+            self._batch_matches_sieve([d], batch.divisor_table(top))
 
     @pytest.mark.parametrize("ds", [
         [5], [8], [12], [-3], [-4], [-8], [229], [-3299],
@@ -236,9 +236,9 @@ class TestDivisorTable:
         # A cap below one D's rows makes every D its own block.
         ds = fundamental_range(-2000, 2000)
         table = experiments._class_table(ds)
-        whole = forms._batch_core_info(ds, table)
-        monkeypatch.setattr(forms, "_BLOCK_ROWS", cap)
-        assert forms._batch_core_info(ds, table) == whole
+        whole = batch._batch_core_info(ds, table)
+        monkeypatch.setattr(batch, "_BLOCK_ROWS", cap)
+        assert batch._batch_core_info(ds, table) == whole
 
     def test_r3_two_anchors(self):
         ds = TestThreeTorsion.R3_TWO
@@ -250,7 +250,7 @@ class TestDivisorTable:
         ds = [5, 229, 257, 269]
         table = without_divisor(experiments._class_table(ds), 44, 4)
         with pytest.raises(AssertionError, match="reduced forms of D=257$"):
-            forms._batch_core_info(ds, table)
+            batch._batch_core_info(ds, table)
         self._batch_matches_sieve([5, 229, 269], table)
 
 
@@ -262,8 +262,8 @@ class TestBatchAcrossSigns:
     def reflected(self):
         ds = fundamental_range(1, 10**5)
         stars = [-3 * d if d % 3 else -d // 3 for d in ds]
-        real = forms._batch_core_info(ds, experiments._class_table(ds))
-        imag = forms._batch_core_info(sorted(stars), experiments._class_table(stars))
+        real = batch._batch_core_info(ds, experiments._class_table(ds))
+        imag = batch._batch_core_info(sorted(stars), experiments._class_table(stars))
         r3 = {row[0]: row[4] for row in imag}
         return ds, real, [r3[s] for s in stars]
 
@@ -296,14 +296,14 @@ class TestBatchArithmetic:
         fs.sort()
         fs = fs[-200:] + random.Random(d).sample(fs[:-200], 800)
         a, b, c = (np.array(x, np.int64) for x in zip(*fs))
-        square = forms._square_np(a, b, c)
+        square = batch._square_np(a, b, c)
         squares = [forms._compose_raw(f, f) for f in fs]
         assert list(zip(*(x.tolist() for x in square))) == squares
         if d > 0:
-            got = forms._reduce_pos_np(*square, np.full_like(a, d), np.full_like(a, fl))
+            got = batch._reduce_pos_np(*square, np.full_like(a, d), np.full_like(a, fl))
             want = [forms._reduce_pos(*f, d, fl) for f in squares]
         else:
-            got = forms._reduce_neg_np(*square)
+            got = batch._reduce_neg_np(*square)
             want = [forms._reduce_neg(*f) for f in squares]
         assert list(zip(*got.tolist())) == want
 

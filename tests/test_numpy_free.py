@@ -1,9 +1,10 @@
-"""The single-discriminant path never loads numpy or the process pool:
-`import quadclass`, a `classgroup` query and the public single-form API each
-run in a fresh interpreter, which must end without numpy or
-concurrent.futures.process in sys.modules. Surveys, `sieve-count` and
-`--cache` do load numpy, and surveys with --jobs above 1 the pool; their own
-tests cover them."""
+"""A query process loads only what it runs: `import quadclass`, a `classgroup`
+query, the public single-form API and a `sieve-count` each run in a fresh
+interpreter, which must end without numpy or concurrent.futures.process in
+sys.modules. `import quadclass` loads no submodule the package names
+lazily, and a query loads neither the experiments nor the numpy batch nor
+any of concurrent.futures. Surveys and `--cache` do load numpy, and surveys
+with --jobs above 1 the pool; their own tests cover them."""
 
 import os
 import subprocess
@@ -27,11 +28,16 @@ assert cli.run(["classgroup", "--d", "{d}"]) == 0
 assert sieved and arith._prime_limit >= 10 ** 4
 """
 
+_BULK = ["quadclass.batch", "quadclass.experiments", "concurrent.futures"]
+
+# name -> (script, the modules it must leave unloaded besides numpy and
+# concurrent.futures.process); a module stands for its submodules too
 SCRIPTS = {
-    "import": "import quadclass",
-    "classgroup-positive": _QUERY.format(d=1000000021),
-    "classgroup-negative": _QUERY.format(d=-1000000019),
-    "single-form-api": """
+    "import": ("import quadclass",
+               ["quadclass.forms", "quadclass.experiments", "quadclass.batch"]),
+    "classgroup-positive": (_QUERY.format(d=1000000021), _BULK),
+    "classgroup-negative": (_QUERY.format(d=-1000000019), _BULK),
+    "single-form-api": ("""
         from quadclass import (class_group_info, compose, enumerate_classes, reduce_form,
                                three_torsion_count, unit_norm)
         for d in (12, 229, 1129, -23, -3299):
@@ -43,16 +49,23 @@ SCRIPTS = {
             assert reduce_form(x.canonical_form) == x
             assert compose(x, x) in classes
         assert (unit_norm(12), unit_norm(229)) == (1, -1)
-    """,
+    """, _BULK),
+    "sieve-count": ("""
+        from quadclass import cli
+        assert cli.run(["sieve-count", "--x", "1000000", "--k", "12", "--l", "5"]) == 0
+    """, _BULK),
 }
 
 
 @pytest.mark.parametrize("name", SCRIPTS)
 def test_numpy_not_loaded(name):
-    script = textwrap.dedent(SCRIPTS[name]) + textwrap.dedent("""
+    script, absent = SCRIPTS[name]
+    absent = ["numpy", "concurrent.futures.process", *absent]
+    script = textwrap.dedent(script) + textwrap.dedent(f"""
         import sys
-        assert 'numpy' not in sys.modules
-        assert 'concurrent.futures.process' not in sys.modules
+        absent = {absent!r}
+        loaded = [m for m in sys.modules if any(m == a or m.startswith(a + ".") for a in absent)]
+        assert not loaded, loaded
     """)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
