@@ -1,6 +1,12 @@
 """Command-line front end: one subcommand per experiment, csv/json output,
 a line-oriented result cache, and a worker-pool size flag.
 
+A process loads only what its subcommand runs: a query loads no numpy, and
+a survey whose discriminants are all cached loads neither the batch nor the
+forms. ``run`` sets OPENBLAS_NUM_THREADS to 1 unless the user chose a value:
+quadclass calls no BLAS routine, and numpy's OpenBLAS would otherwise start
+a worker thread that spends CPU in every survey process.
+
 Exit codes: 0 success; 2 invalid family or flag values (verdict printed);
 3 domain error (e.g. a square discriminant); 4 cache corruption; 5 an
 invariant recheck failed (``invariant violated: ...``, naming D or x).
@@ -16,10 +22,10 @@ import re
 import sys
 from typing import TYPE_CHECKING, NamedTuple
 
-from . import arith, forms
+from . import arith
 
 if TYPE_CHECKING:
-    from . import experiments
+    from . import experiments, forms
 
 __all__ = [
     "CacheCorruption",
@@ -368,6 +374,8 @@ def _build_parser():
 
 
 def run(argv=None) -> int:
+    # Before any survey imports numpy; see the module docstring.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
@@ -401,6 +409,8 @@ def _dispatch(args) -> int:
         if abs(args.d) > MAX_X:
             print("invalid arguments: |d| must be <= 2^48", file=sys.stderr)
             return EXIT_INVALID
+        from . import forms
+
         info = forms.class_group_info(args.d)
         sys.stdout.write(render_classgroup(info, args.format))
         return EXIT_OK

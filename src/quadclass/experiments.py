@@ -23,6 +23,12 @@ Per-discriminant work is pure and fans out to a process pool (``jobs``);
 aggregation sorts by discriminant, so reports are byte-identical for any
 worker count. An optional ``cache``, a ClassTable or a mapping D ->
 ClassGroupInfo, is consulted before computing and extended in place.
+
+The batch and the forms are imported only when a discriminant is computed,
+so a survey answered from its cache loads neither. The CLI starts numpy's
+OpenBLAS with one thread, since nothing here calls BLAS; this module leaves
+the environment alone, so a Python caller may set OPENBLAS_NUM_THREADS=1
+itself before numpy is first imported.
 """
 
 from __future__ import annotations
@@ -40,8 +46,6 @@ from typing import Iterator
 from .arith import Discriminant, kronecker, mobius, sieve_squarefree, squarefree_mask
 from .arith import smallest_prime_factors  # noqa: F401  (perfbench/traced_cli.py wraps this name)
 from .families import LEVEL_LAMBDA, LEVEL_NH, LEVEL_THEOREM, LEVELS, CongruenceFamily
-from .batch import _batch_core_info, divisor_table, divisor_table_bytes
-from .forms import ClassGroupInfo, _core_info, _largest_n
 
 __all__ = [
     "ClassTable",
@@ -178,13 +182,20 @@ def _pool_chunk(chunk):
 
 def _chunk_rows(chunk, table):
     if table is None:
+        from .forms import _core_info
+
         return [(d,) + _core_info(d) for d in chunk]
+    from .batch import _batch_core_info
+
     return _batch_core_info(chunk, table)
 
 
 def _class_table(ds):
     """A divisor table covering every n the enumeration of ds meets, or None
     when it would exceed _TABLE_CAP_BYTES."""
+    from .batch import divisor_table, divisor_table_bytes
+    from .forms import _largest_n
+
     limit = max(_largest_n(d) for d in ds)
     if divisor_table_bytes(limit) > _TABLE_CAP_BYTES:
         return None
@@ -233,6 +244,8 @@ def _core_rows(todo, jobs, progress):
 
 
 def _info(d, h_plus, h, unit_norm, r3):
+    from .forms import ClassGroupInfo
+
     return ClassGroupInfo(_trusted(d), h_plus, h, unit_norm, 3**r3, r3)
 
 
@@ -289,19 +302,25 @@ def compute_class_infos(ds, *, jobs: int = 1, cache: Mapping | None = None,
     """
     import numpy as np
 
-    wanted = np.unique(np.asarray(ds if isinstance(ds, np.ndarray) else list(ds), np.int64))
+    wanted = np.sort(np.asarray(ds if isinstance(ds, np.ndarray) else list(ds), np.int64))
+    # Each value unequal to the one before it; not np.unique, which imports
+    # numpy.ma to ask whether its input is masked. For that reason every
+    # np.isin here is told that its inputs, distinct D, are unique.
+    first = np.ones(len(wanted), bool)
+    first[1:] = wanted[1:] != wanted[:-1]
+    wanted = wanted[first]
     table = cache
     if not isinstance(cache, ClassTable):
         hits = [cache[d] for d in wanted.tolist() if d in cache] if cache else []
         table = ClassTable(np.array([(i.D.value, i.h_plus, i.h, i.unit_norm, i.r3) for i in hits],
                                     np.int64).reshape(-1, 5))
-    todo = wanted[np.isin(wanted, table.rows[:, 0], invert=True)]
+    todo = wanted[np.isin(wanted, table.rows[:, 0], assume_unique=True, invert=True)]
     if len(todo):
         rows = np.array(_core_rows(todo.tolist(), jobs, progress), np.int64).reshape(-1, 5)
         table.add(rows)
         if cache is not None and cache is not table:
             cache.update(zip(todo.tolist(), map(_info, *rows.T.tolist())))
-    return ClassTable(table.rows[np.isin(table.rows[:, 0], wanted)])
+    return ClassTable(table.rows[np.isin(table.rows[:, 0], wanted, assume_unique=True)])
 
 
 # ----------------------------------------------------------------------
@@ -459,7 +478,8 @@ def _pair_survey(x, family, checkpoints, **run):
     base_lt = _fundamental(ds + t, sf)
     infos = compute_class_infos(np.concatenate((ds[base_l], ds[base_lt] + t)), **run)
     indivisible = infos.rows[infos.rows[:, 2] % 3 != 0, 0]
-    in_l, in_lt = np.isin(ds, indivisible), np.isin(ds + t, indivisible)
+    in_l = np.isin(ds, indivisible, assume_unique=True)
+    in_lt = np.isin(ds + t, indivisible, assume_unique=True)
     pre_l, pre_lt, pre_cap, pre_cup, pre_fund = map(
         _running, (in_l, in_lt, in_l & in_lt, in_l | in_lt, base_l))
     points = []

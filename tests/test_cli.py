@@ -608,8 +608,8 @@ class TestInvariantExit:
     def test_missing_divisor_exits_5(self, capsys, monkeypatch, jobs):
         # The bulk table loses the divisor 4 of n = 44, and with it the form
         # (4, 9, -11) of D = 257 that the rho^2 step reaches.
-        table = experiments.divisor_table
-        monkeypatch.setattr(experiments, "divisor_table",
+        table = batch.divisor_table
+        monkeypatch.setattr(batch, "divisor_table",
                             lambda limit: without_divisor(table(limit), 44, 4))
         code, out, err = run_cli(capsys, "nh-average", "--m", "1", "--n", "4", "--x", "300",
                                  "--jobs", jobs)

@@ -308,6 +308,16 @@ class TestClassTable:
         assert list(got) == [5, 12, 13, 17]
         assert list(table) == [-23, 5, 12, 13, 17, 229]
 
+    @pytest.mark.parametrize("ds", [[], [5], [229, 5, -23, 5], [13, 13, 13], [17, -4, 5, -4, 17],
+                                    np.array([12, -3, 12, -23], np.int64)], ids=repr)
+    def test_holds_exactly_the_d_asked_for(self, table, ds):
+        """Unsorted, repeated or no D; a cache holding other D adds none."""
+        expected = sorted(set(np.asarray(ds).tolist()))
+        for cache in (None, {}, experiments.ClassTable(), dict(table), table):
+            got = experiments.compute_class_infos(ds, cache=cache)
+            assert list(got) == expected
+            assert got == {d: forms.class_group_info(d) for d in expected}
+
     def test_running_totals_do_not_overflow(self):
         totals = experiments._running(np.full(3, 3**39, np.int64))
         assert [int(v) for v in totals] == [3**39, 2 * 3**39, 3 * 3**39]

@@ -1,10 +1,12 @@
-"""A query process loads only what it runs: `import quadclass`, a `classgroup`
+"""A process loads only what it runs: `import quadclass`, a `classgroup`
 query, the public single-form API and a `sieve-count` each run in a fresh
 interpreter, which must end without numpy or concurrent.futures.process in
 sys.modules. `import quadclass` loads no submodule the package names
 lazily, and a query loads neither the experiments nor the numpy batch nor
-any of concurrent.futures. Surveys and `--cache` do load numpy, and surveys
-with --jobs above 1 the pool; their own tests cover them."""
+any of concurrent.futures. A survey loads numpy, but a warm one computes
+nothing, so it loads neither the batch nor the forms nor numpy.ma, and
+without --jobs above 1 no pool. A CLI run leaves numpy's OpenBLAS one thread
+unless the user chose a count."""
 
 import os
 import subprocess
@@ -57,18 +59,77 @@ SCRIPTS = {
 }
 
 
-@pytest.mark.parametrize("name", SCRIPTS)
-def test_numpy_not_loaded(name):
-    script, absent = SCRIPTS[name]
-    absent = ["numpy", "concurrent.futures.process", *absent]
+def _run_fresh(script, absent=(), env=None):
+    """Run script in a fresh interpreter that must end with none of the
+    modules absent (or their submodules) loaded; returns its stdout."""
     script = textwrap.dedent(script) + textwrap.dedent(f"""
         import sys
-        absent = {absent!r}
+        absent = {list(absent)!r}
         loaded = [m for m in sys.modules if any(m == a or m.startswith(a + ".") for a in absent)]
         assert not loaded, loaded
     """)
-    env = dict(os.environ)
+    env = dict(os.environ if env is None else env)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+@pytest.mark.parametrize("name", SCRIPTS)
+def test_numpy_not_loaded(name):
+    script, absent = SCRIPTS[name]
+    _run_fresh(script, ["numpy", "concurrent.futures.process", *absent])
+
+
+_SURVEY = """
+import sys
+from quadclass import cli
+assert cli.run({argv!r}) == 0
+"""
+
+# A survey of each route: real members, the pair sets, imaginary members.
+# Families with N = 16 have few members over a wide range of D, where
+# np.isin sorts instead of building a table.
+SURVEYS = {
+    "nh-average": ["--m", "1", "--n", "4"],
+    "indivisibility": ["--m", "8", "--n", "16"],
+    "pairs": ["--m", "1", "--n", "4", "--t", "8"],
+    "imaginary": ["--m", "12", "--n", "16"],
+}
+
+
+@pytest.mark.parametrize("name", SURVEYS)
+def test_warm_survey_computes_nothing(name, tmp_path):
+    argv = [name, "--x", "3000", *SURVEYS[name], "--cache", str(tmp_path / "c.txt")]
+    cold = _run_fresh(_SURVEY.format(argv=argv) + "assert 'quadclass.batch' in sys.modules\n")
+    warm = _run_fresh(_SURVEY.format(argv=argv), ["quadclass.batch", "quadclass.forms",
+                                                  "numpy.ma", "concurrent.futures.process"])
+    assert warm == cold
+
+
+_BLAS = """
+import os
+from quadclass import cli
+assert cli.run(["nh-average", "--x", "300", "--m", "1", "--n", "4"]) == 0
+threads = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
+import numpy as np
+try:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+except (TypeError, KeyError):  # an older numpy has no dicts mode
+    blas = ""
+print(os.environ["OPENBLAS_NUM_THREADS"], threads if "openblas" in blas.lower() else None)
+"""
+
+
+@pytest.mark.parametrize("preset", [None, "2"])
+def test_cli_keeps_openblas_to_one_thread(preset):
+    """quadclass calls no BLAS routine, so a CLI run sets one OpenBLAS thread
+    before numpy starts its pool; a count the user set wins."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    value, threads = _run_fresh(_BLAS, env=env).split()[-2:]
+    assert value == (preset or "1")
+    if preset is None and threads != "None":
+        assert threads == "1"
