@@ -6,10 +6,11 @@ Everything here is integer-exact; floats appear only in main-term and
 relative-error fields of :class:`SquarefreeAPCount`.
 
 numpy is imported inside the functions that build arrays
-(smallest_prime_factors, squarefree_mask, sieve_squarefree), never at
-module level, so the single-discriminant path (primes_upto, is_squarefree,
-classify_discriminant), count_squarefree_in_ap and ``import quadclass`` run
-without loading it.
+(smallest_prime_factors, sieve_squarefree), never at module level, so the
+single-discriminant path (primes_upto, is_squarefree, classify_discriminant),
+count_squarefree_in_ap and ``import quadclass`` run without loading it. The
+surveys ask whether many D are fundamental at once: experiments reads the
+cores of them all off one sieve_squarefree window [1, max |D|].
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ __all__ = [
     "primes_upto",
     "sieve_squarefree",
     "smallest_prime_factors",
-    "squarefree_mask",
 ]
 
 # Sieve windows larger than this many cells are refused (see sieve_squarefree).
@@ -154,32 +154,6 @@ def is_squarefree(n: int) -> bool:
         if n % pp == 0:
             return False
     return True
-
-
-def squarefree_mask(ns: np.ndarray) -> np.ndarray:
-    """Squarefree flags of an int64 array of positive integers, with no sieve
-    window: each prime p <= sqrt(max ns) tests the values >= p^2 for
-    divisibility by p^2 in one array operation. That is the work of trial
-    division of each value by the primes up to its square root; the last few
-    values, once too few are left to pay for an array operation, are tested
-    one by one with is_squarefree.
-    """
-    import numpy as np
-
-    order = np.argsort(ns, kind="stable")
-    s = ns[order]
-    flags = np.ones(len(s), dtype=bool)
-    if len(s):
-        for p in primes_upto(math.isqrt(int(s[-1]))):
-            q = p * p
-            i = int(np.searchsorted(s, q))
-            if len(s) - i < 16:
-                flags[i:] &= [is_squarefree(int(n)) for n in s[i:]]
-                break
-            flags[i:] &= s[i:] % q != 0
-    out = np.empty_like(flags)
-    out[order] = flags
-    return out
 
 
 class WindowTooLarge(ValueError):

@@ -10,19 +10,17 @@ test, reads the unit norm off the cycle labels (it is -1 exactly when
 Its rows equal those of forms._core_info, the single-discriminant route,
 which needs no numpy and is the reference the batch is tested against.
 
-numpy is imported inside each function, as in arith, so importing this
-module (experiments does) loads no numpy until a batch or a table is built.
+Unlike arith, this module imports numpy at its top: only experiments imports
+it, where a discriminant is computed, by which time numpy is loaded.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
+
+import numpy as np
 
 from .forms import _b_range
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = ["divisor_table", "divisor_table_bytes"]
 
@@ -41,8 +39,6 @@ def divisor_table(limit: int) -> tuple[np.ndarray, np.ndarray]:
     numpy passes with no per-n loop. Its size is divisor_table_bytes(limit),
     about 4 * limit * (ln limit + 1) bytes.
     """
-    import numpy as np
-
     if not 0 <= limit <= 10**8:
         raise ValueError("divisor_table needs 0 <= limit <= 10**8 (int32 offsets)")
     s = math.isqrt(limit)
@@ -109,8 +105,6 @@ def _batch_core_info(ds, table):
 def _bisect(dv, lo, hi, x):
     """For each i, the first j in [lo[i], hi[i]) with dv[j] >= x[i], or hi[i]:
     bisect_left on every sorted run dv[lo[i]:hi[i]] at once."""
-    import numpy as np
-
     size = hi - lo
     for _ in range(int(size.max()).bit_length()):
         half = size >> 1
@@ -131,8 +125,6 @@ def _block_rows(block, ranges, off, dv):
     b >= 0, for D > 0 the a > 0 reduced forms (_pos_rows). All that stays
     per D in Python is building the output rows.
     """
-    import numpy as np
-
     k = len(block)
     d = np.array(block, np.int64)
     b0 = np.array([bs.start for bs in ranges], np.int64)
@@ -183,8 +175,6 @@ def _torsion_neg(h, j, a, b, c):
     (a, b, c) listed by block index j and its class numbers h: 1 unless
     3 | h, else the classes x with x^2 = x^-1, counting a mirror with its
     form (_three_torsion_neg)."""
-    import numpy as np
-
     k = len(h)
     i = np.flatnonzero(h[j] % 3 == 0)
     j, a, b, c = j[i], a[i], b[i], c[i]
@@ -205,8 +195,6 @@ def _pos_rows(block, d, fl, j, a, b, c):
     doubling labels every form with the least index of its cycle, so h+
     counts the forms that are their own label (the roots).
     """
-    import numpy as np
-
     k = len(block)
     D, F = d[j], fl[j]
     b1 = F - (F + b) % (-2 * c)
@@ -250,8 +238,6 @@ def _torsion_pos(h_plus, j, a, b, c, D, F, label_of):
     square and (c, b, a) reduce into one cycle (_three_torsion_pos). The
     form (c, b, a) is reduced too, so one rho step takes it to the a > 0
     form (a, F - (F + b) mod 2a, .) of its cycle."""
-    import numpy as np
-
     k = len(h_plus)
     i = np.flatnonzero(h_plus[j] % 3 == 0)
     j, a, b, c, D, F = j[i], a[i], b[i], c[i], D[i], F[i]
@@ -265,8 +251,6 @@ def _unit_norms(d, fl, label_of):
     when the reduced form (-1, b, c), b = fl - ((fl - d) & 1), lies in the
     principal cycle, that of (1, b, -c). One rho step sends (-1, b, c) to the
     a > 0 form (c, r, .) of its cycle."""
-    import numpy as np
-
     j = np.arange(len(d))
     b = fl - ((fl - d) & 1)
     c = (d - b * b) >> 2
@@ -279,8 +263,6 @@ def _checked_rows(block, h_plus, count, norm):
     (narrow) class numbers, 3-torsion counts and unit norms (0 for d < 0),
     with _core_row's checks as masks: the first d that fails one raises
     _core_row's message."""
-    import numpy as np
-
     pow3 = 3 ** np.arange(21, dtype=np.int64)  # 3^20 exceeds any h+ a table can cover
     r3 = np.minimum(np.searchsorted(pow3, count), 20)
     bad_count = pow3[r3] != count
@@ -299,8 +281,6 @@ def _xgcd_np(x, y):
     """(g, u) with g = gcd(x, y) and u the coefficient of x of _xgcd(x, y),
     so u*x = g (mod y), for int64 arrays x >= 0 and y > 0. Euclid's steps
     are taken on the rows whose remainder is not yet 0 only."""
-    import numpy as np
-
     g, u = np.empty_like(x), np.empty_like(x)
     i = np.arange(len(x))
     r0, r1, s0, s1 = x, y, np.ones_like(x), np.zeros_like(x)
@@ -328,8 +308,6 @@ def _square_np(a, b, c):
 def _reduce_neg_np(a, b, c):
     """_reduce_neg on every row of int64 arrays; a row leaves the loop once
     it is reduced."""
-    import numpy as np
-
     out = np.empty((3, len(a)), np.int64)
     i = np.arange(len(a))
     while len(i):
@@ -347,8 +325,6 @@ def _reduce_pos_np(a, b, c, D, F):
     """_reduce_pos on every row of int64 arrays, with F = isqrt(D); a row
     leaves the loop once it is a reduced form with a > 0, which is
     0 < b <= F, 2a - b <= F < 2a + b, exactly as sqrt(D) is irrational."""
-    import numpy as np
-
     out = np.empty((3, len(a)), np.int64)
     i = np.arange(len(a))
     while len(i):

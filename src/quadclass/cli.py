@@ -8,8 +8,10 @@ quadclass calls no BLAS routine, and numpy's OpenBLAS would otherwise start
 a worker thread that spends CPU in every survey process.
 
 Exit codes: 0 success; 2 invalid family or flag values (verdict printed);
-3 domain error (e.g. a square discriminant); 4 cache corruption; 5 an
-invariant recheck failed (``invariant violated: ...``, naming D or x).
+3 domain error (e.g. a square discriminant); 4 cache corruption, or a
+cache file that cannot be read or written (refused before a survey starts
+when the path is a directory or its directory is missing); 5 an invariant
+recheck failed (``invariant violated: ...``, naming D or x).
 """
 
 from __future__ import annotations
@@ -188,9 +190,9 @@ def _record_faults(rows):
     d, h_plus, h, unit_norm, r3 = rows.T
     real = d > 0
     # Every experiment sieves [1, max |D|] within arith.DEFAULT_MAX_CELLS
-    # cells, so no run stores a larger |D|; refusing one here spares the
-    # fundamental check a sieve up to sqrt|D|. Not np.abs(d), which
-    # overflows on -2^63.
+    # cells, so no run stores a larger |D|; refusing one here keeps the
+    # fundamental check's sieve of [1, max |D|] within that cap too. Not
+    # np.abs(d), which overflows on -2^63.
     bound = arith.DEFAULT_MAX_CELLS
     # 3^39 < 2^63 - 1 < 3^40, so r3 > 39 exceeds every int64 h_plus.
     return [
@@ -435,21 +437,35 @@ def _dispatch(args) -> int:
         return EXIT_INVALID
     family = verdict
 
-    if args.cache and os.path.exists(args.cache):
-        table = _infos_of(cache_load(args.cache))
-    else:
-        table = experiments.ClassTable()
+    table = experiments.ClassTable()
+    try:
+        # A new cache file is created empty before the survey, so a path it
+        # cannot be written to is refused before anything is computed.
+        if args.cache and os.path.exists(args.cache):
+            table = _infos_of(cache_load(args.cache))
+        elif args.cache:
+            cache_store(args.cache, [])
+    except OSError as exc:
+        return _cache_error(args.cache, exc)
     loaded = len(table)
 
     result = runner(args.x, family, args.checkpoints, jobs=args.jobs, cache=table,
                     progress=args.progress)
     certificates, report = result if args.command == "lambda" else (None, result)
 
-    # A run that computed nothing leaves an existing cache file untouched.
-    if args.cache and (len(table) > loaded or not os.path.exists(args.cache)):
-        cache_store(args.cache, table.rows.tolist())
+    # A run that computed nothing leaves the cache file untouched.
+    if args.cache and len(table) > loaded:
+        try:
+            cache_store(args.cache, table.rows.tolist())
+        except OSError as exc:
+            return _cache_error(args.cache, exc)
     sys.stdout.write(render_report(report, args.format, certificates))
     return EXIT_OK
+
+
+def _cache_error(path, exc: OSError) -> int:
+    print(f"cache error: cannot use {path}: {exc.strerror or exc}", file=sys.stderr)
+    return EXIT_CACHE
 
 
 def main() -> None:

@@ -43,9 +43,12 @@ from contextlib import ExitStack
 from dataclasses import dataclass
 from typing import Iterator
 
-from .arith import Discriminant, kronecker, mobius, sieve_squarefree, squarefree_mask
+from .arith import Discriminant, kronecker, mobius, sieve_squarefree
 from .arith import smallest_prime_factors  # noqa: F401  (perfbench/traced_cli.py wraps this name)
 from .families import LEVEL_LAMBDA, LEVEL_NH, LEVEL_THEOREM, LEVELS, CongruenceFamily
+
+# numpy is imported where it is used: perfbench/traced_cli.py imports this
+# module before cli.run sets OPENBLAS_NUM_THREADS.
 
 __all__ = [
     "ClassTable",
@@ -353,19 +356,19 @@ def _progression(family, lo, hi):
     return range(lo + (family.m - lo) % family.N, hi + 1, family.N)
 
 
-def _fundamental(ds, sf=None):
-    """Mask of the fundamental discriminants in ds, an int64 array. sf[i] is
-    the squarefree flag of i + 1 and covers every |D|; without sf the cores
-    are tested by arith.squarefree_mask, with no window to cover."""
+def _fundamental(ds):
+    """Mask of the fundamental discriminants in ds, an int64 array: the core
+    of each candidate is looked up in one squarefree sieve of [1, max |D|],
+    whose flag sf[i] is that of i + 1. Without a candidate nothing is sieved."""
     import numpy as np
 
     r = ds & 3
     q = ds >> 2  # floor division, so q & 3 is q mod 4 for either sign
     core = np.abs(np.where(r == 1, ds, q))  # 0 only for 1 < D < 4, rejected by ok
     ok = ((r == 1) & (ds != 1)) | ((r == 0) & ((q & 3) >= 2))
-    if sf is None:
-        ok[ok] = squarefree_mask(core[ok])
+    if not ok.any():
         return ok
+    sf = sieve_squarefree(1, int(np.abs(ds).max())).squarefree_flags
     return ok & sf[core - 1]
 
 
@@ -376,12 +379,9 @@ def _members(family, lo, hi):
 
     prog = _progression(family, lo, hi)
     ds = np.arange(prog.start, prog.stop, prog.step, dtype=np.int64)
-    if not prog:
-        return ds
     if hi < 0:
         ds = ds[::-1]
-    sf = sieve_squarefree(1, max(-lo, hi)).squarefree_flags
-    return ds[_fundamental(ds, sf)]
+    return ds[_fundamental(ds)]
 
 
 def enumerate_s_plus(x: int, family: CongruenceFamily) -> Iterator[Discriminant]:
@@ -472,10 +472,8 @@ def _pair_survey(x, family, checkpoints, **run):
     t = family.t
     prog = _progression(family, 1, x)
     ds = np.arange(prog.start, prog.stop, prog.step, dtype=np.int64)
-    sf = sieve_squarefree(1, x + t).squarefree_flags
     # Members are 1 (mod 4) at theorem level, so L's base is exactly S+.
-    base_l = _fundamental(ds, sf)
-    base_lt = _fundamental(ds + t, sf)
+    base_l, base_lt = _fundamental(np.concatenate((ds, ds + t))).reshape(2, -1)
     infos = compute_class_infos(np.concatenate((ds[base_l], ds[base_lt] + t)), **run)
     indivisible = infos.rows[infos.rows[:, 2] % 3 != 0, 0]
     in_l = np.isin(ds, indivisible, assume_unique=True)

@@ -81,20 +81,6 @@ class TestPrimesUpto:
         assert arith.primes_upto(100) == self.expected(100)
 
 
-class TestSquarefreeMask:
-    def test_matches_is_squarefree(self):
-        rng = random.Random(17)
-        ns = list(range(1, 3000)) + [rng.randrange(1, 10**12) for _ in range(300)]
-        rng.shuffle(ns)
-        got = arith.squarefree_mask(np.array(ns, dtype=np.int64))
-        assert got.tolist() == [arith.is_squarefree(n) for n in ns]
-
-    @pytest.mark.parametrize("ns", [[], [1], [4, 1, 9], [10**12 + 39, 49 * 10**10, 7]])
-    def test_few_values(self, ns):
-        got = arith.squarefree_mask(np.array(ns, dtype=np.int64))
-        assert got.tolist() == [arith.is_squarefree(n) for n in ns]
-
-
 class TestSieve:
     def test_window_1_to_10(self):
         w = arith.sieve_squarefree(1, 10)

@@ -445,6 +445,24 @@ class TestWarmPath:
         assert -4 not in imaginary
         assert imaginary | {-4, 5, 229} <= stored
 
+    @pytest.mark.parametrize("where", ["directory", "missing-parent"])
+    def test_unusable_cache_path_exits_4_before_the_survey(self, tmp_path, capsys,
+                                                           monkeypatch, where):
+        cache = tmp_path / "d" if where == "directory" else tmp_path / "no" / "c.txt"
+        if where == "directory":
+            cache.mkdir()
+
+        def never_runs(*args, **kwargs):
+            raise AssertionError("the survey started")
+
+        monkeypatch.setitem(cli._EXPERIMENTS, "nh-average", (never_runs, "nh"))
+        code, out, err = run_cli(capsys, "nh-average", "--m", "1", "--n", "4", "--x", "100",
+                                 "--cache", str(cache))
+        assert code == 4 and out == ""
+        assert f"cache error: cannot use {cache}:" in err and "Traceback" not in err
+        # nothing was written: no cache file, no temporary file beside it
+        assert [p.name for p in tmp_path.iterdir()] == (["d"] if where == "directory" else [])
+
     def test_empty_family_creates_cache_file(self, tmp_path, capsys):
         cache = tmp_path / "c.txt"
         code, _, _ = run_cli(capsys, "nh-average", "--m", "1", "--n", "4", "--x", "1",
@@ -464,8 +482,8 @@ class TestWarmPath:
         assert f"cached D={d} is not a fundamental discriminant" in err
 
     def test_cached_d_beyond_sieve_bound_exits_4(self, tmp_path, capsys):
-        # Refused by the parse, before a fundamental check would sieve the
-        # primes up to 10^8.
+        # Refused by the parse: the fundamental check sieves [1, max |D|],
+        # which for this D would exceed the 2^27-cell cap.
         cache = tmp_path / "c.txt"
         cache.write_text("10000000000000001,1,1,-1,0\n")
         code, out, err = run_cli(capsys, "nh-average", "--m", "1", "--n", "4", "--x", "10",

@@ -413,6 +413,11 @@ class TestScanEquivalence:
 
     def test_fundamental_without_window(self):
         rng = random.Random(19)
-        ds = list(range(-3000, 3001)) + [rng.randrange(-10**12, 10**12) for _ in range(300)]
-        got = experiments._fundamental(np.array(ds, dtype=np.int64))
-        assert got.tolist() == [arith.is_fundamental_discriminant(d) for d in ds]
+        every = list(range(-3000, 3001))
+        draws = [rng.randrange(-10**6, 10**6 + 1) for _ in range(3000)]
+        repeats = rng.choices(every, k=2000) + [-10**6, 10**6, 1, 0, -4, -3, -4]
+        for ds in (every, draws, [], [d for d in draws if d > 0], [d for d in draws if d < 0],
+                   repeats):
+            got = experiments._fundamental(np.array(ds, dtype=np.int64))
+            assert got.dtype == bool
+            assert got.tolist() == [arith.is_fundamental_discriminant(d) for d in ds]
