@@ -11,15 +11,18 @@ single-discriminant path (primes_upto, is_squarefree, classify_discriminant),
 count_squarefree_in_ap and ``import quadclass`` run without loading it. The
 surveys ask whether many D are fundamental at once: experiments reads the
 cores of them all off one sieve_squarefree window [1, max |D|].
+
+The record types are NamedTuples (Discriminant, SquarefreeAPCount) or
+immutable __slots__ classes (SieveWindow), not dataclasses, so that a query
+does not import dataclasses and the inspect and ast modules it pulls in.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import compress
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
     import numpy as np
@@ -96,7 +99,7 @@ def _factorize(n: int) -> list[tuple[int, int]]:
     Trial division by sieved primes up to sqrt(n); adequate for desk-scale
     n <= 10**9. It factors the modulus k of count_squarefree_in_ap and the
     level gcd in families. Reduced-form enumeration does not use it: it reads
-    a divisor table or sieves a discriminant's whole scan at once.
+    a divisor table or solves b^2 = D (mod 4a) prime by prime.
     """
     out = []
     for p in primes_upto(math.isqrt(n)):
@@ -160,16 +163,31 @@ class WindowTooLarge(ValueError):
     """Raised when a sieve window would exceed the configured memory bound."""
 
 
-@dataclass(frozen=True, eq=False)
 class SieveWindow:
     """Squarefree flags for the inclusive integer window [lo, hi].
 
-    ``squarefree_flags[i]`` is set iff ``lo + i`` is squarefree.
+    ``squarefree_flags[i]`` is set iff ``lo + i`` is squarefree. Immutable;
+    two windows are equal only if they are the same object.
     """
 
-    lo: int
-    hi: int
-    squarefree_flags: np.ndarray
+    __slots__ = ("lo", "hi", "squarefree_flags")
+
+    def __init__(self, lo: int, hi: int, squarefree_flags: np.ndarray):
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "squarefree_flags", squarefree_flags)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        return f"SieveWindow(lo={self.lo}, hi={self.hi}, squarefree_flags={self.squarefree_flags!r})"
+
+    def __reduce__(self):
+        return SieveWindow, (self.lo, self.hi, self.squarefree_flags)
 
     def flag(self, n: int) -> bool:
         if not self.lo <= n <= self.hi:
@@ -270,8 +288,7 @@ class NotFundamental(ValueError):
         self.reason = reason
 
 
-@dataclass(frozen=True)
-class Discriminant:
+class Discriminant(NamedTuple):
     """A validated fundamental discriminant.
 
     ``parity_class`` is "odd" for squarefree values = 1 mod 4 and "even" for
@@ -321,8 +338,7 @@ def is_fundamental_discriminant(d: int) -> bool:
 # squarefree integers in arithmetic progressions
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SquarefreeAPCount:
+class SquarefreeAPCount(NamedTuple):
     """Count of squarefree m <= x with m = l (mod k), against its main term.
 
     ``main_term`` is (6 / (k pi^2)) * prod_{p | k} (1 - p^-2)^-1 * x; the

@@ -20,14 +20,29 @@ import math
 
 import numpy as np
 
-from .forms import _b_range
-
 __all__ = ["divisor_table", "divisor_table_bytes"]
 
 
 # ----------------------------------------------------------------------
 # divisor table
 # ----------------------------------------------------------------------
+
+def _b_range(d):
+    # The b of the batch's enumeration, b = d (mod 2): 0 < b <= isqrt(d) for
+    # d > 0, 0 <= b with 3b^2 <= |d| for d < 0.
+    if d > 0:
+        return range(2 - (d & 1), math.isqrt(d) + 1, 2)
+    return range(d & 1, math.isqrt(-d // 3) + 1, 2)
+
+
+def _largest_n(d):
+    # The largest n = |d - b^2| / 4 the batch's enumeration meets, the least
+    # limit of a divisor table that covers d: at the smallest b for d > 0, at
+    # the largest b for d < 0.
+    bs = _b_range(d)
+    b = bs[0] if d > 0 else bs[-1]
+    return abs(d - b * b) >> 2
+
 
 def divisor_table(limit: int) -> tuple[np.ndarray, np.ndarray]:
     """The divisors of every 1 <= n <= limit, ascending, as compressed sparse rows.

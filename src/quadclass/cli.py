@@ -3,9 +3,10 @@ a line-oriented result cache, and a worker-pool size flag.
 
 A process loads only what its subcommand runs: a query loads no numpy, and
 a survey whose discriminants are all cached loads neither the batch nor the
-forms. ``run`` sets OPENBLAS_NUM_THREADS to 1 unless the user chose a value:
-quadclass calls no BLAS routine, and numpy's OpenBLAS would otherwise start
-a worker thread that spends CPU in every survey process.
+forms; json is imported only to render ``--format json``. ``run`` sets
+OPENBLAS_NUM_THREADS to 1 unless the user chose a value: quadclass calls no
+BLAS routine, and numpy's OpenBLAS would otherwise start a worker thread
+that spends CPU in every survey process.
 
 Exit codes: 0 success; 2 invalid family or flag values (verdict printed);
 3 domain error (e.g. a square discriminant); 4 cache corruption, or a
@@ -18,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import io
-import json
 import os
 import re
 import sys
@@ -129,6 +129,8 @@ def render_report(report, fmt: str = "csv", certificates=None) -> str:
         return "\n".join(lines) + "\n"
     if fmt != "json":
         raise ValueError(f"unknown format {fmt!r}")
+    import json
+
     payload = {
         "experiment": report.experiment,
         "family": {"m": report.family.m, "N": report.family.N,
@@ -151,6 +153,8 @@ def render_classgroup(info: forms.ClassGroupInfo, fmt: str = "csv") -> str:
     if fmt == "csv":
         return ("d,h_plus,h,unit_norm,r3\n"
                 f"{info.D.value},{info.h_plus},{info.h},{info.unit_norm},{info.r3}\n")
+    import json
+
     return json.dumps({
         "d": info.D.value, "h_plus": info.h_plus, "h": info.h,
         "unit_norm": info.unit_norm, "three_torsion_count": info.three_torsion_count,
@@ -162,6 +166,8 @@ def render_sieve_count(res: arith.SquarefreeAPCount, fmt: str = "csv") -> str:
     if fmt == "csv":
         return ("x,k,l,count,main_term,relative_error\n"
                 f"{res.x},{res.k},{res.l},{res.count},{res.main_term:.6f},{res.relative_error:.6f}\n")
+    import json
+
     return json.dumps({
         "x": res.x, "k": res.k, "l": res.l, "count": res.count,
         "main_term": _jsonval(res.main_term), "relative_error": _jsonval(res.relative_error),

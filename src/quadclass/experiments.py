@@ -83,7 +83,7 @@ _PAIR_BOUNDS = {"ratio_L": TARGET_SET_DENSITY,
 
 # Divisor tables larger than this many bytes (128 MiB, reached near
 # limit = 2.1e6, i.e. real X ~ 8e6 or imaginary X ~ 6e6) are not built;
-# each discriminant's enumeration is then sieved on its own.
+# each discriminant is then computed on its own (forms._core_info).
 _TABLE_CAP_BYTES = 1 << 27
 
 
@@ -196,8 +196,7 @@ def _chunk_rows(chunk, table):
 def _class_table(ds):
     """A divisor table covering every n the enumeration of ds meets, or None
     when it would exceed _TABLE_CAP_BYTES."""
-    from .batch import divisor_table, divisor_table_bytes
-    from .forms import _largest_n
+    from .batch import _largest_n, divisor_table, divisor_table_bytes
 
     limit = max(_largest_n(d) for d in ds)
     if divisor_table_bytes(limit) > _TABLE_CAP_BYTES:

@@ -20,17 +20,17 @@ ideal class group; the wide class number h is recovered from h+ and the
 norm of the fundamental unit.
 
 Two routes compute the same class data. This module is the
-single-discriminant route (_core_info, behind class_group_info): it factors
-every n = |D - b^2|/4 of its enumeration with one polynomial sieve, walks
-its cycles, composes and takes the CF period in Python, and needs no numpy.
-Bulk runs use the numpy batch of quadclass.batch, which is tested against
-this route.
+single-discriminant route (_core_info, behind class_group_info): it lists
+the reduced forms by their first coefficient a <= sqrt|D|, from the square
+roots of D mod 4a (_roots_mod_2a; Cohen, GTM 138, 5.3-5.6), walks its
+cycles, composes and takes the CF period in Python, and needs no numpy. Its
+memory is the reduced forms themselves. Bulk runs use the numpy batch of
+quadclass.batch, which is tested against this route.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from itertools import repeat
 from typing import NamedTuple
 
@@ -76,16 +76,38 @@ class Form(NamedTuple):
         return cls(a, b, c, D)
 
 
-@dataclass(frozen=True)
 class ClassRep:
     """A form class, canonicalized to the least (a, b, c) of its rho-cycle.
 
     Two ClassReps are equal iff their canonical forms are equal; for D < 0
-    every cycle is a singleton and cycle_length is 1.
+    every cycle is a singleton and cycle_length is 1. Immutable.
     """
 
-    canonical_form: Form
-    cycle_length: int = field(compare=False)
+    __slots__ = ("canonical_form", "cycle_length")
+
+    def __init__(self, canonical_form: Form, cycle_length: int):
+        object.__setattr__(self, "canonical_form", canonical_form)
+        object.__setattr__(self, "cycle_length", cycle_length)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.canonical_form == other.canonical_form
+
+    def __hash__(self):
+        return hash((self.canonical_form,))
+
+    def __repr__(self):
+        return f"ClassRep(canonical_form={self.canonical_form!r}, cycle_length={self.cycle_length})"
+
+    def __reduce__(self):
+        return ClassRep, (self.canonical_form, self.cycle_length)
 
 
 # ----------------------------------------------------------------------
@@ -208,22 +230,6 @@ def reduce_form(f: Form) -> ClassRep:
 # class enumeration
 # ----------------------------------------------------------------------
 
-def _b_range(d):
-    # The b of the enumeration, b = d (mod 2): 0 < b <= isqrt(d) for d > 0,
-    # 0 <= b with 3b^2 <= |d| for d < 0.
-    if d > 0:
-        return range(2 - (d & 1), math.isqrt(d) + 1, 2)
-    return range(d & 1, math.isqrt(-d // 3) + 1, 2)
-
-
-def _largest_n(d):
-    # The largest n = |d - b^2| / 4 the enumeration of _reduced_forms_* meets:
-    # at the smallest b for d > 0, at the largest b for d < 0.
-    bs = _b_range(d)
-    b = bs[0] if d > 0 else bs[-1]
-    return abs(d - b * b) >> 2
-
-
 def _sqrt_mod(a, p):
     """A root r of r^2 = a (mod p), for an odd prime p and a square a mod p."""
     a %= p
@@ -252,93 +258,84 @@ def _sqrt_mod(a, p):
     return r
 
 
-def _rows(d, fl):
-    """(b, n, window) for each b of d's enumeration: n = |d - b^2| / 4 and
-    window the divisors a of n with fl - b + 1 <= 2a <= fl + b
-    (fl = isqrt(d)) for d > 0, or b <= a <= isqrt(n) for d < 0. One sieve
-    over the whole scan finds every window (_sieved_windows).
+def _roots_mod_2a(d, top):
+    """(a, roots) for each a <= top at which b^2 = d (mod 4a) is solvable,
+    roots being its solutions b as residues mod 2a; a comes in no order.
+
+    The powers a = 2^k start the search: their roots are lifted one bit at a
+    time from b = d (mod 2). Odd prime powers p^e <= top then extend each a
+    depth first, in ascending p: a root of d mod p (_sqrt_mod) Hensel-lifted
+    to p^e where p does not divide d, else root 0 and e = 1, as d is
+    fundamental; Chinese remaindering joins the roots. Only the a on the
+    stack hold root lists.
     """
-    bs = _b_range(d)
-    ns = [abs(d - b * b) >> 2 for b in bs]
-    if d > 0:
-        los = [(fl - b + 2) >> 1 for b in bs]
-        his = [(fl + b) >> 1 for b in bs]
-    else:
-        los = bs
-        his = [math.isqrt(n) for n in ns]
-    return zip(bs, ns, _sieved_windows(d, bs, ns, los, his))
-
-
-def _sieved_windows(d, bs, ns, los, his):
-    """The divisors v of each ns[i] with los[i] <= v <= his[i], where
-    ns[i] = |d - bs[i]^2| / 4.
-
-    One polynomial sieve factors every n at once: an odd prime p divides n
-    iff b^2 = d (mod p), so p strikes the rows b = +-sqrt(d) (mod p) and no
-    others, and primes up to isqrt(max n) leave a cofactor that is 1 or
-    prime. Each row grows its divisors as its primes strike; divisors above
-    the window are never built.
-    """
-    m = len(ns)
-    rem = list(ns)
-    divs = [[1] for _ in range(m)]
-    # Striking p from row i divides p^e out of rem[i] and grows the row by
-    # the layers p, p^2, ..., p^e times its divisors, each capped at his[i].
-    for i, n in enumerate(ns):
-        if not n & 1:
-            row = layer = divs[i]
-            top = his[i] >> 1
-            while not n & 1:
-                n >>= 1
-                layer = [v << 1 for v in layer if v <= top]
-                row += layer
-            rem[i] = n
-    b0 = bs[0]
-    for p in primes_upto(math.isqrt(max(ns)))[1:]:
+    stack = []
+    a, s = 1, [d & 1]
+    while s and a <= top:
+        stack.append((a, s, 0))
+        # b^2 = d (mod 8a) for b = r or r + 2a (mod 4a), r a root mod 2a
+        s = [x for r in s for x in (r, r + 2 * a) if (x * x - d) % (8 * a) == 0]
+        a *= 2
+    # (p, a root r of d mod p, 1/(2r) mod p or 0 if r = 0) for each odd
+    # p <= top with (d/p) != -1
+    ps = []
+    for p in primes_upto(top)[1:]:
         dp = d % p
-        if dp and pow(dp, (p - 1) >> 1, p) != 1:
-            continue
-        r = _sqrt_mod(dp, p)
-        half = (p + 1) >> 1  # 2^-1 (mod p)
-        for root in (r, p - r) if r else (0,):
-            for i in range((root - b0) * half % p, m, p):
-                n = rem[i] // p
-                row = divs[i]
-                top = his[i] // p
-                layer = [v * p for v in row if v <= top]
-                row += layer
-                while not n % p:
-                    n //= p
-                    layer = [v * p for v in layer if v <= top]
-                    row += layer
-                rem[i] = n
-    windows = []
-    for row, c, lo, hi in zip(divs, rem, los, his):
-        if 1 < c <= hi:  # a prime above every sieved p, so c^2 > n
-            top = hi // c
-            row += [v * c for v in row if v <= top]
-        windows.append([v for v in row if v >= lo])
-    return windows
+        if not dp:
+            ps.append((p, 0, 0))
+        elif pow(dp, (p - 1) >> 1, p) == 1:
+            r = _sqrt_mod(dp, p)
+            ps.append((p, r, pow(2 * r, -1, p)))
+    while stack:
+        a, rs, i = stack.pop()
+        yield a, rs
+        m = 2 * a
+        for j in range(i, len(ps)):
+            p, r, w = ps[j]
+            if a * p > top:
+                break
+            q = p
+            while True:
+                v = pow(m, -1, q)
+                ys = (r, q - r) if r else (0,)
+                stack.append((a * q, [x + m * ((y - x) * v % q) for x in rs for y in ys], j + 1))
+                if not r or a * q * p > top:
+                    break
+                r += q * ((d - r * r) // q * w % p)  # Hensel: a root mod qp
+                q *= p
 
 
 def _reduced_forms_neg(d):
-    # Each a in the window of n = (b^2 - d)/4 gives the reduced (a, +-b, n/a).
+    # For each root r (mod 2a) the one b in (-a, a] with b = r gives the
+    # reduced (a, b, c) when c >= a, with b >= 0 if c = a.
     out = []
-    for b, n, window in _rows(d, 0):
-        for a in window:
-            c = n // a
-            out.append((a, b, c))
-            if 0 < b < a < c:
-                out.append((a, -b, c))
+    for a, roots in _roots_mod_2a(d, math.isqrt(-d // 3)):
+        for b in roots:
+            if b > a:
+                b -= 2 * a
+            c = (b * b - d) // (4 * a)
+            if c > a or c == a and b >= 0:
+                out.append((a, b, c))
     return out
 
 
 def _reduced_forms_pos(d, fl):
-    # The reduced forms of d with a > 0: (v, b, -n/v) for each v in the window
-    # of n = (d - b^2)/4. Their mirrors (-v, b, n/v) are the a < 0 half; rho
-    # sends (a, b, c) to (c, ., .) and ac < 0, so a alternates in sign around
-    # every cycle and each cycle holds a form of each half.
-    return [(v, b, -(n // v)) for b, n, window in _rows(d, fl) for v in window]
+    # The reduced forms of d with a > 0: (a, b, (b^2 - d)/4a) for each b of a
+    # root class mod 2a in [max(1, fl + 1 - 2a, 2a - fl), fl] (fl = isqrt(d)),
+    # the exact form of sqrt(d) - b < 2a < sqrt(d) + b, 0 < b < sqrt(d). The
+    # window is at most 2a long, so each root gives at most one b. The mirrors
+    # (-a, b, -c) are the a < 0 half; rho sends (a, b, c) to (c, ., .) and
+    # ac < 0, so a alternates in sign around every cycle and each cycle holds
+    # a form of each half.
+    out = []
+    for a, roots in _roots_mod_2a(d, fl):
+        t = 2 * a
+        lo = max(1, fl + 1 - t, t - fl)
+        for r in roots:
+            b = lo + (r - lo) % t
+            if b <= fl:
+                out.append((a, b, (b * b - d) // (4 * a)))
+    return out
 
 
 def _principal_form(d, fl):
@@ -444,6 +441,17 @@ def _compose_raw(f1, f2):
     return a3, b3, c3
 
 
+def _square(a, b, c):
+    """_compose_raw(f, f) for f = (a, b, c) with a > 0 and b >= 0, in one
+    extended Euclid: with g = gcd(a, b), u*b = g (mod a) and v = a/g, the
+    square is (v^2, b + 2vr, (cg + r(b + vr)) / v) for r = -uc mod v
+    (batch._square_np is its numpy twin)."""
+    g, u, _ = _xgcd(b, a)
+    v = a // g
+    r = -u * c % v
+    return v * v, b + 2 * v * r, (c * g + r * (b + v * r)) // v
+
+
 def compose(x: ClassRep, y: ClassRep) -> ClassRep:
     """Gauss composition of form classes (exact, arbitrary precision)."""
     fx, fy = x.canonical_form, y.canonical_form
@@ -470,23 +478,23 @@ def _three_torsion_neg(h, forms):
     if h % 3 != 0:
         return 1
     count = 0
-    for f in forms:
-        a, b, c = f
+    for a, b, c in forms:
         if b < 0:
             continue
-        if _reduce_neg(*_compose_raw(f, f)) == _reduce_neg(a, -b, c):
+        if _reduce_neg(*_square(a, b, c)) == _reduce_neg(a, -b, c):
             count += 2 if 0 < b < a < c else 1
     return count
 
 
 def _three_torsion_pos(d, fl, reps, owner):
-    # reps holds one reduced form of each class.
+    # reps holds one reduced form of each class; one rho step takes it to a
+    # reduced form (a, b, c) of its class with a > 0, which _square needs.
     if len(reps) % 3 != 0:
         return 1
     count = 0
     for f in reps:
-        a, b, c = f
-        if owner[_reduce_pos(*_compose_raw(f, f), d, fl)] == owner[_reduce_pos(c, b, a, d, fl)]:
+        a, b, c = _rho(*f, d, fl)
+        if owner[_reduce_pos(*_square(a, b, c), d, fl)] == owner[_reduce_pos(c, b, a, d, fl)]:
             count += 1
     return count
 
@@ -532,8 +540,7 @@ def _cf_period(d):
     return step - seen[(p, q)]
 
 
-@dataclass(frozen=True)
-class ClassGroupInfo:
+class ClassGroupInfo(NamedTuple):
     """Per-discriminant class data.
 
     unit_norm is 0 (UNIT_NORM_NOT_APPLICABLE) for D < 0. For D > 0,
@@ -589,7 +596,7 @@ def _core_row(d, h_plus, count):
 
 def _core_info(d):
     """(h_plus, h, unit_norm, r3) for a trusted fundamental discriminant d,
-    its enumeration sieved on its own (_sieved_windows)."""
+    its reduced forms listed by a (_roots_mod_2a)."""
     return _core_row(d, *_classes_and_torsion(d))
 
 

@@ -1,6 +1,7 @@
 import bisect
 import functools
 import math
+import pickle
 import random
 
 import numpy as np
@@ -124,6 +125,38 @@ class TestSieve:
             arith.sieve_squarefree(5, 4)
         with pytest.raises(ValueError):
             arith.sieve_squarefree(0, 4)
+
+
+class TestRecordTypes:
+    def test_sieve_windows_compare_by_identity(self):
+        w, v = arith.sieve_squarefree(1, 4), arith.sieve_squarefree(1, 4)
+        assert w == w and w != v and not w == v
+        assert len({w, v}) == 2
+        assert repr(w) == ("SieveWindow(lo=1, hi=4, squarefree_flags=array([ True,  True,  True, "
+                           "False]))")
+
+    def test_fields_cannot_be_set(self):
+        records = {
+            arith.sieve_squarefree(1, 4): ("lo", "hi", "squarefree_flags"),
+            arith.classify_discriminant(-23): ("value", "sign", "parity_class"),
+            arith.count_squarefree_in_ap(1000, 12, 5):
+                ("x", "k", "l", "count", "main_term", "relative_error"),
+        }
+        for record, names in records.items():
+            assert repr(pickle.loads(pickle.dumps(record))) == repr(record)
+            for name in names:
+                with pytest.raises(AttributeError):
+                    setattr(record, name, 0)
+                with pytest.raises(AttributeError):
+                    delattr(record, name)
+
+    def test_values_and_equality(self):
+        assert arith.classify_discriminant(-23) == arith.classify_discriminant(-23)
+        assert arith.classify_discriminant(-23) != arith.classify_discriminant(-20)
+        res = arith.count_squarefree_in_ap(1000, 12, 5)
+        assert repr(res) == ("SquarefreeAPCount(x=1000, k=12, l=5, count=76, "
+                             "main_term=75.99088773175333, relative_error=0.00011991264372162254)")
+        assert res == arith.count_squarefree_in_ap(1000, 12, 5)
 
 
 class TestKronecker:

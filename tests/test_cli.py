@@ -523,16 +523,27 @@ class TestColumnarPath:
 
     @pytest.fixture
     def built(self, monkeypatch):
-        """The ClassGroupInfo objects constructed in this process."""
+        """The ClassGroupInfo objects constructed in this process. A NamedTuple
+        is made by its __new__; its __init__ is tuple's and sees nothing."""
         calls = []
-        init = forms.ClassGroupInfo.__init__
+        new = forms.ClassGroupInfo.__new__
 
-        def counting(self, *args, **kwargs):
+        def counting(cls, *args, **kwargs):
             calls.append(args)
-            init(self, *args, **kwargs)
+            return new(cls, *args, **kwargs)
 
-        monkeypatch.setattr(forms.ClassGroupInfo, "__init__", counting)
+        monkeypatch.setattr(forms.ClassGroupInfo, "__new__", counting)
         return calls
+
+    def test_fixture_counts_constructions(self, tmp_path, capsys, built):
+        # A cold lambda run builds the infos of its certificates, and a
+        # classgroup query builds one.
+        argv = _family_argv("lambda", 3000) + ["--cache", str(tmp_path / "c.txt")]
+        assert run_cli(capsys, *argv)[0] == 0
+        assert len(built) > 0
+        built.clear()
+        assert run_cli(capsys, "classgroup", "--d", "229")[0] == 0
+        assert len(built) == 1 and built[0][1:] == (3, 3, -1, 3, 1)
 
     @pytest.mark.parametrize("name", ["nh-average", "indivisibility", "pairs", "imaginary"])
     def test_warm_survey_builds_no_class_group_info(self, tmp_path, capsys, built, name):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import pickle
 import random
 
 import numpy as np
@@ -148,6 +149,29 @@ class TestReduce:
             assert forms.reduce_form(moved) == forms.reduce_form(base)
 
 
+class TestClassRep:
+    def test_equality_and_hash_ignore_cycle_length(self):
+        f = Form(-1, 3, 3, 21)
+        x, y = ClassRep(f, 2), ClassRep(f, 4)
+        assert x == y and not x != y and hash(x) == hash(y)
+        assert len({x, y}) == 1
+        z = ClassRep(Form(1, 3, -3, 21), 2)
+        assert x != z and not x == z
+        assert x != (f, 2) and x != f
+
+    def test_immutable_with_dataclass_repr(self):
+        x = forms.reduce_form(Form.make(5, 11, 5))
+        assert repr(x) == "ClassRep(canonical_form=Form(a=-1, b=3, c=3, D=21), cycle_length=2)"
+        for name in ("canonical_form", "cycle_length", "other"):
+            with pytest.raises(AttributeError):
+                setattr(x, name, 1)
+        with pytest.raises(AttributeError):
+            del x.cycle_length
+        assert x.cycle_length == 2
+        y = pickle.loads(pickle.dumps(x))
+        assert y == x and y.cycle_length == 2
+
+
 class TestEnumerateClasses:
     def test_d_minus_23(self):
         got = [tuple(r.canonical_form)[:3] for r in forms.enumerate_classes(-23)]
@@ -208,7 +232,7 @@ class TestDivisorTable:
         table = experiments._class_table(ds)
         assert len(table[0]) - 2 == max(max(self._enumerated_ns(d)) for d in ds)
         for d in ds:
-            assert forms._largest_n(d) == max(self._enumerated_ns(d)), d
+            assert batch._largest_n(d) == max(self._enumerated_ns(d)), d
         self._batch_matches_sieve(ds, table)
 
     def test_n_beyond_table_uses_trial_division(self):
@@ -342,7 +366,105 @@ def reference_forms(d):
     return out
 
 
+def brute_forms(d):
+    """The reduced forms of d (only a > 0 for d > 0) by trying every (a, b)
+    with a <= sqrt|d| and b of d's parity."""
+    out = []
+    if d < 0:
+        for a in range(1, math.isqrt(-d // 3) + 1):
+            for b in range(-a + 1 + ((a + 1 + d) & 1), a + 1, 2):
+                c, rem = divmod(b * b - d, 4 * a)
+                if not rem and forms._is_reduced_neg(a, b, c):
+                    out.append((a, b, c))
+        return out
+    fl = math.isqrt(d)
+    for a in range(1, fl + 1):
+        for b in range(2 - (d & 1), fl + 1, 2):
+            c, rem = divmod(b * b - d, 4 * a)
+            if not rem and forms._is_reduced_pos(a, b, c, d):
+                out.append((a, b, c))
+    return out
+
+
+def listed_forms(d):
+    if d < 0:
+        return forms._reduced_forms_neg(d)
+    return forms._reduced_forms_pos(d, math.isqrt(d))
+
+
+class TestRootEnumeration:
+    """The reduced forms listed by a, from the roots of b^2 = D (mod 4a)."""
+
+    def test_matches_brute_force_scan(self):
+        for d in fundamental_range(-4000, 4000):
+            got = listed_forms(d)
+            assert len(got) == len(set(got)) and set(got) == set(brute_forms(d)), d
+
+    def test_roots_are_all_solutions_mod_2a(self):
+        for d in fundamental_range(-3000, 3000)[::7]:
+            top = math.isqrt(d) if d > 0 else math.isqrt(-d // 3)
+            got = {}
+            for a, rs in forms._roots_mod_2a(d, top):
+                assert a not in got and len(rs) == len(set(rs)), (d, a)
+                got[a] = sorted(rs)
+            want = {}
+            for a in range(1, top + 1):
+                rs = [b for b in range(2 * a) if (b * b - d) % (4 * a) == 0]
+                if rs:
+                    want[a] = rs
+            assert got == want, d
+
+    @staticmethod
+    def _check(d):
+        assert arith.is_fundamental_discriminant(d)
+        got = listed_forms(d)
+        assert len(got) == len(set(got)) and set(got) == set(reference_forms(d)), d
+        return got
+
+    @pytest.mark.parametrize("d", [1000001, -999991])
+    def test_d_1_mod_8_has_a_divisible_by_8(self, d):
+        # Every power of 2 is admissible: b^2 = D (mod 2^(k+2)) lifts for all k.
+        assert d % 8 == 1
+        assert max(a & -a for a, _, _ in self._check(d)) >= 8
+
+    @pytest.mark.parametrize("d", [1000005, -999995])
+    def test_d_5_mod_8_has_odd_a_only(self, d):
+        assert d % 8 == 5
+        assert all(a & 1 for a, _, _ in self._check(d))
+
+    @pytest.mark.parametrize("d", [1000024, -999976, 1000012, -999988])
+    def test_even_d_has_no_a_divisible_by_4(self, d):
+        twos = {a & -a for a, _, _ in self._check(d)}
+        assert twos == {1, 2}, d
+
+    @pytest.mark.parametrize("d", [-15015, 60060])
+    def test_ramified_odd_prime_divides_a_once(self, d):
+        got = self._check(d)
+        for p in (3, 5, 7, 11, 13):
+            hits = [(a, b) for a, b, _ in got if a % p == 0]
+            assert hits, p
+            assert all(a % (p * p) and b % p == 0 for a, b in hits), p
+
+
+class TestSquare:
+    def test_equals_compose_raw_on_every_squared_form(self):
+        # _three_torsion_neg squares the b >= 0 reduced forms and
+        # _three_torsion_pos one a > 0 reduced form per class; every a > 0
+        # reduced form is checked for D > 0.
+        rng = random.Random(15)
+        for sign in (-1, 1):
+            for d in rng.sample(fundamental_range(1, 10**5) if sign > 0
+                                else fundamental_range(-10**5, 0), 200):
+                for f in listed_forms(d):
+                    if f[1] >= 0:
+                        assert forms._square(*f) == forms._compose_raw(f, f), (d, f)
+
+
 class TestPolynomialSieve:
+    """The square roots mod p behind the enumeration, and the enumeration
+    against a sympy reference. (Named for the per-b sieve the enumeration by
+    a replaced; the test ids are kept.)"""
+
     def test_sqrt_mod_matches_brute_force(self):
         # Every residue, a = 0 included, of every odd prime < 2000; the primes
         # p = 1 (mod 8) run the Tonelli-Shanks loop for more than one round.
@@ -380,11 +502,11 @@ class TestPolynomialSieve:
             got = forms._reduced_forms_pos(d, math.isqrt(d))
         want = reference_forms(d)
         assert len(got) == len(set(got)) and set(got) == set(want), d
-        sieved = forms._core_info(d)
+        listed = forms._core_info(d)
         with monkeypatch.context() as m:
             m.setattr(forms, "_reduced_forms_neg", lambda *_: want)
             m.setattr(forms, "_reduced_forms_pos", lambda *_: want)
-            assert sieved == forms._core_info(d), d
+            assert listed == forms._core_info(d), d
 
     def test_random_discriminants_match_reference(self, monkeypatch):
         rng = random.Random(20261018)
@@ -533,6 +655,32 @@ class TestClassGroupInfo:
         info = forms.class_group_info(d)
         assert (info.h_plus, info.h, info.unit_norm, info.r3) == (h_plus, h, un, r3)
         assert info.three_torsion_count == 3**r3
+
+    @pytest.mark.parametrize("d,text", [
+        (-23, "D=Discriminant(value=-23, sign='negative', parity_class='odd'), h_plus=3, h=3, "
+              "unit_norm=0, three_torsion_count=3, r3=1"),
+        (-3299, "D=Discriminant(value=-3299, sign='negative', parity_class='odd'), h_plus=27, "
+                "h=27, unit_norm=0, three_torsion_count=9, r3=2"),
+        (-4, "D=Discriminant(value=-4, sign='negative', parity_class='even'), h_plus=1, h=1, "
+             "unit_norm=0, three_torsion_count=1, r3=0"),
+        (12, "D=Discriminant(value=12, sign='positive', parity_class='even'), h_plus=2, h=1, "
+             "unit_norm=1, three_torsion_count=1, r3=0"),
+        (229, "D=Discriminant(value=229, sign='positive', parity_class='odd'), h_plus=3, h=3, "
+              "unit_norm=-1, three_torsion_count=3, r3=1"),
+        (32009, "D=Discriminant(value=32009, sign='positive', parity_class='odd'), h_plus=9, "
+                "h=9, unit_norm=-1, three_torsion_count=9, r3=2"),
+    ])
+    def test_repr_fields_and_immutability(self, d, text):
+        # the repr the dataclass of earlier versions printed
+        info = forms.class_group_info(d)
+        assert repr(info) == f"ClassGroupInfo({text})"
+        assert info == forms.class_group_info(d) and hash(info) == hash(forms.class_group_info(d))
+        assert info.D == arith.classify_discriminant(d)
+        for name in ("D", "h_plus", "h", "unit_norm", "three_torsion_count", "r3"):
+            with pytest.raises(AttributeError):
+                setattr(info, name, 0)
+        with pytest.raises(AttributeError):
+            info.D.value = 0
 
     def test_parity_link(self):
         for d in fundamental_range(2, 3000):

@@ -3,10 +3,11 @@ query, the public single-form API and a `sieve-count` each run in a fresh
 interpreter, which must end without numpy or concurrent.futures.process in
 sys.modules. `import quadclass` loads no submodule the package names
 lazily, and a query loads neither the experiments nor the numpy batch nor
-any of concurrent.futures. A survey loads numpy, but a warm one computes
-nothing, so it loads neither the batch nor the forms nor numpy.ma, and
-without --jobs above 1 no pool. A CLI run leaves numpy's OpenBLAS one thread
-unless the user chose a count."""
+any of concurrent.futures, nor dataclasses, inspect or (rendering csv)
+json. A survey loads numpy, but a warm one computes nothing, so it loads
+neither the batch nor the forms nor numpy.ma, and without --jobs above 1 no
+pool. A CLI run leaves numpy's OpenBLAS one thread unless the user chose a
+count."""
 
 import os
 import subprocess
@@ -18,27 +19,30 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# 1000000021 and -1000000019 are fundamental; at |D| ~ 10^9 neither the
-# divisor table nor a small-prime list covers the scan, so the query sieves
-# it (_sieved_windows) with primes from primes_upto.
+# 1000000021 and -1000000019 are fundamental; at |D| ~ 10^9 the query
+# lists its reduced forms by a (_roots_mod_2a) with the primes up to
+# sqrt|D| or sqrt(|D|/3) from primes_upto.
 _QUERY = """
 from quadclass import arith, cli, forms
-sieved = []
-sieve = forms._sieved_windows
-forms._sieved_windows = lambda *args: sieved.append(args) or sieve(*args)
+listed = []
+roots = forms._roots_mod_2a
+forms._roots_mod_2a = lambda *args: listed.append(args) or roots(*args)
 assert cli.run(["classgroup", "--d", "{d}"]) == 0
-assert sieved and arith._prime_limit >= 10 ** 4
+assert listed and arith._prime_limit >= 10 ** 4
 """
 
-_BULK = ["quadclass.batch", "quadclass.experiments", "concurrent.futures"]
+# A query loads neither the bulk route nor dataclasses (which imports
+# inspect) nor, rendering csv, json.
+_NOT_QUERIED = ["quadclass.batch", "quadclass.experiments", "concurrent.futures",
+                "dataclasses", "inspect", "json"]
 
 # name -> (script, the modules it must leave unloaded besides numpy and
 # concurrent.futures.process); a module stands for its submodules too
 SCRIPTS = {
     "import": ("import quadclass",
                ["quadclass.forms", "quadclass.experiments", "quadclass.batch"]),
-    "classgroup-positive": (_QUERY.format(d=1000000021), _BULK),
-    "classgroup-negative": (_QUERY.format(d=-1000000019), _BULK),
+    "classgroup-positive": (_QUERY.format(d=1000000021), _NOT_QUERIED),
+    "classgroup-negative": (_QUERY.format(d=-1000000019), _NOT_QUERIED),
     "single-form-api": ("""
         from quadclass import (class_group_info, compose, enumerate_classes, reduce_form,
                                three_torsion_count, unit_norm)
@@ -51,11 +55,11 @@ SCRIPTS = {
             assert reduce_form(x.canonical_form) == x
             assert compose(x, x) in classes
         assert (unit_norm(12), unit_norm(229)) == (1, -1)
-    """, _BULK),
+    """, _NOT_QUERIED),
     "sieve-count": ("""
         from quadclass import cli
         assert cli.run(["sieve-count", "--x", "1000000", "--k", "12", "--l", "5"]) == 0
-    """, _BULK),
+    """, _NOT_QUERIED),
 }
 
 
