@@ -35,6 +35,7 @@ __all__ = [
     "WindowTooLarge",
     "classify_discriminant",
     "count_squarefree_in_ap",
+    "divisor_table_bytes",
     "is_fundamental_discriminant",
     "is_squarefree",
     "kronecker",
@@ -114,6 +115,23 @@ def _factorize(n: int) -> list[tuple[int, int]]:
     if n > 1:
         out.append((n, 1))
     return out
+
+
+def _largest_n(d):
+    # The largest n = |d - b^2| / 4 of the batch's b = d (mod 2) (batch._b_range),
+    # the least limit of a divisor table that covers d: at b = 1 or 2 for d > 0,
+    # at the largest b with 3b^2 <= |d| for d < 0.
+    b = 2 - (d & 1) if d > 0 else math.isqrt(-d // 3)
+    b -= (b - d) & 1
+    return abs(d - b * b) >> 2
+
+
+def divisor_table_bytes(limit: int) -> int:
+    """Bytes of batch.divisor_table(limit): 4 * (limit + 2 + sum_{n <= limit} tau(n))."""
+    s = math.isqrt(limit)
+    # sum_{n <= L} tau(n) counts pairs k * m <= L: 2 sum_{k <= s} floor(L/k) - s^2.
+    entries = 2 * sum(limit // k for k in range(1, s + 1)) - s * s
+    return 4 * (limit + 2 + entries)
 
 
 # ----------------------------------------------------------------------

@@ -1,14 +1,15 @@
-"""Batched class data for bulk runs: a block of discriminants at a time in numpy.
+"""Batched class data for the surveys: a block of discriminants at a time in numpy.
 
-Bulk runs that fit a divisor_table (_batch_core_info) work a block of
-discriminants at a time: every (D, b) row's window of divisors is bisected
-out of the table at once, and for D > 0 the cycles are labelled by pointer
-doubling on the permutation that two rho steps induce on the a > 0 forms.
-The batch also squares and reduces the classes in numpy for the 3-torsion
-test, reads the unit norm off the cycle labels (it is -1 exactly when
-(-1, b, c) lies in the principal cycle) and checks the invariants as masks.
-Its rows equal those of forms._core_info, the single-discriminant route,
-which needs no numpy and is the reference the batch is tested against.
+The surveys compute their class data here alone (_batch_core_info, over one
+divisor_table), a block of discriminants at a time: every (D, b) row's
+window of divisors is bisected out of the table at once, and for D > 0 the
+cycles are labelled by pointer doubling on the permutation that two rho
+steps induce on the a > 0 forms. The batch also squares and reduces the
+classes in numpy for the 3-torsion test, reads the unit norm off the cycle
+labels (it is -1 exactly when (-1, b, c) lies in the principal cycle) and
+checks the invariants as masks. Its rows, one int64 array, equal those of
+forms._core_info, the single-discriminant route, which needs no numpy and
+is the reference the batch is tested against.
 
 Unlike arith, this module imports numpy at its top: only experiments imports
 it, where a discriminant is computed, by which time numpy is loaded.
@@ -19,6 +20,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from .arith import divisor_table_bytes  # noqa: F401  (re-exported)
 
 __all__ = ["divisor_table", "divisor_table_bytes"]
 
@@ -33,15 +36,6 @@ def _b_range(d):
     if d > 0:
         return range(2 - (d & 1), math.isqrt(d) + 1, 2)
     return range(d & 1, math.isqrt(-d // 3) + 1, 2)
-
-
-def _largest_n(d):
-    # The largest n = |d - b^2| / 4 the batch's enumeration meets, the least
-    # limit of a divisor table that covers d: at the smallest b for d > 0, at
-    # the largest b for d < 0.
-    bs = _b_range(d)
-    b = bs[0] if d > 0 else bs[-1]
-    return abs(d - b * b) >> 2
 
 
 def divisor_table(limit: int) -> tuple[np.ndarray, np.ndarray]:
@@ -76,14 +70,6 @@ def divisor_table(limit: int) -> tuple[np.ndarray, np.ndarray]:
     return offsets, divisors
 
 
-def divisor_table_bytes(limit: int) -> int:
-    """Bytes of divisor_table(limit): 4 * (limit + 2 + sum_{n <= limit} tau(n))."""
-    s = math.isqrt(limit)
-    # sum_{n <= L} tau(n) counts pairs k * m <= L: 2 sum_{k <= s} floor(L/k) - s^2.
-    entries = 2 * sum(limit // k for k in range(1, s + 1)) - s * s
-    return 4 * (limit + 2 + entries)
-
-
 # ----------------------------------------------------------------------
 # batched class data over a divisor table
 # ----------------------------------------------------------------------
@@ -95,26 +81,27 @@ _BLOCK_ROWS = 1 << 12
 
 
 def _batch_core_info(ds, table):
-    """(d, h_plus, h, unit_norm, r3) for each trusted fundamental d of ds, in
-    order, equal to (d,) + _core_info(d).
+    """The rows (d, h_plus, h, unit_norm, r3) of the trusted fundamental d of
+    ds, in order, as one (len(ds), 5) int64 array: row i is
+    (ds[i],) + _core_info(ds[i]).
 
     table is a divisor_table covering every n the enumeration of ds meets; a
     shorter one is refused with ValueError. Runs of one sign are computed a
     block of at most _BLOCK_ROWS b-rows at a time (_block_rows).
     """
-    out = []
+    out = [np.empty((0, 5), np.int64)]
     block, ranges, rows = [], [], 0
     for d in ds:
         bs = _b_range(d)
         if block and ((d > 0) != (block[0] > 0) or rows + len(bs) > _BLOCK_ROWS):
-            out += _block_rows(block, ranges, *table)
+            out.append(_block_rows(block, ranges, *table))
             block, ranges, rows = [], [], 0
         block.append(d)
         ranges.append(bs)
         rows += len(bs)
     if block:
-        out += _block_rows(block, ranges, *table)
-    return out
+        out.append(_block_rows(block, ranges, *table))
+    return np.concatenate(out)
 
 
 def _bisect(dv, lo, hi, x):
@@ -274,10 +261,10 @@ def _unit_norms(d, fl, label_of):
 
 
 def _checked_rows(block, h_plus, count, norm):
-    """The rows (d, h_plus, h, unit_norm, r3) of a block from its arrays of
-    (narrow) class numbers, 3-torsion counts and unit norms (0 for d < 0),
-    with _core_row's checks as masks: the first d that fails one raises
-    _core_row's message."""
+    """The rows (d, h_plus, h, unit_norm, r3) of a block, an int64 array, from
+    its arrays of (narrow) class numbers, 3-torsion counts and unit norms (0
+    for d < 0), with _core_row's checks as masks: the first d that fails one
+    raises _core_row's message."""
     pow3 = 3 ** np.arange(21, dtype=np.int64)  # 3^20 exceeds any h+ a table can cover
     r3 = np.minimum(np.searchsorted(pow3, count), 20)
     bad_count = pow3[r3] != count
@@ -289,7 +276,7 @@ def _checked_rows(block, h_plus, count, norm):
                                  f"for D={block[i]}")
         raise AssertionError(f"unit norm +1 with odd narrow class number for D={block[i]}")
     h = np.where(norm == 1, h_plus >> 1, h_plus)
-    return list(zip(block, h_plus.tolist(), h.tolist(), norm.tolist(), r3.tolist()))
+    return np.column_stack((block, h_plus, h, norm, r3)).astype(np.int64, copy=False)
 
 
 def _xgcd_np(x, y):

@@ -8,7 +8,8 @@ OPENBLAS_NUM_THREADS to 1 unless the user chose a value: quadclass calls no
 BLAS routine, and numpy's OpenBLAS would otherwise start a worker thread
 that spends CPU in every survey process.
 
-Exit codes: 0 success; 2 invalid family or flag values (verdict printed);
+Exit codes: 0 success; 2 invalid family or flag values (verdict printed),
+or a survey past experiments.survey_limit, refused before it allocates;
 3 domain error (e.g. a square discriminant); 4 cache corruption, or a
 cache file that cannot be read or written (refused before a survey starts
 when the path is a directory or its directory is missing); 5 an invariant
@@ -47,7 +48,8 @@ EXIT_DOMAIN = 3
 EXIT_CACHE = 4
 EXIT_INVARIANT = 5
 
-# Guards against composition intermediates outgrowing the desk-scale design.
+# The largest |d| of classgroup and x of sieve-count; each survey is bounded
+# by experiments.survey_limit instead.
 MAX_X = 1 << 48
 
 CSV_COLUMNS = (
@@ -193,17 +195,18 @@ def _record_faults(rows):
     int64 array, in the order a row's first fault is reported."""
     import numpy as np
 
+    from .experiments import survey_limit
+
     d, h_plus, h, unit_norm, r3 = rows.T
     real = d > 0
-    # Every experiment sieves [1, max |D|] within arith.DEFAULT_MAX_CELLS
-    # cells, so no run stores a larger |D|; refusing one here keeps the
-    # fundamental check's sieve of [1, max |D|] within that cap too. Not
-    # np.abs(d), which overflows on -2^63.
-    bound = arith.DEFAULT_MAX_CELLS
+    # No run computes a |D| past the survey limit of its sign, so no run
+    # stores one; refusing one here keeps the fundamental check's sieve of
+    # [1, max |D|] that small too. Not np.abs(d), which overflows on -2^63.
     # 3^39 < 2^63 - 1 < 3^40, so r3 > 39 exceeds every int64 h_plus.
     return [
         ((d == 0) | (h_plus < 1) | (h < 1) | (r3 < 0), "impossible record"),
-        ((d > bound) | (d < -bound), "|D| exceeds 2^27 in"),
+        ((d > survey_limit()) | (d < -survey_limit(negative=True)),
+         "|D| exceeds the survey limit in"),
         ((unit_norm < -1) | (unit_norm > 1), "unit_norm outside {-1, 0, 1} in"),
         ((r3 > 39) | (3 ** np.clip(r3, 0, 39) > h_plus), "3^r3 exceeds h_plus in"),
         (~real & ((unit_norm != 0) | (h != h_plus)), "imaginary record inconsistent:"),
@@ -434,9 +437,6 @@ def _dispatch(args) -> int:
     from . import experiments, families
 
     runner, level = _EXPERIMENTS[args.command]
-    if args.x > MAX_X:
-        print("invalid arguments: --x must be <= 2^48", file=sys.stderr)
-        return EXIT_INVALID
     verdict = families.validate(args.m, args.n, args.t, level)
     if isinstance(verdict, families.FamilyRejection):
         print(str(verdict), file=sys.stderr)

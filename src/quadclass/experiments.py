@@ -24,11 +24,13 @@ aggregation sorts by discriminant, so reports are byte-identical for any
 worker count. An optional ``cache``, a ClassTable or a mapping D ->
 ClassGroupInfo, is consulted before computing and extended in place.
 
-The batch and the forms are imported only when a discriminant is computed,
-so a survey answered from its cache loads neither. The CLI starts numpy's
-OpenBLAS with one thread, since nothing here calls BLAS; this module leaves
-the environment alone, so a Python caller may set OPENBLAS_NUM_THREADS=1
-itself before numpy is first imported.
+Class data comes from the numpy batch alone, and a survey past
+survey_limit is refused before it allocates anything. The batch and the
+forms are imported only when a discriminant is computed, so a survey
+answered from its cache loads neither. The CLI starts numpy's OpenBLAS with
+one thread, since nothing here calls BLAS; this module leaves the
+environment alone, so a Python caller may set OPENBLAS_NUM_THREADS=1 itself
+before numpy is first imported.
 """
 
 from __future__ import annotations
@@ -37,13 +39,16 @@ import math
 import operator
 import os
 import sys
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections.abc import Mapping
 from contextlib import ExitStack
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import count
 from typing import Iterator
 
-from .arith import Discriminant, kronecker, mobius, sieve_squarefree
+from .arith import (DEFAULT_MAX_CELLS, Discriminant, _largest_n, divisor_table_bytes,
+                    is_fundamental_discriminant, kronecker, mobius, sieve_squarefree)
 from .arith import smallest_prime_factors  # noqa: F401  (perfbench/traced_cli.py wraps this name)
 from .families import LEVEL_LAMBDA, LEVEL_NH, LEVEL_THEOREM, LEVELS, CongruenceFamily
 
@@ -67,6 +72,7 @@ __all__ = [
     "lambda_survey",
     "nh_average",
     "pair_experiment",
+    "survey_limit",
 ]
 
 TARGET_NH_AVERAGE = 4.0 / 3.0
@@ -81,9 +87,9 @@ _PAIR_BOUNDS = {"ratio_L": TARGET_SET_DENSITY,
                 "ratio_Lt": TARGET_SET_DENSITY,
                 "ratio_intersection": TARGET_PAIR_INTERSECTION}
 
-# Divisor tables larger than this many bytes (128 MiB, reached near
-# limit = 2.1e6, i.e. real X ~ 8e6 or imaginary X ~ 6e6) are not built;
-# each discriminant is then computed on its own (forms._core_info).
+# A run computes its class data over one divisor table of every n up to
+# about D/4 for D > 0 and |D|/3 for D < 0. survey_limit turns this cap on
+# its size (128 MiB) into the largest |D| of each sign that a run accepts.
 _TABLE_CAP_BYTES = 1 << 27
 
 
@@ -171,6 +177,40 @@ class Lambda3Certificate:
 # bulk class-group computation
 # ----------------------------------------------------------------------
 
+@lru_cache
+def _limits(cap):
+    """survey_limit of D > 0 and of D < 0 for a table cap of cap bytes."""
+    # The largest table limit within cap: the bytes grow with the limit.
+    top = bisect_left(range(cap // 4 + 1), True, key=lambda n: divisor_table_bytes(n) > cap) - 1
+    limits = []
+    # _largest_n is at most D/4 for D > 0 and |D|/3 for D < 0, so every |D|
+    # up to 4 top, or 3 top, fits: the first fundamental |D| that misses is
+    # searched for from there, and the limit is the one before it.
+    for sign, start in ((1, 4 * top), (-1, 3 * top)):
+        miss = next(m for m in count(start)
+                    if _largest_n(sign * m) > top and is_fundamental_discriminant(sign * m))
+        limits.append(next(m for m in range(miss - 1, 0, -1)
+                           if is_fundamental_discriminant(sign * m)))
+    return tuple(limits)
+
+
+def survey_limit(negative: bool = False) -> int:
+    """The largest |D| of a survey, D < 0 if negative, else D > 0.
+
+    Every fundamental discriminant of that sign with |D| up to it is covered
+    by a divisor table within _TABLE_CAP_BYTES, and the next one is not.
+    """
+    return _limits(_TABLE_CAP_BYTES)[negative]
+
+
+def _check_limit(largest, negative=False):
+    """ValueError when a run's largest |D| of one sign is past survey_limit."""
+    if largest > (limit := survey_limit(negative)):
+        raise ValueError(f"|D| = {largest} exceeds the survey limit {limit} for "
+                         f"D {'<' if negative else '>'} 0 (a divisor table within "
+                         f"{_TABLE_CAP_BYTES} bytes)")
+
+
 _worker_table = None
 
 
@@ -180,28 +220,9 @@ def _pool_init(table):
 
 
 def _pool_chunk(chunk):
-    return _chunk_rows(chunk, _worker_table)
-
-
-def _chunk_rows(chunk, table):
-    if table is None:
-        from .forms import _core_info
-
-        return [(d,) + _core_info(d) for d in chunk]
     from .batch import _batch_core_info
 
-    return _batch_core_info(chunk, table)
-
-
-def _class_table(ds):
-    """A divisor table covering every n the enumeration of ds meets, or None
-    when it would exceed _TABLE_CAP_BYTES."""
-    from .batch import _largest_n, divisor_table, divisor_table_bytes
-
-    limit = max(_largest_n(d) for d in ds)
-    if divisor_table_bytes(limit) > _TABLE_CAP_BYTES:
-        return None
-    return divisor_table(limit)
+    return _batch_core_info(chunk, _worker_table)
 
 
 def _trusted(d: int) -> Discriminant:
@@ -211,7 +232,7 @@ def _trusted(d: int) -> Discriminant:
 
 
 def _core_rows(todo, jobs, progress):
-    """(d, h_plus, h, unit_norm, r3) for each d in todo, in order.
+    """The (len(todo), 5) int64 array of rows (d, h_plus, h, unit_norm, r3).
 
     The divisor table is built once here and handed to pool workers through
     the initializer; it and the pool are released when this returns. The
@@ -219,7 +240,11 @@ def _core_rows(todo, jobs, progress):
     start method starts them all at the first submit. The pool module is
     imported here, so processes that start no pool never load it.
     """
-    table = _class_table(todo)
+    import numpy as np
+
+    from .batch import _batch_core_info, divisor_table
+
+    table = divisor_table(max(map(_largest_n, todo)))
     # Freeing one 1 MiB block raises glibc's dynamic mmap threshold, so the
     # batch's temporaries (up to about 1 MiB a block) reuse heap pages instead
     # of faulting in fresh mmapped ones (pool workers inherit it at the fork).
@@ -236,13 +261,13 @@ def _core_rows(todo, jobs, progress):
                 max_workers=workers, initializer=_pool_init, initargs=(table,)))
             parts = pool.map(_pool_chunk, chunks)
         else:
-            parts = (_chunk_rows(chunk, table) for chunk in chunks)
+            parts = (_batch_core_info(chunk, table) for chunk in chunks)
         rows = []
         for part in parts:
-            rows.extend(part)
+            rows.append(part)
             if progress:
-                print(f"class groups: {len(rows)}/{len(todo)}", file=sys.stderr)
-    return rows
+                print(f"class groups: {sum(map(len, rows))}/{len(todo)}", file=sys.stderr)
+    return np.concatenate(rows)
 
 
 def _info(d, h_plus, h, unit_norm, r3):
@@ -300,7 +325,8 @@ def compute_class_infos(ds, *, jobs: int = 1, cache: Mapping | None = None,
 
     Returns a ClassTable of exactly the D of ds. A ClassTable cache gains the
     computed rows; a mapping D -> ClassGroupInfo is consulted first and gains
-    a ClassGroupInfo per computed D. Output is independent of ``jobs``.
+    a ClassGroupInfo per computed D. Output is independent of ``jobs``. A D
+    to compute past survey_limit of its sign raises ValueError first.
     """
     import numpy as np
 
@@ -318,7 +344,9 @@ def compute_class_infos(ds, *, jobs: int = 1, cache: Mapping | None = None,
                                     np.int64).reshape(-1, 5))
     todo = wanted[np.isin(wanted, table.rows[:, 0], assume_unique=True, invert=True)]
     if len(todo):
-        rows = np.array(_core_rows(todo.tolist(), jobs, progress), np.int64).reshape(-1, 5)
+        _check_limit(-int(todo[0]), negative=True)  # todo is ascending
+        _check_limit(int(todo[-1]))
+        rows = _core_rows(todo.tolist(), jobs, progress)
         table.add(rows)
         if cache is not None and cache is not table:
             cache.update(zip(todo.tolist(), map(_info, *rows.T.tolist())))
@@ -376,6 +404,9 @@ def _members(family, lo, hi):
     one sign, as an int64 array sorted by |D|."""
     import numpy as np
 
+    if max(-lo, hi) > DEFAULT_MAX_CELLS:
+        raise ValueError(f"|D| up to {max(-lo, hi)} exceeds the squarefree sieve's "
+                         f"{DEFAULT_MAX_CELLS} cells")
     prog = _progression(family, lo, hi)
     ds = np.arange(prog.start, prog.stop, prog.step, dtype=np.int64)
     if hi < 0:
@@ -405,6 +436,7 @@ def _survey(x, family, checkpoints, negative, stats, point, **run):
     1 <= D <= c, the imaginary side -x < D < 0 and -c < D < 0; k counts the
     members with |D| < c, and sums[i] totals the column stats[i](rows) over them."""
     cps = _checkpoints(checkpoints, x)
+    _check_limit(x - 1 if negative else x, negative)
     fund = _members(family, 1 - x, -1) if negative else _members(family, 1, x)
     rows = compute_class_infos(fund, **run).rows  # ascending D: fund's order, or its reverse
     sums = [_running(stat(rows[::-1] if negative else rows)) for stat in stats]
@@ -469,6 +501,7 @@ def _pair_survey(x, family, checkpoints, **run):
 
     cps = _checkpoints(checkpoints, x)
     t = family.t
+    _check_limit(x + t)
     prog = _progression(family, 1, x)
     ds = np.arange(prog.start, prog.stop, prog.step, dtype=np.int64)
     # Members are 1 (mod 4) at theorem level, so L's base is exactly S+.

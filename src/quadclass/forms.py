@@ -24,8 +24,9 @@ single-discriminant route (_core_info, behind class_group_info): it lists
 the reduced forms by their first coefficient a <= sqrt|D|, from the square
 roots of D mod 4a (_roots_mod_2a; Cohen, GTM 138, 5.3-5.6), walks its
 cycles, composes and takes the CF period in Python, and needs no numpy. Its
-memory is the reduced forms themselves. Bulk runs use the numpy batch of
-quadclass.batch, which is tested against this route.
+memory is the reduced forms themselves, held once: for D > 0 they stream
+into the map from each form to its cycle. The surveys use the numpy batch
+of quadclass.batch, which is tested against this route.
 """
 
 from __future__ import annotations
@@ -326,16 +327,14 @@ def _reduced_forms_pos(d, fl):
     # window is at most 2a long, so each root gives at most one b. The mirrors
     # (-a, b, -c) are the a < 0 half; rho sends (a, b, c) to (c, ., .) and
     # ac < 0, so a alternates in sign around every cycle and each cycle holds
-    # a form of each half.
-    out = []
+    # a form of each half. A generator, so its caller holds the forms once.
     for a, roots in _roots_mod_2a(d, fl):
         t = 2 * a
         lo = max(1, fl + 1 - t, t - fl)
         for r in roots:
             b = lo + (r - lo) % t
             if b <= fl:
-                out.append((a, b, (b * b - d) // (4 * a)))
-    return out
+                yield a, b, (b * b - d) // (4 * a)
 
 
 def _principal_form(d, fl):

@@ -1,7 +1,11 @@
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +15,9 @@ from hypothesis import strategies as st
 from quadclass import batch, cli, experiments, families, forms
 from quadclass.cli import CacheCorruption, CacheRecord
 from test_forms import without_divisor
+
+# The largest |D| of a survey, and of a cache record, for D > 0 and D < 0.
+LIMIT, LIMIT_NEG = experiments.survey_limit(), experiments.survey_limit(negative=True)
 
 
 def run_cli(capsys, *argv):
@@ -268,7 +275,7 @@ def _valid_record(rec):
     d, h_plus, h, unit_norm, r3 = rec
     if d == 0 or h_plus < 1 or h < 1 or r3 < 0 or unit_norm not in (-1, 0, 1):
         return False
-    if abs(d) > 2**27:  # beyond every experiment's squarefree sieve
+    if d > LIMIT or -d > LIMIT_NEG:  # beyond what any survey computes
         return False
     # 3^r3 >= 2^r3, so a large r3 is refused before 3**r3 is computed.
     if r3 >= h_plus.bit_length() or 3**r3 > h_plus:
@@ -383,13 +390,18 @@ class TestCacheParserReference:
         ("5,2,1,1,9223372036854775807\n", 1),
         ("-134217731,1,1,0,0\n5,1,1,-1,0\n", 1),
         ("5,1,1,-1,0\n134217729,1,1,-1,0\n", 2),
-        ("-134217728,1,1,0,0\n134217728,2,1,1,0\n", {-134217728, 134217728}),
+        # D = -2^27 and 2^27, each past the survey limit of its sign
+        ("-134217728,1,1,0,0\n134217728,2,1,1,0\n", 1),
+        (f"{-LIMIT_NEG - 1},1,1,0,0\n5,1,1,-1,0\n", 1),
+        (f"5,1,1,-1,0\n{LIMIT + 1},1,1,-1,0\n", 2),
+        (f"{-LIMIT_NEG},1,1,0,0\n{LIMIT},2,1,1,0\n", {-LIMIT_NEG, LIMIT}),
     ], ids=["minus-zero", "plus-sign", "leading-zero", "padding", "crlf", "blank-line",
             "missing-final-lf", "empty-file", "duplicate-d", "descending-d", "19-digits-int64",
             "19-digits-beyond-int64", "below-int64", "r3-40", "r3-40-beyond-int64",
             "d-zero", "unit-norm-range", "3-torsion-exceeds-h-plus", "imaginary-inconsistent",
             "real-norm-zero", "real-h-plus-not-2h", "r3-int64-max", "d-below-minus-2^27",
-            "d-above-2^27", "d-at-plus-minus-2^27"])
+            "d-above-2^27", "d-at-plus-minus-2^27", "d-below-minus-limit", "d-above-limit",
+            "d-at-both-limits"])
     def test_explicit_cases(self, tmp_path, text, expected):
         path = tmp_path / "cache.txt"
         path.write_bytes(text.encode("ascii"))
@@ -482,14 +494,16 @@ class TestWarmPath:
         assert f"cached D={d} is not a fundamental discriminant" in err
 
     def test_cached_d_beyond_sieve_bound_exits_4(self, tmp_path, capsys):
-        # Refused by the parse: the fundamental check sieves [1, max |D|],
-        # which for this D would exceed the 2^27-cell cap.
+        # Refused by the parse, before the fundamental check sieves
+        # [1, max |D|]: no survey computes a |D| past the survey limit of its
+        # sign, so no cache it writes holds one.
         cache = tmp_path / "c.txt"
-        cache.write_text("10000000000000001,1,1,-1,0\n")
-        code, out, err = run_cli(capsys, "nh-average", "--m", "1", "--n", "4", "--x", "10",
-                                 "--cache", str(cache))
-        assert code == 4 and out == ""
-        assert f"cache corruption: {cache}:1: |D| exceeds 2^27" in err
+        for line in (f"{LIMIT + 1},1,1,-1,0", f"{-LIMIT_NEG - 1},1,1,0,0"):
+            cache.write_text(line + "\n")
+            code, out, err = run_cli(capsys, "nh-average", "--m", "1", "--n", "4", "--x", "10",
+                                     "--cache", str(cache))
+            assert code == 4 and out == ""
+            assert f"cache corruption: {cache}:1: |D| exceeds the survey limit in" in err
 
 
     def test_torsion_totals_beyond_int64_stay_exact(self, tmp_path, capsys):
@@ -515,6 +529,63 @@ SURVEY_ARGS = {
 def _family_argv(name, x):
     m, n, t = SURVEY_ARGS[name]
     return [name, "--m", m, "--n", n, "--t", t, "--x", str(x)]
+
+
+@pytest.mark.parametrize("name", SURVEY_ARGS)
+def test_surveys_never_call_the_per_discriminant_core(capsys, monkeypatch, name):
+    """The surveys get their class data from the batch alone: with
+    forms._core_info raising, each still reports, the same at --jobs 1 and 2
+    (the pool's workers are forked with the patch in place)."""
+    def per_d(d):
+        raise AssertionError(f"forms._core_info({d}) was called")
+
+    monkeypatch.setattr(forms, "_core_info", per_d)
+    outs = []
+    for jobs in ("1", "2"):
+        code, out, err = run_cli(capsys, *_family_argv(name, 3000), "--jobs", jobs)
+        assert code == 0 and err == ""
+        outs.append(out)
+    assert outs[0] == outs[1] and outs[0].startswith("checkpoint_x,")
+
+
+# Runs the CLI on argv under a 1 GiB address space and 20 s of CPU, and
+# prints its exit code, its peak RSS in MB, its stdout and its stderr as
+# JSON. A fresh interpreter forks it, because the peak RSS of a forked child
+# counts the memory of the process it was forked from.
+_LIMITED = """
+import json, os, resource, subprocess, sys
+
+def limits():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+    resource.setrlimit(resource.RLIMIT_CPU, (20, 20))
+
+proc = subprocess.Popen([sys.executable, "-m", "quadclass.cli", *sys.argv[1:]],
+                        stdout=subprocess.PIPE, stderr=subprocess.PIPE, preexec_fn=limits)
+out, err = proc.stdout.read(), proc.stderr.read()
+_, status, usage = os.wait4(proc.pid, 0)
+proc.returncode = os.waitstatus_to_exitcode(status)
+print(json.dumps([proc.returncode, usage.ru_maxrss / 1024, out.decode(), err.decode()]))
+"""
+
+
+@pytest.mark.parametrize("x", ["past-limit", 2**30, 2**48], ids=str)
+@pytest.mark.parametrize("name,t", [("nh-average", 0), ("pairs", 8), ("imaginary", 0)])
+def test_survey_past_its_limit_exits_2_before_it_allocates(name, t, x):
+    """A survey whose largest |D| (x, x + t or x - 1) is past the survey
+    limit of its sign is refused up front, in a few tens of MB."""
+    limit = LIMIT_NEG if name == "imaginary" else LIMIT
+    if x == "past-limit":
+        x = LIMIT_NEG + 2 if name == "imaginary" else LIMIT + 1 - t
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = [name, "--x", str(x), "--m", "1", "--n", "4", "--t", str(t)]
+    proc = subprocess.run([sys.executable, "-c", _LIMITED, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    code, peak_mb, out, err = json.loads(proc.stdout)
+    assert (code, out) == (2, ""), err
+    assert f"exceeds the survey limit {limit} for D {'<' if name == 'imaginary' else '>'} 0" in err
+    assert peak_mb < 100
 
 
 class TestColumnarPath:

@@ -45,6 +45,71 @@ class TestEnumerateSPlus:
             list(experiments.enumerate_s_plus(100, families.validate(3, 6, 0, "nh")))
 
 
+class TestSurveyLimit:
+    """survey_limit: the largest |D| of each sign whose divisor table fits
+    _TABLE_CAP_BYTES, and the refusals it drives."""
+
+    @staticmethod
+    def _largest_ns(lo, hi, negative):
+        """The fundamental discriminants of one sign with lo <= |D| <= hi, by
+        |D|, and arith._largest_n of each, in numpy."""
+        m = np.arange(lo, hi + 1, dtype=np.int64)
+        m = m[experiments._fundamental(-m if negative else m)]
+        if not negative:  # b = 1 for odd D, 2 for even D
+            return m, (m - np.where(m & 1, 1, 4)) >> 2
+        q = m // 3
+        s = np.sqrt(q).astype(np.int64)
+        s -= s * s > q
+        s += (s + 1) ** 2 <= q
+        b = s - ((s - m) & 1)  # the largest b = D (mod 2) with 3b^2 <= |D|
+        return m, (m + b * b) >> 2
+
+    @pytest.mark.parametrize("negative", [False, True], ids=["positive", "negative"])
+    def test_every_fundamental_d_up_to_the_limit_fits_and_the_next_does_not(self, negative):
+        cap = experiments._TABLE_CAP_BYTES
+        limit = experiments.survey_limit(negative)
+        sign = -1 if negative else 1
+        top = 0
+        for lo in range(1, limit + 1, 1 << 20):
+            m, n = self._largest_ns(lo, min(lo + (1 << 20) - 1, limit), negative)
+            top = max(top, int(n.max()))
+            assert [arith._largest_n(sign * d) for d in m[::997].tolist()] == n[::997].tolist()
+        assert m[-1] == limit
+        assert arith.divisor_table_bytes(top) <= cap
+        after = next(d for d in range(limit + 1, limit + 50)
+                     if arith.is_fundamental_discriminant(sign * d))
+        assert arith.divisor_table_bytes(arith._largest_n(sign * after)) > cap
+
+    @pytest.mark.parametrize("cap", [1 << 6, 1 << 8, 1 << 10, 1 << 12, 1 << 14])
+    def test_matches_a_scan_at_small_caps(self, cap, monkeypatch):
+        monkeypatch.setattr(experiments, "_TABLE_CAP_BYTES", cap)
+        for sign in (1, -1):
+            fund = [m for m in range(1, cap) if arith.is_fundamental_discriminant(sign * m)]
+            fits = [arith.divisor_table_bytes(arith._largest_n(sign * m)) <= cap for m in fund]
+            assert experiments.survey_limit(sign < 0) == fund[fits.index(False) - 1], sign
+
+    def test_refused_before_any_array_is_made(self, monkeypatch, fam14, fam_lambda):
+        # Each survey checks x, x + t or x - 1; enumerate_s_plus computes no
+        # class data, so its bound is the squarefree sieve's 2^27 cells.
+        def no_arange(*args, **kwargs):
+            raise AssertionError("np.arange was called")
+
+        monkeypatch.setattr(np, "arange", no_arange)
+        pos, neg = experiments.survey_limit(), experiments.survey_limit(negative=True)
+        runs = [(experiments.nh_average, pos + 1, fam14, pos),
+                (experiments.indivisibility_density, pos + 1, fam14, pos),
+                (experiments.pair_experiment, pos - 3, fam14, pos),
+                (experiments.lambda_survey, pos - 11, fam_lambda, pos),
+                (experiments.imaginary_density, neg + 2, fam14, neg)]
+        for survey, x, fam, limit in runs:
+            for x in (x, 2**30, 2**48):
+                with pytest.raises(ValueError, match=f"exceeds the survey limit {limit} "):
+                    survey(x, fam)
+        for x in (2**27 + 2, 2**30):
+            with pytest.raises(ValueError, match=f"exceeds the squarefree sieve's {2**27} cells"):
+                experiments.enumerate_s_plus(x, fam14)
+
+
 class TestNhAverage:
     def test_matches_direct_recomputation(self, fam14):
         rep = experiments.nh_average(2000, fam14, [500, 2000])
@@ -213,12 +278,27 @@ class TestDeterminismAndCache:
         assert set(cache) == {5, 13, 17, -23}
 
     def test_over_cap_falls_back_to_trial_division(self, monkeypatch):
+        """A D past the table cap is refused, not computed one at a time (the
+        name is that of the per-D fallback this refusal replaced). Under a
+        1 KiB cap, whose survey limits are 197 for D > 0 and 148 for D < 0, a
+        D past its sign's limit raises a ValueError naming the limit at any
+        jobs, and the D within the limits keep the rows of the full cap."""
         ds = [d for d in range(-3000, 3000) if arith.is_fundamental_discriminant(d)]
         with_table = experiments.compute_class_infos(ds)
         monkeypatch.setattr(experiments, "_TABLE_CAP_BYTES", 1 << 10)
-        assert experiments._class_table(ds) is None
-        assert experiments.compute_class_infos(ds) == with_table
-        assert experiments.compute_class_infos(ds, jobs=2) == with_table
+        assert (experiments.survey_limit(), experiments.survey_limit(negative=True)) == (197, 148)
+        for jobs in (1, 2):
+            with pytest.raises(ValueError, match=r"\|D\| = 201 exceeds the survey limit 197 for "
+                                                 r"D > 0 \(a divisor table within 1024 bytes\)$"):
+                experiments.compute_class_infos([5, 201, -3], jobs=jobs)
+            with pytest.raises(ValueError, match=r"\|D\| = 151 exceeds the survey limit 148 for D < 0"):
+                experiments.compute_class_infos([-151, 5], jobs=jobs)
+            inside = [d for d in ds if -148 <= d <= 197]
+            assert experiments.compute_class_infos(inside, jobs=jobs) == {
+                d: with_table[d] for d in inside}
+        # a D already in the cache is not computed, so it is not refused
+        assert experiments.compute_class_infos([5, 201], cache=with_table) == {
+            d: with_table[d] for d in (5, 201)}
 
     def test_pool_matches_serial(self):
         ds = [d for d in range(-500, 500) if arith.is_fundamental_discriminant(d)]

@@ -9,7 +9,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadclass import arith, batch, experiments, forms
+from quadclass import arith, batch, forms
 from quadclass.forms import ClassRep, Form
 
 
@@ -115,7 +115,7 @@ class TestRho:
                 assert len(cyc) == rep.cycle_length and len(cyc) % 2 == 0, d
                 assert all(f[0] * g[0] < 0 for f, g in zip(cyc, cyc[1:] + cyc[:1])), d
                 steps += rep.cycle_length
-            assert steps == 2 * len(forms._reduced_forms_pos(d, fl)), d
+            assert steps == 2 * len(list(forms._reduced_forms_pos(d, fl))), d
 
 
 class TestReduce:
@@ -219,8 +219,8 @@ class TestDivisorTable:
 
     @staticmethod
     def _batch_matches_sieve(ds, table=None):
-        rows = batch._batch_core_info(ds, table or experiments._class_table(ds))
-        assert rows == [(d,) + forms._core_info(d) for d in ds]
+        rows = batch._batch_core_info(ds, table or table_for(ds)).tolist()
+        assert rows == [[d, *forms._core_info(d)] for d in ds]
         return rows
 
     def test_table_path_matches_trial_division(self):
@@ -229,10 +229,10 @@ class TestDivisorTable:
         # exactly the largest n met, so the D that meets it reads the table's
         # last row.
         ds = fundamental_range(-20000, 20000)
-        table = experiments._class_table(ds)
+        table = table_for(ds)
         assert len(table[0]) - 2 == max(max(self._enumerated_ns(d)) for d in ds)
         for d in ds:
-            assert batch._largest_n(d) == max(self._enumerated_ns(d)), d
+            assert arith._largest_n(d) == max(self._enumerated_ns(d)), d
         self._batch_matches_sieve(ds, table)
 
     def test_n_beyond_table_uses_trial_division(self):
@@ -259,10 +259,10 @@ class TestDivisorTable:
     def test_block_boundaries_do_not_change_rows(self, cap, monkeypatch):
         # A cap below one D's rows makes every D its own block.
         ds = fundamental_range(-2000, 2000)
-        table = experiments._class_table(ds)
-        whole = batch._batch_core_info(ds, table)
+        table = table_for(ds)
+        whole = batch._batch_core_info(ds, table).tolist()
         monkeypatch.setattr(batch, "_BLOCK_ROWS", cap)
-        assert batch._batch_core_info(ds, table) == whole
+        assert batch._batch_core_info(ds, table).tolist() == whole
 
     def test_r3_two_anchors(self):
         ds = TestThreeTorsion.R3_TWO
@@ -272,7 +272,7 @@ class TestDivisorTable:
         # Without the divisor 4 of n = 44 the form (4, 9, -11) of D = 257 is
         # lost, and so is the rho^2 image of the form before it in its cycle.
         ds = [5, 229, 257, 269]
-        table = without_divisor(experiments._class_table(ds), 44, 4)
+        table = without_divisor(table_for(ds), 44, 4)
         with pytest.raises(AssertionError, match="reduced forms of D=257$"):
             batch._batch_core_info(ds, table)
         self._batch_matches_sieve([5, 229, 269], table)
@@ -286,8 +286,8 @@ class TestBatchAcrossSigns:
     def reflected(self):
         ds = fundamental_range(1, 10**5)
         stars = [-3 * d if d % 3 else -d // 3 for d in ds]
-        real = batch._batch_core_info(ds, experiments._class_table(ds))
-        imag = batch._batch_core_info(sorted(stars), experiments._class_table(stars))
+        real = batch._batch_core_info(ds, table_for(ds)).tolist()
+        imag = batch._batch_core_info(sorted(stars), table_for(stars)).tolist()
         r3 = {row[0]: row[4] for row in imag}
         return ds, real, [r3[s] for s in stars]
 
@@ -314,7 +314,7 @@ class TestBatchArithmetic:
     def test_square_and_reduce_match_python(self, d):
         fl = math.isqrt(abs(d))
         if d > 0:
-            fs = forms._reduced_forms_pos(d, fl)
+            fs = list(forms._reduced_forms_pos(d, fl))
         else:
             fs = [f for f in forms._reduced_forms_neg(d) if f[1] >= 0]
         fs.sort()
@@ -330,6 +330,11 @@ class TestBatchArithmetic:
             got = batch._reduce_neg_np(*square)
             want = [forms._reduce_neg(*f) for f in squares]
         assert list(zip(*got.tolist())) == want
+
+
+def table_for(ds):
+    """The least divisor_table that covers every D of ds, as a survey builds it."""
+    return batch.divisor_table(max(map(arith._largest_n, ds)))
 
 
 def without_divisor(table, n, a):
@@ -389,7 +394,7 @@ def brute_forms(d):
 def listed_forms(d):
     if d < 0:
         return forms._reduced_forms_neg(d)
-    return forms._reduced_forms_pos(d, math.isqrt(d))
+    return list(forms._reduced_forms_pos(d, math.isqrt(d)))
 
 
 class TestRootEnumeration:
@@ -499,7 +504,7 @@ class TestPolynomialSieve:
         if d < 0:
             got = forms._reduced_forms_neg(d)
         else:
-            got = forms._reduced_forms_pos(d, math.isqrt(d))
+            got = list(forms._reduced_forms_pos(d, math.isqrt(d)))
         want = reference_forms(d)
         assert len(got) == len(set(got)) and set(got) == set(want), d
         listed = forms._core_info(d)
