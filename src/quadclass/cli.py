@@ -10,10 +10,12 @@ that spends CPU in every survey process.
 
 Exit codes: 0 success; 2 invalid family or flag values (verdict printed),
 or a survey past experiments.survey_limit, refused before it allocates;
-3 domain error (e.g. a square discriminant); 4 cache corruption, or a
-cache file that cannot be read or written (refused before a survey starts
-when the path is a directory or its directory is missing); 5 an invariant
-recheck failed (``invariant violated: ...``, naming D or x).
+3 domain error (e.g. a square discriminant); 4 cache corruption, naming
+the first bad line (a malformed or invalid record, or a D that is not a
+fundamental discriminant), or a cache file that cannot be read or written
+(a directory, or one in a missing directory, is refused before a survey
+starts; the file is written only after it); 5 an invariant recheck failed
+(``invariant violated: ...``, naming D or x).
 """
 
 from __future__ import annotations
@@ -191,27 +193,31 @@ _INT64 = range(-(1 << 63), 1 << 63)
 
 
 def _record_faults(rows):
-    """(mask, reason) per invariant of a record, over the rows of an (n, 5)
-    int64 array, in the order a row's first fault is reported."""
+    """(mask, message) per invariant of a record, over the rows of an (n, 5)
+    int64 array, in the order a row's first fault is reported; a message is
+    formatted with the row's CacheRecord as rec."""
     import numpy as np
 
-    from .experiments import survey_limit
+    from .experiments import _fundamental, survey_limit
 
     d, h_plus, h, unit_norm, r3 = rows.T
     real = d > 0
     # No run computes a |D| past the survey limit of its sign, so no run
-    # stores one; refusing one here keeps the fundamental check's sieve of
-    # [1, max |D|] that small too. Not np.abs(d), which overflows on -2^63.
+    # stores one; leaving such records out keeps the fundamental check's sieve
+    # of [1, max |D|] within the limit. Not np.abs(d), which overflows on -2^63.
+    past = (d > survey_limit()) | (d < -survey_limit(negative=True))
+    fundamental = np.ones(len(d), bool)
+    fundamental[~past] = _fundamental(d[~past])
     # 3^39 < 2^63 - 1 < 3^40, so r3 > 39 exceeds every int64 h_plus.
     return [
-        ((d == 0) | (h_plus < 1) | (h < 1) | (r3 < 0), "impossible record"),
-        ((d > survey_limit()) | (d < -survey_limit(negative=True)),
-         "|D| exceeds the survey limit in"),
-        ((unit_norm < -1) | (unit_norm > 1), "unit_norm outside {-1, 0, 1} in"),
-        ((r3 > 39) | (3 ** np.clip(r3, 0, 39) > h_plus), "3^r3 exceeds h_plus in"),
-        (~real & ((unit_norm != 0) | (h != h_plus)), "imaginary record inconsistent:"),
+        ((d == 0) | (h_plus < 1) | (h < 1) | (r3 < 0), "impossible record {rec}"),
+        (past, "|D| exceeds the survey limit in {rec}"),
+        ((unit_norm < -1) | (unit_norm > 1), "unit_norm outside {{-1, 0, 1}} in {rec}"),
+        ((r3 > 39) | (3 ** np.clip(r3, 0, 39) > h_plus), "3^r3 exceeds h_plus in {rec}"),
+        (~real & ((unit_norm != 0) | (h != h_plus)), "imaginary record inconsistent: {rec}"),
         (real & ((unit_norm == 0) | (h_plus - h != np.where(unit_norm == 1, h, 0))),
-         "real record inconsistent:"),
+         "real record inconsistent: {rec}"),
+        (~fundamental, "cached D={rec.D} is not a fundamental discriminant"),
     ]
 
 
@@ -248,8 +254,9 @@ def cache_load(path: str) -> experiments.ClassTable:
 
     The file is read once. A pattern finds the first line that is not five
     canonical integers, the lines before it are parsed into one int64 array,
-    and the record invariants and the ascending order are checked on that
-    array, which an experiments.ClassTable of CacheRecords then reads.
+    and the record invariants, that every D is a fundamental discriminant
+    and the ascending order are checked on that array in one pass. It
+    becomes the rows of the experiments.ClassTable the surveys read.
     CacheCorruption names path:lineno of the first bad line.
     """
     import numpy as np
@@ -270,20 +277,18 @@ def cache_load(path: str) -> experiments.ClassTable:
         rows = _parse_rows(data[:end])
     bad_line = data[end:].split(b"\n", 1)[0] if end < len(data) else None
     del data
-    fault = np.zeros(len(rows), dtype=bool)
     faults = _record_faults(rows)
-    for mask, _ in faults:
-        fault |= mask
+    fault = np.any([mask for mask, _ in faults], axis=0)
     fault[1:] |= rows[1:, 0] <= rows[:-1, 0]  # not np.diff, which can overflow
     if fault.any():
         i = int(fault.argmax())
         rec = CacheRecord(*rows[i].tolist())
-        why = next((f"{reason} {rec}" for mask, reason in faults if mask[i]),
+        why = next((message.format(rec=rec) for mask, message in faults if mask[i]),
                    "records not strictly ascending")
         raise CacheCorruption(f"{path}:{i + 1}: {why}")
     if bad_line is not None:
         raise CacheCorruption(f"{path}:{len(rows) + 1}: {_format_fault(bad_line)}")
-    return experiments.ClassTable(rows, CacheRecord)
+    return experiments.ClassTable(rows)
 
 
 def cache_store(path: str, records) -> None:
@@ -298,7 +303,7 @@ def cache_store(path: str, records) -> None:
         if old != rec:
             raise CacheCorruption(f"conflicting records for D={rec[0]}: "
                                   f"{CacheRecord(*old)} vs {CacheRecord(*rec)}")
-    tmp = f"{path}.{os.getpid()}.tmp"
+    tmp = _temp_path(path)
     try:
         with open(tmp, "w", encoding="ascii", newline="") as fh:
             fh.writelines(",".join(map(str, merged[d])) + "\n" for d in sorted(merged))
@@ -308,16 +313,9 @@ def cache_store(path: str, records) -> None:
             os.remove(tmp)
 
 
-def _infos_of(records: experiments.ClassTable) -> experiments.ClassTable:
-    """The class data of cached records, over their rows; every D must be a
-    fundamental discriminant, which one vectorized check confirms."""
-    from . import experiments
-
-    ds = records.rows[:, 0]
-    bad = ds[~experiments._fundamental(ds)]
-    if len(bad):
-        raise CacheCorruption(f"cached D={int(bad[0])} is not a fundamental discriminant")
-    return experiments.ClassTable(records.rows)
+def _temp_path(path: str) -> str:
+    """The file beside path that cache_store writes before renaming it."""
+    return f"{path}.{os.getpid()}.tmp"
 
 
 # ----------------------------------------------------------------------
@@ -444,13 +442,13 @@ def _dispatch(args) -> int:
     family = verdict
 
     table = experiments.ClassTable()
+    fresh = bool(args.cache) and not os.path.exists(args.cache)
     try:
-        # A new cache file is created empty before the survey, so a path it
-        # cannot be written to is refused before anything is computed.
-        if args.cache and os.path.exists(args.cache):
-            table = _infos_of(cache_load(args.cache))
+        if fresh:  # refused before the survey if cache_store could not write it
+            open(_temp_path(args.cache), "wb").close()
+            os.remove(_temp_path(args.cache))
         elif args.cache:
-            cache_store(args.cache, [])
+            table = cache_load(args.cache)
     except OSError as exc:
         return _cache_error(args.cache, exc)
     loaded = len(table)
@@ -459,8 +457,8 @@ def _dispatch(args) -> int:
                     progress=args.progress)
     certificates, report = result if args.command == "lambda" else (None, result)
 
-    # A run that computed nothing leaves the cache file untouched.
-    if args.cache and len(table) > loaded:
+    # A run that computed nothing leaves an existing cache file untouched.
+    if args.cache and (fresh or len(table) > loaded):
         try:
             cache_store(args.cache, table.rows.tolist())
         except OSError as exc:

@@ -278,15 +278,14 @@ def _info(d, h_plus, h, unit_norm, r3):
 
 class ClassTable(Mapping):
     """An (n, 5) int64 array ``rows`` of (D, h_plus, h, unit_norm, r3) sorted
-    by D, read as a mapping D -> value(*row), built when read; keys other
+    by D, read as a mapping D -> ClassGroupInfo, built when read; keys other
     than integers within int64 are absent. ``add`` merges rows of new D."""
 
-    def __init__(self, rows=None, value=_info):
+    def __init__(self, rows=None):
         import numpy as np
 
         # Column-major, so that searchsorted reads the D column in place.
         self.rows = np.asfortranarray(np.empty((0, 5), np.int64) if rows is None else rows)
-        self._value = value
 
     def add(self, rows):
         import numpy as np
@@ -307,7 +306,7 @@ class ClassTable(Mapping):
         i = self._find(d)
         if i is None:
             raise KeyError(d)
-        return self._value(*self.rows[i].tolist())
+        return _info(*self.rows[i].tolist())
 
     def __contains__(self, d):
         return self._find(d) is not None

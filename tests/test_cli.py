@@ -131,8 +131,10 @@ class TestRenderReport:
 
 class TestCache:
     def _records(self, n=1000):
+        # cache_load refuses a D that is not a fundamental discriminant.
         rng = random.Random(47)
-        ds = rng.sample(range(2, 10**6), n)
+        ds = [d for d in rng.sample(range(2, 10**6), 4 * n) if _is_fundamental(d)][:n]
+        assert len(ds) == n
         recs = []
         for d in ds:
             recs.append(CacheRecord(d, 4, 2, 1, 1))
@@ -143,7 +145,7 @@ class TestCache:
         recs = self._records()
         cli.cache_store(str(path), recs)
         loaded = cli.cache_load(str(path))
-        assert loaded == {r.D: r for r in recs}
+        assert loaded.rows.tolist() == sorted(map(list, recs))
 
     def test_file_format_is_canonical(self, tmp_path):
         path = tmp_path / "cache.txt"
@@ -154,7 +156,8 @@ class TestCache:
     def test_known_line_loads(self, tmp_path):
         path = tmp_path / "cache.txt"
         path.write_text("229,3,3,-1,1\n")
-        assert cli.cache_load(str(path))[229] == CacheRecord(229, 3, 3, -1, 1)
+        assert cli.cache_load(str(path)).rows.tolist() == [[229, 3, 3, -1, 1]]
+        assert cli.cache_load(str(path))[229] == forms.class_group_info(229)
 
     def test_invariant_violation_rejected(self, tmp_path):
         path = tmp_path / "cache.txt"
@@ -239,9 +242,7 @@ class TestEndToEndDeterminism:
         run_cli(capsys, "imaginary", "--m", "1", "--n", "4", "--x", "400", "--cache", str(cache))
         recs = cli.cache_load(str(cache))
         assert recs and all(d < 0 for d in recs)
-        infos = cli._infos_of(recs)
-        fresh = experiments.compute_class_infos(list(recs))
-        assert infos == fresh
+        assert recs == experiments.compute_class_infos(list(recs))
 
     def test_lambda_certificates_rendered(self, capsys):
         code, out, _ = run_cli(capsys, "lambda", "--m", "17", "--n", "12", "--t", "12", "--x", "300")
@@ -270,12 +271,24 @@ class TestProgress:
         assert done == total
 
 
+def _is_fundamental(d):
+    """Whether d is a fundamental discriminant, by trial division: d = 1 mod
+    4 and squarefree, or d = 4m with m = 2, 3 mod 4 and squarefree; not 1."""
+    if d % 4 == 0 and d // 4 % 4 in (2, 3):
+        d //= 4
+    elif d % 4 != 1 or d == 1:
+        return False
+    return all(abs(d) % (p * p) for p in range(2, int(abs(d) ** 0.5) + 1))
+
+
 def _valid_record(rec):
     """The record invariants cache_load enforces, one record at a time."""
     d, h_plus, h, unit_norm, r3 = rec
     if d == 0 or h_plus < 1 or h < 1 or r3 < 0 or unit_norm not in (-1, 0, 1):
         return False
     if d > LIMIT or -d > LIMIT_NEG:  # beyond what any survey computes
+        return False
+    if not _is_fundamental(d):
         return False
     # 3^r3 >= 2^r3, so a large r3 is refused before 3**r3 is computed.
     if r3 >= h_plus.bit_length() or 3**r3 > h_plus:
@@ -309,7 +322,7 @@ def reference_load(path):
 def vectorized_load(path):
     """cache_load's records, or the line number its CacheCorruption names."""
     try:
-        return cli.cache_load(path)
+        return {row[0]: CacheRecord(*row) for row in cli.cache_load(path).rows.tolist()}
     except CacheCorruption as exc:
         m = re.match(re.escape(path) + r":(\d+): ", str(exc))
         assert m, str(exc)
@@ -321,9 +334,18 @@ _JUNK_FIELDS = ["-0", "+5", "05", " 5", "5 ", "x", "", "1_0", "92233720368547758
                 "12157665459056928801", "40"]
 
 
+def _next_fundamental(d):
+    """The least fundamental discriminant >= d."""
+    while not _is_fundamental(d):
+        d += 1
+    return d
+
+
 @st.composite
 def _record_lines(draw):
-    d = draw(st.integers(-10**6, 10**6).filter(bool))
+    # A D that is not fundamental would refuse the file at its first line,
+    # so valid lines draw fundamental D; _JUNK_LINES adds lines with 9D.
+    d = draw(st.integers(-10**6, 10**6).map(_next_fundamental))
     r3 = draw(st.integers(0, 3))
     h = 3**r3 * draw(st.integers(1, 4))
     if d < 0:
@@ -341,8 +363,15 @@ def _mutated_record_lines(draw):
     return ",".join(fields)
 
 
+def _times_nine(line):
+    """The record line with D replaced by 9D, which is not fundamental."""
+    d, rest = line.split(",", 1)
+    return f"{9 * int(d)},{rest}"
+
+
 _JUNK_LINES = st.one_of(
     _mutated_record_lines(),
+    _record_lines().map(_times_nine),
     st.lists(st.one_of(st.integers(-3, 3).map(str), st.sampled_from(_JUNK_FIELDS)),
              min_size=4, max_size=6).map(",".join),
     st.text(alphabet="0123456789,-+ \r", max_size=16),
@@ -395,13 +424,17 @@ class TestCacheParserReference:
         (f"{-LIMIT_NEG - 1},1,1,0,0\n5,1,1,-1,0\n", 1),
         (f"5,1,1,-1,0\n{LIMIT + 1},1,1,-1,0\n", 2),
         (f"{-LIMIT_NEG},1,1,0,0\n{LIMIT},2,1,1,0\n", {-LIMIT_NEG, LIMIT}),
+        ("9,1,1,-1,0\n229,3,3,-1,1\n", 1),
+        ("5,1,1,-1,0\n45,1,1,-1,0\n229,3,3,-2,1\n", 2),
+        (f"{-LIMIT_NEG - 1},1,1,0,0\n-12,1,1,0,0\n", 1),
     ], ids=["minus-zero", "plus-sign", "leading-zero", "padding", "crlf", "blank-line",
             "missing-final-lf", "empty-file", "duplicate-d", "descending-d", "19-digits-int64",
             "19-digits-beyond-int64", "below-int64", "r3-40", "r3-40-beyond-int64",
             "d-zero", "unit-norm-range", "3-torsion-exceeds-h-plus", "imaginary-inconsistent",
             "real-norm-zero", "real-h-plus-not-2h", "r3-int64-max", "d-below-minus-2^27",
             "d-above-2^27", "d-at-plus-minus-2^27", "d-below-minus-limit", "d-above-limit",
-            "d-at-both-limits"])
+            "d-at-both-limits", "non-fundamental-first-line",
+            "non-fundamental-before-invariant-fault", "non-fundamental-after-limit-fault"])
     def test_explicit_cases(self, tmp_path, text, expected):
         path = tmp_path / "cache.txt"
         path.write_bytes(text.encode("ascii"))
@@ -586,6 +619,18 @@ def test_survey_past_its_limit_exits_2_before_it_allocates(name, t, x):
     assert (code, out) == (2, ""), err
     assert f"exceeds the survey limit {limit} for D {'<' if name == 'imaginary' else '>'} 0" in err
     assert peak_mb < 100
+
+
+@pytest.mark.parametrize("name,t", [("nh-average", 0), ("pairs", 8), ("imaginary", 0)])
+def test_survey_past_its_limit_leaves_no_cache_file(tmp_path, capsys, monkeypatch, name, t):
+    """A fresh --cache path is written only after the survey, so a survey
+    refused for its limit leaves neither the file nor a temporary one."""
+    x = LIMIT_NEG + 2 if name == "imaginary" else LIMIT + 1 - t
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, name, "--x", str(x), "--m", "1", "--n", "4", "--t", str(t),
+                             "--cache", "new.txt")
+    assert (code, out) == (2, "") and "exceeds the survey limit" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestColumnarPath:
