@@ -165,10 +165,11 @@ def _block_rows(block, ranges, off, dv):
 # for k discriminants. _square_np's products stay below 2|D|^1.5, and the
 # square (A, B, C) has 0 < A < |D|, 0 <= B < 2|D| + sqrt|D| and
 # |C| < |D| + sqrt|D|. For D < 0, every later value of _reduce_neg_np is below
-# 4|D|, as each translation lands on a c below |D|. For D > 0, a rho step from
-# a form with third coefficient c takes an r with |r| < 2|c| + sqrt(D), and
+# 4|D|, as each translation lands on a c below |D|. For D > 0, a rho step of
+# _reduce_pos_np from a form with third coefficient c takes an r with
+# |r| <= |c| while |c| > sqrt(D), else |r| < 2|c| + sqrt(D) <= 3 sqrt(D), and
 # the next third coefficient is at most max(|c|, sqrt D) in magnitude, so
-# every rho step of the batch has r^2 < (2D + 3 sqrt D)^2 < 6.5·10^17 < 2^63.
+# every rho step of the batch has r^2 < (D + sqrt D)^2 < 2^63.
 # The reduced test of _reduce_pos_np compares 2a - b and 2a + b with isqrt(D)
 # and squares nothing.
 
@@ -334,6 +335,7 @@ def _reduce_pos_np(a, b, c, D, F):
         out[:, i[done]] = a[done], b[done], c[done]
         go = ~done
         i, a, b, c, D, F = i[go], a[go], b[go], c[go], D[go], F[go]
-        r = F - (F + b) % (2 * np.abs(c))  # rho: (a, b, c) -> (c, r, .)
+        m = np.maximum(F, np.abs(c))  # centred while |c| > F, as in _reduce_pos
+        r = m - (m + b) % (2 * np.abs(c))  # rho: (a, b, c) -> (c, r, .)
         a, b, c = c, r, (r * r - D) // (4 * c)
     return out

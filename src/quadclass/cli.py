@@ -1,12 +1,15 @@
 """Command-line front end: one subcommand per experiment, csv/json output,
 a line-oriented result cache, and a worker-pool size flag.
 
-A process loads only what its subcommand runs: a query loads no numpy, and
-a survey whose discriminants are all cached loads neither the batch nor the
-forms; json is imported only to render ``--format json``. ``run`` sets
+A process loads only what its subcommand runs: a query loads no numpy,
+and numpy is loaded only by a survey that computes some discriminant. A
+survey whose discriminants are all cached loads neither numpy nor the batch,
+nor the forms unless it builds lambda's certificates: the cache is parsed
+by json and checked column by column in plain Python. json is imported only
+to read a cache or to render ``--format json``. ``run`` sets
 OPENBLAS_NUM_THREADS to 1 unless the user chose a value: quadclass calls no
 BLAS routine, and numpy's OpenBLAS would otherwise start a worker thread
-that spends CPU in every survey process.
+that spends CPU in every process that computes.
 
 Exit codes: 0 success; 2 invalid family or flag values (verdict printed),
 or a survey past experiments.survey_limit, refused before it allocates;
@@ -21,10 +24,13 @@ starts; the file is written only after it); 5 an invariant recheck failed
 from __future__ import annotations
 
 import argparse
-import io
+import operator
 import os
 import re
 import sys
+from array import array
+from bisect import bisect_left
+from itertools import islice
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import arith
@@ -190,45 +196,94 @@ _LINE = rb"%s(?:,%s){4}" % (_FIELD, _FIELD)
 _BAD_LINE = re.compile(rb"^(?!%s$)" % _LINE, re.MULTILINE)
 _LONG_FIELD = re.compile(rb"-?[0-9]{19}")
 _INT64 = range(-(1 << 63), 1 << 63)
+# Bytes of record lines parsed at once, and records checked at once: each
+# bounds the Python ints alive during a load to about 10 MB.
+_CHUNK = 1 << 20
+_BLOCK = 1 << 16
+_POW3 = [3**k for k in range(40)]  # 3^39 < 2^63 - 1 < 3^40
 
 
-def _record_faults(rows):
-    """(mask, message) per invariant of a record, over the rows of an (n, 5)
-    int64 array, in the order a row's first fault is reported; a message is
-    formatted with the row's CacheRecord as rec."""
-    import numpy as np
-
+def _record_checks():
+    """(check, message) per invariant of a record, in the order a record's
+    first fault is reported. check(d, h_plus, h, unit_norm, r3) is whether
+    every record of those nonempty lists of ints keeps the invariant, given
+    that they keep the ones before it and that D ascends; each is a few
+    passes of C-level builtins. A message is formatted with the record as
+    rec and its sign as kind."""
     from .experiments import _fundamental, survey_limit
 
-    d, h_plus, h, unit_norm, r3 = rows.T
-    real = d > 0
     # No run computes a |D| past the survey limit of its sign, so no run
-    # stores one; leaving such records out keeps the fundamental check's sieve
-    # of [1, max |D|] within the limit. Not np.abs(d), which overflows on -2^63.
-    past = (d > survey_limit()) | (d < -survey_limit(negative=True))
-    fundamental = np.ones(len(d), bool)
-    fundamental[~past] = _fundamental(d[~past])
-    # 3^39 < 2^63 - 1 < 3^40, so r3 > 39 exceeds every int64 h_plus.
+    # stores one; the fundamental check, after this one, sieves within it.
+    limits = range(-survey_limit(negative=True), survey_limit() + 1)
+
+    def consistent(d, h_plus, h, unit_norm, r3):
+        # unit_norm is 0 exactly for the D < 0, which come first, and h_plus
+        # is 2h for unit norm 1, else h.
+        k = bisect_left(d, 0)
+        return (not any(unit_norm[:k]) and h_plus[:k] == h[:k] and 0 not in unit_norm[k:]
+                and list(map(operator.mul, h[k:], map((1, 2, 1).__getitem__, unit_norm[k:])))
+                == h_plus[k:])
+
     return [
-        ((d == 0) | (h_plus < 1) | (h < 1) | (r3 < 0), "impossible record {rec}"),
-        (past, "|D| exceeds the survey limit in {rec}"),
-        ((unit_norm < -1) | (unit_norm > 1), "unit_norm outside {{-1, 0, 1}} in {rec}"),
-        ((r3 > 39) | (3 ** np.clip(r3, 0, 39) > h_plus), "3^r3 exceeds h_plus in {rec}"),
-        (~real & ((unit_norm != 0) | (h != h_plus)), "imaginary record inconsistent: {rec}"),
-        (real & ((unit_norm == 0) | (h_plus - h != np.where(unit_norm == 1, h, 0))),
-         "real record inconsistent: {rec}"),
-        (~fundamental, "cached D={rec.D} is not a fundamental discriminant"),
+        (lambda d, h_plus, h, unit_norm, r3:
+         0 not in d and min(h_plus) >= 1 and min(h) >= 1 and min(r3) >= 0,
+         "impossible record {rec}"),
+        (lambda d, *_: min(d) in limits and max(d) in limits,
+         "|D| exceeds the survey limit in {rec}"),
+        (lambda d, h_plus, h, unit_norm, r3: min(unit_norm) >= -1 and max(unit_norm) <= 1,
+         "unit_norm outside {{-1, 0, 1}} in {rec}"),
+        # 3^39 < 2^63 - 1 < 3^40, so r3 > 39 exceeds every int64 h_plus.
+        (lambda d, h_plus, h, unit_norm, r3:
+         max(r3) <= 39 and all(map(operator.le, map(_POW3.__getitem__, r3), h_plus)),
+         "3^r3 exceeds h_plus in {rec}"),
+        (consistent, "{kind} record inconsistent: {rec}"),
+        (lambda d, *_: all(_fundamental(d)), "cached D={rec.D} is not a fundamental discriminant"),
     ]
 
 
-def _parse_rows(lines: bytes):
-    """The (n, 5) int64 array of canonical record lines; ValueError when a
-    field does not fit in int64."""
-    import numpy as np
+def _first_fault(columns):
+    """(index, message) of the first record of the columns that breaks an
+    invariant of _record_checks or the ascending order of D, or None. The
+    records are checked a block at a time as lists of ints, and only in a
+    block that fails is the first bad record looked for."""
+    checks = _record_checks()
 
-    if not lines:
-        return np.empty((0, 5), dtype=np.int64)
-    return np.loadtxt(io.BytesIO(lines), dtype=np.int64, delimiter=",", ndmin=2)
+    def clean(part, before):  # whether the records of part pass, after D = before
+        d = part[0] if before is None else [before, *part[0]]
+        return (all(check(*part) for check, _ in checks)
+                and all(map(operator.lt, d, islice(d, 1, None))))
+
+    before = None
+    for lo in range(0, len(columns[0]), _BLOCK):
+        part = [c[lo : lo + _BLOCK].tolist() for c in columns]
+        if not clean(part, before):
+            # Every prefix of a clean prefix is clean.
+            i = bisect_left(range(len(part[0])), True,
+                            key=lambda k: not clean([c[: k + 1] for c in part], before))
+            rec = CacheRecord(*(c[i] for c in part))
+            kind = "imaginary" if rec.D < 0 else "real"
+            return lo + i, next((message.format(rec=rec, kind=kind) for check, message in checks
+                                 if not check(*([v] for v in rec))),
+                                "records not strictly ascending")
+        before = part[0][-1]
+    return None
+
+
+def _parse_columns(data: bytes, end: int):
+    """The five int64 array('q') columns of the canonical record lines
+    data[:end], parsed by json a chunk of lines at a time; OverflowError when
+    a field does not fit in int64."""
+    import json
+
+    columns = [array("q") for _ in range(5)]
+    start = 0
+    while start < end:
+        stop = data.find(b"\n", start + _CHUNK, end) + 1 or end
+        fields = json.loads(b"[%s]" % data[start:stop].rstrip(b"\n").replace(b"\n", b","))
+        for column, values in zip(columns, (fields[j::5] for j in range(5))):
+            column.extend(values)
+        start = stop
+    return columns
 
 
 def _format_fault(line: bytes) -> str:
@@ -253,14 +308,13 @@ def cache_load(path: str) -> experiments.ClassTable:
     """Load and validate a cache file; sorted ascending by D, no duplicates.
 
     The file is read once. A pattern finds the first line that is not five
-    canonical integers, the lines before it are parsed into one int64 array,
-    and the record invariants, that every D is a fundamental discriminant
-    and the ascending order are checked on that array in one pass. It
-    becomes the rows of the experiments.ClassTable the surveys read.
-    CacheCorruption names path:lineno of the first bad line.
+    canonical integers, and the lines before it are parsed into five int64
+    columns. The record invariants, that every D is a fundamental
+    discriminant and the ascending order are checked column by column; only
+    when a check fails is the first bad record looked for. The columns
+    become those of the experiments.ClassTable the surveys read. No numpy
+    is loaded. CacheCorruption names path:lineno of the first bad line.
     """
-    import numpy as np
-
     from . import experiments
 
     with open(path, "rb") as fh:
@@ -270,25 +324,19 @@ def cache_load(path: str) -> experiments.ClassTable:
     # where no line starts.
     end = bad.start() if bad else len(data)
     try:
-        rows = _parse_rows(data[:end])
-    except ValueError:  # a 19-digit field beyond int64; the lines before it stand
+        columns = _parse_columns(data, end)
+    except OverflowError:  # a 19-digit field beyond int64; the lines before it stand
         field = next(f for f in _LONG_FIELD.finditer(data, 0, end) if int(f[0]) not in _INT64)
         end = data.rfind(b"\n", 0, field.start()) + 1
-        rows = _parse_rows(data[:end])
+        columns = _parse_columns(data, end)
     bad_line = data[end:].split(b"\n", 1)[0] if end < len(data) else None
     del data
-    faults = _record_faults(rows)
-    fault = np.any([mask for mask, _ in faults], axis=0)
-    fault[1:] |= rows[1:, 0] <= rows[:-1, 0]  # not np.diff, which can overflow
-    if fault.any():
-        i = int(fault.argmax())
-        rec = CacheRecord(*rows[i].tolist())
-        why = next((message.format(rec=rec) for mask, message in faults if mask[i]),
-                   "records not strictly ascending")
-        raise CacheCorruption(f"{path}:{i + 1}: {why}")
+    fault = _first_fault(columns)
+    if fault is not None:
+        raise CacheCorruption(f"{path}:{fault[0] + 1}: {fault[1]}")
     if bad_line is not None:
-        raise CacheCorruption(f"{path}:{len(rows) + 1}: {_format_fault(bad_line)}")
-    return experiments.ClassTable(rows)
+        raise CacheCorruption(f"{path}:{len(columns[0]) + 1}: {_format_fault(bad_line)}")
+    return experiments.ClassTable(columns)
 
 
 def cache_store(path: str, records) -> None:
@@ -296,7 +344,7 @@ def cache_store(path: str, records) -> None:
     file; conflicting duplicates are corruption.
     The file is re-read first, so records another run stored meanwhile are
     kept, and is replaced by a rename, so a failed write leaves the old one."""
-    stored = cache_load(path).rows.tolist() if os.path.exists(path) else []
+    stored = zip(*cache_load(path).columns) if os.path.exists(path) else ()
     merged = {r[0]: tuple(r) for r in stored}
     for rec in map(tuple, records):
         old = merged.setdefault(rec[0], rec)
@@ -460,7 +508,7 @@ def _dispatch(args) -> int:
     # A run that computed nothing leaves an existing cache file untouched.
     if args.cache and (fresh or len(table) > loaded):
         try:
-            cache_store(args.cache, table.rows.tolist())
+            cache_store(args.cache, zip(*table.columns))
         except OSError as exc:
             return _cache_error(args.cache, exc)
     sys.stdout.write(render_report(report, args.format, certificates))

@@ -25,12 +25,15 @@ worker count. An optional ``cache``, a ClassTable or a mapping D ->
 ClassGroupInfo, is consulted before computing and extended in place.
 
 Class data comes from the numpy batch alone, and a survey past
-survey_limit is refused before it allocates anything. The batch and the
-forms are imported only when a discriminant is computed, so a survey
-answered from its cache loads neither. The CLI starts numpy's OpenBLAS with
-one thread, since nothing here calls BLAS; this module leaves the
-environment alone, so a Python caller may set OPENBLAS_NUM_THREADS=1 itself
-before numpy is first imported.
+survey_limit is refused before it allocates anything. numpy, the batch and
+the forms are imported only when a discriminant is computed (_core_rows),
+and the forms also where a ClassGroupInfo is built, as for lambda's
+certificates. Everything else, the progression scan, the class table and
+the aggregation, is plain Python over lists of ints and int64 array('q')
+columns, so a survey answered from its cache loads no numpy. The CLI
+starts numpy's OpenBLAS with one thread, since nothing here calls BLAS;
+this module leaves the environment alone, so a Python caller may set
+OPENBLAS_NUM_THREADS=1 itself before numpy is first imported.
 """
 
 from __future__ import annotations
@@ -39,21 +42,24 @@ import math
 import operator
 import os
 import sys
+from array import array
 from bisect import bisect_left, bisect_right
 from collections.abc import Mapping
 from contextlib import ExitStack
-from dataclasses import dataclass
 from functools import lru_cache
-from itertools import count
-from typing import Iterator
+from itertools import chain, compress, count, filterfalse, islice, repeat
+from operator import and_, mod, not_, or_, truth
+from typing import Iterator, NamedTuple
 
-from .arith import (DEFAULT_MAX_CELLS, Discriminant, _largest_n, divisor_table_bytes,
-                    is_fundamental_discriminant, kronecker, mobius, sieve_squarefree)
-from .arith import smallest_prime_factors  # noqa: F401  (perfbench/traced_cli.py wraps this name)
+from .arith import (DEFAULT_MAX_CELLS, Discriminant, _largest_n, _squarefree_cells,
+                    divisor_table_bytes, is_fundamental_discriminant, kronecker, mobius)
+# perfbench/traced_cli.py wraps these names.
+from .arith import sieve_squarefree, smallest_prime_factors  # noqa: F401
 from .families import LEVEL_LAMBDA, LEVEL_NH, LEVEL_THEOREM, LEVELS, CongruenceFamily
 
-# numpy is imported where it is used: perfbench/traced_cli.py imports this
-# module before cli.run sets OPENBLAS_NUM_THREADS.
+# numpy is imported where a discriminant is computed: in _core_rows, and in
+# the ClassTable methods that only a computing run or a reader of .rows
+# reaches.
 
 __all__ = [
     "ClassTable",
@@ -97,10 +103,11 @@ _TABLE_CAP_BYTES = 1 << 27
 # report data types
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DiscriminantSets:
-    """Counts of the progression sets at one checkpoint."""
+# NamedTuples, not dataclasses, so that a survey does not import dataclasses
+# and the inspect and ast modules it pulls in. A type whose values are
+# checked subclasses its fields' NamedTuple and checks them in __new__.
 
+class _Sets(NamedTuple):
     x: int
     family: CongruenceFamily
     S: int
@@ -109,17 +116,24 @@ class DiscriminantSets:
     L_t: int | None = None
     L_cap_Lt: int | None = None
 
-    def __post_init__(self):
+
+class DiscriminantSets(_Sets):
+    """Counts of the progression sets at one checkpoint."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.S_plus > self.S or self.S_plus < 0:
             raise AssertionError(f"set counts inconsistent at x={self.x}")
         if self.L is not None and self.L_t is not None:
             low = min(self.L, self.L_t)
             if not (0 <= (self.L_cap_Lt or 0) <= low <= self.S_plus):
                 raise AssertionError(f"set chain violated at x={self.x}")
+        return self
 
 
-@dataclass(frozen=True)
-class Checkpoint:
+class Checkpoint(NamedTuple):
     x: int
     sets: DiscriminantSets
     ratio_L: float | None = None
@@ -132,10 +146,7 @@ class Checkpoint:
     no_data: bool = False
 
 
-@dataclass(frozen=True)
-class DensityReport:
-    """Checkpointed counts and ratios, with the target constant attached."""
-
+class _Report(NamedTuple):
     experiment: str
     family: CongruenceFamily
     denominator: str  # "S", "S_plus", or "S_minus"
@@ -143,7 +154,14 @@ class DensityReport:
     target_bounds: dict
     checkpoints: list
 
-    def __post_init__(self):
+
+class DensityReport(_Report):
+    """Checkpointed counts and ratios, with the target constant attached."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         xs = [c.x for c in self.checkpoints]
         if xs != sorted(set(xs)):
             raise AssertionError("checkpoints must be strictly increasing")
@@ -153,10 +171,10 @@ class DensityReport:
                     raise AssertionError(f"ratio {r} outside [0, 1] at x={c.x}")
             if c.nh_average is not None and c.nh_average < 1.0:
                 raise AssertionError(f"average of 3^r3 below 1 at x={c.x}")
+        return self
 
 
-@dataclass(frozen=True)
-class Lambda3Certificate:
+class Lambda3Certificate(NamedTuple):
     """Witness that 3 is inert and 3 does not divide h for D and D + t.
 
     All four constraint fields are recomputed from scratch at emission time;
@@ -277,45 +295,61 @@ def _info(d, h_plus, h, unit_norm, r3):
 
 
 class ClassTable(Mapping):
-    """An (n, 5) int64 array ``rows`` of (D, h_plus, h, unit_norm, r3) sorted
-    by D, read as a mapping D -> ClassGroupInfo, built when read; keys other
-    than integers within int64 are absent. ``add`` merges rows of new D."""
+    """Rows (D, h_plus, h, unit_norm, r3) sorted by D, held as five int64
+    array('q') ``columns`` and read as a mapping D -> ClassGroupInfo, built
+    when read; keys other than integers are absent. ``rows`` is an (n, 5)
+    numpy copy of them, made when asked for; ``add`` merges rows of new D."""
 
-    def __init__(self, rows=None):
+    def __init__(self, columns=()):
+        self.columns = tuple(columns) or tuple(array("q") for _ in range(5))
+
+    @property
+    def rows(self):
         import numpy as np
 
-        # Column-major, so that searchsorted reads the D column in place.
-        self.rows = np.asfortranarray(np.empty((0, 5), np.int64) if rows is None else rows)
+        return np.column_stack([np.frombuffer(c, np.int64) for c in self.columns])
 
     def add(self, rows):
+        """Merge an (n, 5) int64 numpy array of rows whose D are new."""
         import numpy as np
 
         rows = np.concatenate((self.rows, rows))
-        self.rows = np.asfortranarray(rows[rows[:, 0].argsort(kind="stable")])
+        rows = rows[rows[:, 0].argsort(kind="stable")]
+        self.columns = tuple(array("q", col.tobytes()) for col in rows.T)
 
-    def _find(self, d):
-        """The row index of key d, or None."""
+    def row(self, d):
+        """The row of key d as a tuple of ints; KeyError when d is absent."""
         try:
             d = operator.index(d)
         except TypeError:
-            return None
-        i = int(self.rows[:, 0].searchsorted(d))
-        return i if i < len(self) and self.rows[i, 0] == d else None
+            raise KeyError(d) from None
+        keys = self.columns[0]
+        i = bisect_left(keys, d)
+        if i == len(keys) or keys[i] != d:
+            raise KeyError(d)
+        return tuple(c[i] for c in self.columns)
+
+    def within(self, lo, hi):
+        """The columns of the rows with lo <= D <= hi."""
+        keys = self.columns[0]
+        i, j = bisect_left(keys, lo), bisect_right(keys, hi)
+        return [c[i:j] for c in self.columns]
 
     def __getitem__(self, d):
-        i = self._find(d)
-        if i is None:
-            raise KeyError(d)
-        return _info(*self.rows[i].tolist())
+        return _info(*self.row(d))
 
     def __contains__(self, d):
-        return self._find(d) is not None
+        try:
+            self.row(d)
+        except KeyError:
+            return False
+        return True
 
     def __iter__(self):
-        return iter(self.rows[:, 0].tolist())
+        return iter(self.columns[0])
 
     def __len__(self):
-        return len(self.rows)
+        return len(self.columns[0])
 
 
 def compute_class_infos(ds, *, jobs: int = 1, cache: Mapping | None = None,
@@ -325,31 +359,34 @@ def compute_class_infos(ds, *, jobs: int = 1, cache: Mapping | None = None,
     Returns a ClassTable of exactly the D of ds. A ClassTable cache gains the
     computed rows; a mapping D -> ClassGroupInfo is consulted first and gains
     a ClassGroupInfo per computed D. Output is independent of ``jobs``. A D
-    to compute past survey_limit of its sign raises ValueError first.
+    to compute past survey_limit of its sign raises ValueError first. Only a
+    run that computes some D loads numpy.
     """
-    import numpy as np
-
-    wanted = np.sort(np.asarray(ds if isinstance(ds, np.ndarray) else list(ds), np.int64))
-    # Each value unequal to the one before it; not np.unique, which imports
-    # numpy.ma to ask whether its input is masked. For that reason every
-    # np.isin here is told that its inputs, distinct D, are unique.
-    first = np.ones(len(wanted), bool)
-    first[1:] = wanted[1:] != wanted[:-1]
-    wanted = wanted[first]
+    # Distinct D, ascending: each one unequal to the one before it. Not a
+    # set, which raised the peak RSS of a cold nh-average at X = 10^6 by 3.5 MB.
+    wanted = sorted(map(operator.index, ds))
+    wanted = list(compress(wanted, map(operator.ne, wanted, chain((None,), wanted))))
+    if not wanted:
+        return ClassTable()
     table = cache
     if not isinstance(cache, ClassTable):
-        hits = [cache[d] for d in wanted.tolist() if d in cache] if cache else []
-        table = ClassTable(np.array([(i.D.value, i.h_plus, i.h, i.unit_norm, i.r3) for i in hits],
-                                    np.int64).reshape(-1, 5))
-    todo = wanted[np.isin(wanted, table.rows[:, 0], assume_unique=True, invert=True)]
-    if len(todo):
-        _check_limit(-int(todo[0]), negative=True)  # todo is ascending
-        _check_limit(int(todo[-1]))
-        rows = _core_rows(todo.tolist(), jobs, progress)
+        hits = [cache[d] for d in wanted if d in cache] if cache else []
+        table = ClassTable(array("q", column) for column in zip(
+            *[(i.D.value, i.h_plus, i.h, i.unit_norm, i.r3) for i in hits]))
+    columns = table.within(wanted[0], wanted[-1])
+    todo = list(filterfalse(set(columns[0]).__contains__, wanted))  # ascending
+    if todo:
+        _check_limit(-todo[0], negative=True)
+        _check_limit(todo[-1])
+        rows = _core_rows(todo, jobs, progress)
         table.add(rows)
         if cache is not None and cache is not table:
-            cache.update(zip(todo.tolist(), map(_info, *rows.T.tolist())))
-    return ClassTable(table.rows[np.isin(table.rows[:, 0], wanted, assume_unique=True)])
+            cache.update(zip(todo, map(_info, *rows.T.tolist())))
+        columns = table.within(wanted[0], wanted[-1])
+    if len(columns[0]) > len(wanted):  # the table holds D that ds does not
+        keep = list(map(set(wanted).__contains__, columns[0]))
+        columns = [array("q", compress(c, keep)) for c in columns]
+    return ClassTable(columns)
 
 
 # ----------------------------------------------------------------------
@@ -383,70 +420,85 @@ def _progression(family, lo, hi):
 
 
 def _fundamental(ds):
-    """Mask of the fundamental discriminants in ds, an int64 array: the core
-    of each candidate is looked up in one squarefree sieve of [1, max |D|],
-    whose flag sf[i] is that of i + 1. Without a candidate nothing is sieved."""
-    import numpy as np
-
-    r = ds & 3
-    q = ds >> 2  # floor division, so q & 3 is q mod 4 for either sign
-    core = np.abs(np.where(r == 1, ds, q))  # 0 only for 1 < D < 4, rejected by ok
-    ok = ((r == 1) & (ds != 1)) | ((r == 0) & ((q & 3) >= 2))
-    if not ok.any():
-        return ok
-    sf = sieve_squarefree(1, int(np.abs(ds).max())).squarefree_flags
-    return ok & sf[core - 1]
+    """Flags (a bytes object of 1 or 0) of the fundamental discriminants in
+    ds, a sequence of ints with |D| within DEFAULT_MAX_CELLS. One squarefree
+    sieve of [1, n], n = max |D|, is sliced into the flags of every
+    -n <= D <= n: D = 1 (mod 4) with core |D|, and D = 8, 12 (mod 16) with
+    core |D|/4."""
+    if not ds:
+        return b""
+    n = max(max(ds), -min(ds), 16)  # at least 16, so that every slice starts in range
+    sf = bytes(1) + _squarefree_cells(1, n, 1, DEFAULT_MAX_CELLS)  # sf[k] flags k
+    flags = bytearray(2 * n + 1)  # flags[n + D]
+    flags[n + 1 :: 4] = sf[1::4]
+    flags[n - 3 :: -4] = sf[3::4]
+    for d, core in ((8, 2), (12, 3), (-8, 2), (-4, 1)):
+        flags[n + d :: 16 if d > 0 else -16] = sf[core : n // 4 + 1 : 4]
+    flags[n + 1] = 0  # 1 is squarefree, but no discriminant
+    return bytes(map(flags.__getitem__, map(n.__add__, ds)))
 
 
 def _members(family, lo, hi):
     """The fundamental discriminants lo <= D <= hi of the progression, all of
-    one sign, as an int64 array sorted by |D|."""
-    import numpy as np
-
+    one sign, as a list sorted by |D|."""
     if max(-lo, hi) > DEFAULT_MAX_CELLS:
         raise ValueError(f"|D| up to {max(-lo, hi)} exceeds the squarefree sieve's "
                          f"{DEFAULT_MAX_CELLS} cells")
     prog = _progression(family, lo, hi)
-    ds = np.arange(prog.start, prog.stop, prog.step, dtype=np.int64)
     if hi < 0:
-        ds = ds[::-1]
-    return ds[_fundamental(ds)]
+        prog = prog[::-1]
+    return list(compress(prog, _fundamental(prog)))
 
 
 def enumerate_s_plus(x: int, family: CongruenceFamily) -> Iterator[Discriminant]:
     """Fundamental discriminants 0 < D < x with D = m (mod N), ascending."""
     _require_family(family)
-    return (_trusted(d) for d in _members(family, 1, x - 1).tolist())
+    return map(_trusted, _members(family, 1, x - 1))
 
 
 # ----------------------------------------------------------------------
 # experiments
 # ----------------------------------------------------------------------
 
-def _running(col):
-    """The running totals of a nonnegative integer column, exact."""
-    wide = len(col) and int(col.max()) * len(col) >= 1 << 63
-    return col.cumsum(dtype=object if wide else "int64")
+def _totals(values, ks):
+    """The total of the first k of values, an iterable of ints or bools, for
+    each k of the ascending ks, as ints."""
+    values, total, done = iter(values), 0, 0
+    totals = []
+    for k in ks:
+        total += sum(islice(values, k - done))
+        done = k
+        totals.append(total)
+    return totals
 
 
 def _survey(x, family, checkpoints, negative, stats, point, **run):
     """One Checkpoint per checkpoint c; point(c, |S|, k, *sums) builds those
     with data. The real side takes the members 0 < D <= x and counts |S| as
     1 <= D <= c, the imaginary side -x < D < 0 and -c < D < 0; k counts the
-    members with |D| < c, and sums[i] totals the column stats[i](rows) over them."""
+    members with |D| < c, and sums[i] totals the column stats[i](columns)
+    over them, where columns are those of a ClassTable in the members' order."""
     cps = _checkpoints(checkpoints, x)
     _check_limit(x - 1 if negative else x, negative)
     fund = _members(family, 1 - x, -1) if negative else _members(family, 1, x)
-    rows = compute_class_infos(fund, **run).rows  # ascending D: fund's order, or its reverse
-    sums = [_running(stat(rows[::-1] if negative else rows)) for stat in stats]
+    columns = compute_class_infos(fund, **run).columns  # ascending D
+    if negative:  # fund is descending
+        columns = [c[::-1] for c in columns]
+    ks = [bisect_left(fund, c, key=abs) for c in cps]
+    sums = [_totals(stat(columns), ks) for stat in stats]
     points = []
-    for c, k in zip(cps, abs(fund).searchsorted(cps).tolist()):
+    for i, (c, k) in enumerate(zip(cps, ks)):
         s = len(_progression(family, 1 - c, -1) if negative else _progression(family, 1, c))
         if k == 0:
             points.append(Checkpoint(x=c, sets=DiscriminantSets(c, family, s, 0), no_data=True))
         else:
-            points.append(point(c, s, k, *[int(p[k - 1]) for p in sums]))
+            points.append(point(c, s, k, *[total[i] for total in sums]))
     return points
+
+
+def _torsion_sizes(columns):
+    """3^r3 of each row."""
+    return map(pow, repeat(3), columns[4])
 
 
 def nh_average(x: int, family: CongruenceFamily, checkpoints=None, *,
@@ -457,7 +509,7 @@ def nh_average(x: int, family: CongruenceFamily, checkpoints=None, *,
     def point(c, s, k, tor):
         return Checkpoint(x=c, sets=DiscriminantSets(c, family, s, k), nh_average=tor / k)
 
-    points = _survey(x, family, checkpoints, False, [lambda r: 3 ** r[:, 4]], point,
+    points = _survey(x, family, checkpoints, False, [_torsion_sizes], point,
                      jobs=jobs, cache=cache, progress=progress)
     return DensityReport("nh-average", family, "S_plus", TARGET_NH_AVERAGE,
                          {"nh_average": TARGET_NH_AVERAGE}, points)
@@ -487,7 +539,7 @@ def indivisibility_density(x: int, family: CongruenceFamily, checkpoints=None, *
         )
 
     points = _survey(x, family, checkpoints, False,
-                     [lambda r: 3 ** r[:, 4], lambda r: r[:, 4] == 0], point,
+                     [_torsion_sizes, lambda c: map(not_, c[4])], point,
                      jobs=jobs, cache=cache, progress=progress)
     return DensityReport("indivisibility", family, "S_plus", TARGET_INDIVISIBLE,
                          {"indivisible_ratio": TARGET_INDIVISIBLE}, points)
@@ -496,24 +548,24 @@ def indivisibility_density(x: int, family: CongruenceFamily, checkpoints=None, *
 def _pair_survey(x, family, checkpoints, **run):
     """Checkpoints of the sets L, L_t over the progression members D <= x,
     the members of L with L_t, and the class data of D and D + t."""
-    import numpy as np
-
     cps = _checkpoints(checkpoints, x)
     t = family.t
     _check_limit(x + t)
     prog = _progression(family, 1, x)
-    ds = np.arange(prog.start, prog.stop, prog.step, dtype=np.int64)
+    shifted = range(prog.start + t, prog.stop + t, prog.step)
     # Members are 1 (mod 4) at theorem level, so L's base is exactly S+.
-    base_l, base_lt = _fundamental(np.concatenate((ds, ds + t))).reshape(2, -1)
-    infos = compute_class_infos(np.concatenate((ds[base_l], ds[base_lt] + t)), **run)
-    indivisible = infos.rows[infos.rows[:, 2] % 3 != 0, 0]
-    in_l = np.isin(ds, indivisible, assume_unique=True)
-    in_lt = np.isin(ds + t, indivisible, assume_unique=True)
-    pre_l, pre_lt, pre_cap, pre_cup, pre_fund = map(
-        _running, (in_l, in_lt, in_l & in_lt, in_l | in_lt, base_l))
+    base_l, base_lt = _fundamental(prog), _fundamental(shifted)
+    infos = compute_class_infos([*compress(prog, base_l), *compress(shifted, base_lt)], **run)
+    ds, _, hs = infos.columns[:3]
+    indivisible = set(compress(ds, map(mod, hs, repeat(3))))
+    in_l = bytes(map(indivisible.__contains__, prog))
+    in_lt = bytes(map(indivisible.__contains__, shifted))
+    in_both = bytes(map(and_, in_l, in_lt))
+    ks = [bisect_right(prog, c) for c in cps]  # the L-sets count D <= checkpoint
+    totals = [_totals(flags, ks) for flags in
+              (in_l, in_lt, in_both, map(or_, in_l, in_lt), base_l)]
     points = []
-    for c in cps:
-        k = bisect_right(prog, c)  # the L-sets count D <= checkpoint
+    for i, (c, k) in enumerate(zip(cps, ks)):
         s = len(_progression(family, 1, c))
         if s != k:  # pragma: no cover
             raise AssertionError("progression count mismatch")
@@ -521,13 +573,13 @@ def _pair_survey(x, family, checkpoints, **run):
             sets = DiscriminantSets(c, family, 0, 0, L=0, L_t=0, L_cap_Lt=0)
             points.append(Checkpoint(x=c, sets=sets, no_data=True))
             continue
-        l, lt, cap, cup, fund = (int(p[k - 1]) for p in (pre_l, pre_lt, pre_cap, pre_cup, pre_fund))
+        l, lt, cap, cup, fund = (total[i] for total in totals)
         if cap != l + lt - cup:  # pragma: no cover
             raise AssertionError(f"inclusion-exclusion violated at x={c}")
         sets = DiscriminantSets(c, family, s, fund, L=l, L_t=lt, L_cap_Lt=cap)
         points.append(Checkpoint(x=c, sets=sets, ratio_L=l / s, ratio_Lt=lt / s,
                                  ratio_intersection=cap / s))
-    return points, ds[in_l & in_lt].tolist(), infos
+    return points, list(compress(prog, in_both)), infos
 
 
 def pair_experiment(x: int, family: CongruenceFamily, checkpoints=None, *,
@@ -594,7 +646,8 @@ def imaginary_density(x: int, family: CongruenceFamily, checkpoints=None, *,
         return Checkpoint(x=c, sets=DiscriminantSets(c, family, s, k, L=indiv),
                           indivisible_ratio=indiv / k, ratio_L=indiv / k)
 
-    points = _survey(x, family, checkpoints, True, [lambda r: r[:, 2] % 3 != 0], point,
+    points = _survey(x, family, checkpoints, True,
+                     [lambda c: map(truth, map(mod, c[2], repeat(3)))], point,
                      jobs=jobs, cache=cache, progress=progress)
     return DensityReport("imaginary", family, "S_minus", TARGET_IMAGINARY_INDIVISIBLE,
                          {"indivisible_ratio": TARGET_IMAGINARY_INDIVISIBLE}, points)

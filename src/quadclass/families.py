@@ -20,7 +20,7 @@ mod-12 clause, t-clause.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .arith import _factorize
 
@@ -41,8 +41,10 @@ LEVEL_LAMBDA = "lambda"
 LEVELS = (LEVEL_NH, LEVEL_THEOREM, LEVEL_LAMBDA)
 
 
-@dataclass(frozen=True)
-class CongruenceFamily:
+# NamedTuples, not dataclasses: a survey imports this module, and
+# dataclasses would import inspect and ast with it.
+
+class CongruenceFamily(NamedTuple):
     """Validated progression parameters; m is stored reduced into [1, N]."""
 
     m: int
@@ -51,15 +53,14 @@ class CongruenceFamily:
     level: str
 
 
-@dataclass
-class FamilyRejection:
+class FamilyRejection(NamedTuple):
     """Verdict listing every violated clause, rendered verbatim by the CLI."""
 
     m: int
     N: int
     t: int
     level: str
-    violations: list[str] = field(default_factory=list)
+    violations: list[str] | tuple[str, ...] = ()
 
     def __bool__(self):
         return False

@@ -162,10 +162,14 @@ def _rho(a, b, c, D, fl):
 
 
 def _reduce_pos(a, b, c, D, fl):
-    # |c| shrinks by roughly sqrt(D) per step until it is below sqrt(D),
-    # after which at most a few more steps land on a reduced form with a > 0.
+    # The rho step of _rho, but while |c| > fl it takes r = -b (mod 2|c|) in
+    # (-|c|, |c|], so that |c| shrinks at least fourfold per step until it is
+    # at most fl; a few rho steps then land on a reduced form with a > 0.
     while a < 0 or not _is_reduced_pos(a, b, c, D):
-        a, b, c = _rho(a, b, c, D, fl)
+        s = 2 * c if c > 0 else -2 * c
+        m = max(fl, s >> 1)
+        r = m - (m + b) % s
+        a, b, c = c, r, (r * r - D) // (4 * c)
     return a, b, c
 
 

@@ -1,5 +1,4 @@
 import concurrent.futures
-import dataclasses
 import json
 import random
 
@@ -54,7 +53,7 @@ class TestSurveyLimit:
         """The fundamental discriminants of one sign with lo <= |D| <= hi, by
         |D|, and arith._largest_n of each, in numpy."""
         m = np.arange(lo, hi + 1, dtype=np.int64)
-        m = m[experiments._fundamental(-m if negative else m)]
+        m = m[np.frombuffer(experiments._fundamental((-m if negative else m).tolist()), bool)]
         if not negative:  # b = 1 for odd D, 2 for even D
             return m, (m - np.where(m & 1, 1, 4)) >> 2
         q = m // 3
@@ -399,9 +398,10 @@ class TestClassTable:
             assert got == {d: forms.class_group_info(d) for d in expected}
 
     def test_running_totals_do_not_overflow(self):
-        totals = experiments._running(np.full(3, 3**39, np.int64))
-        assert [int(v) for v in totals] == [3**39, 2 * 3**39, 3 * 3**39]
-        assert experiments._running(np.array([True, False, True])).tolist() == [1, 1, 2]
+        totals = experiments._totals([3**39] * 3, [0, 1, 3])
+        assert totals == [0, 3**39, 3 * 3**39] and 3 * 3**39 >= 1 << 63
+        flags = experiments._totals(iter([True, False, True, True]), [1, 2, 2, 4])
+        assert flags == [1, 1, 1, 3] and {type(v) for v in flags} == {int}
 
     def test_checkpoints_hold_python_numbers(self, fam14, fam_lambda):
         reports = [experiments.nh_average(500, fam14),
@@ -411,7 +411,8 @@ class TestClassTable:
                    experiments.imaginary_density(500, fam14)]
         for rep in reports:
             for cp in rep.checkpoints:
-                values = dataclasses.asdict(cp)
+                values = {**cp._asdict(), "sets": cp.sets._asdict()}
+                values["sets"]["family"] = values["sets"]["family"]._asdict()
                 json.dumps(values, default=lambda o: pytest.fail(f"{type(o)} in {rep.experiment}"))
                 for v in [*values.values(), *values["sets"].values()]:
                     assert type(v) in (int, float, bool, type(None), dict), (rep.experiment, v)
@@ -498,6 +499,5 @@ class TestScanEquivalence:
         repeats = rng.choices(every, k=2000) + [-10**6, 10**6, 1, 0, -4, -3, -4]
         for ds in (every, draws, [], [d for d in draws if d > 0], [d for d in draws if d < 0],
                    repeats):
-            got = experiments._fundamental(np.array(ds, dtype=np.int64))
-            assert got.dtype == bool
-            assert got.tolist() == [arith.is_fundamental_discriminant(d) for d in ds]
+            got = experiments._fundamental(ds)
+            assert list(got) == [arith.is_fundamental_discriminant(d) for d in ds]

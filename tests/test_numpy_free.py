@@ -4,10 +4,11 @@ interpreter, which must end without numpy or concurrent.futures.process in
 sys.modules. `import quadclass` loads no submodule the package names
 lazily, and a query loads neither the experiments nor the numpy batch nor
 any of concurrent.futures, nor dataclasses, inspect or (rendering csv)
-json. A survey loads numpy, but a warm one computes nothing, so it loads
-neither the batch nor the forms nor numpy.ma, and without --jobs above 1 no
-pool. A CLI run leaves numpy's OpenBLAS one thread unless the user chose a
-count."""
+json. A survey loads numpy only to compute a discriminant: a warm one
+computes nothing, so it loads neither numpy nor the batch nor dataclasses
+or inspect, nor the forms unless it builds a certificate's class data, and
+without --jobs above 1 no pool. A CLI run leaves numpy's OpenBLAS one
+thread unless the user chose a count."""
 
 import os
 import subprocess
@@ -92,14 +93,16 @@ from quadclass import cli
 assert cli.run({argv!r}) == 0
 """
 
-# A survey of each route: real members, the pair sets, imaginary members.
-# Families with N = 16 have few members over a wide range of D, where
-# np.isin sorts instead of building a table.
+# A survey of each route: real members, the pair sets, imaginary members,
+# and the lambda certificates. The N = 16 families take the even
+# fundamental discriminants, D = 8 (mod 16) for D > 0 and D = 12 (mod 16)
+# for D < 0.
 SURVEYS = {
     "nh-average": ["--m", "1", "--n", "4"],
     "indivisibility": ["--m", "8", "--n", "16"],
     "pairs": ["--m", "1", "--n", "4", "--t", "8"],
     "imaginary": ["--m", "12", "--n", "16"],
+    "lambda": ["--m", "17", "--n", "12", "--t", "12"],
 }
 
 
@@ -107,8 +110,11 @@ SURVEYS = {
 def test_warm_survey_computes_nothing(name, tmp_path):
     argv = [name, "--x", "3000", *SURVEYS[name], "--cache", str(tmp_path / "c.txt")]
     cold = _run_fresh(_SURVEY.format(argv=argv) + "assert 'quadclass.batch' in sys.modules\n")
-    warm = _run_fresh(_SURVEY.format(argv=argv), ["quadclass.batch", "quadclass.forms",
-                                                  "numpy.ma", "concurrent.futures.process"])
+    # A warm lambda run builds the ClassGroupInfo of each certificate, which
+    # the forms define; they load no numpy.
+    absent = ["numpy", "dataclasses", "inspect", "quadclass.batch", "concurrent.futures.process",
+              *(["quadclass.forms"] if name != "lambda" else [])]
+    warm = _run_fresh(_SURVEY.format(argv=argv), absent)
     assert warm == cold
 
 
