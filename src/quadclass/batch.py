@@ -2,14 +2,16 @@
 
 The surveys compute their class data here alone (_batch_core_info, over one
 divisor_table), a block of discriminants at a time: every (D, b) row's
-window of divisors is bisected out of the table at once, and for D > 0 the
-cycles are labelled by pointer doubling on the permutation that two rho
-steps induce on the a > 0 forms. The batch also squares and reduces the
-classes in numpy for the 3-torsion test, reads the unit norm off the cycle
-labels (it is -1 exactly when (-1, b, c) lies in the principal cycle) and
-checks the invariants as masks. Its rows, one int64 array, equal those of
-forms._core_info, the single-discriminant route, which needs no numpy and
-is the reference the batch is tested against.
+window of divisors is found by one bisection of its table row at once, and
+for D > 0 the cycles are labelled by pointer doubling on the permutation
+that two rho steps induce on the a > 0 forms, inverted by one argsort. For
+the 3-torsion test the batch squares and reduces in numpy the classes of
+each D with 9 | h(+) only (3 || h(+) gives 3, the order of the 3-Sylow
+subgroup). It reads the unit norm off the cycle labels (it is -1 exactly
+when (-1, b, c) lies in the principal cycle) and checks the invariants as
+masks. Its rows, one int64 array, equal those of forms._core_info, the
+single-discriminant route, which needs no numpy and is the reference the
+batch is tested against.
 
 Unlike arith, this module imports numpy at its top: only experiments imports
 it, where a discriminant is computed, by which time numpy is loaded.
@@ -106,7 +108,8 @@ def _batch_core_info(ds, table):
 
 def _bisect(dv, lo, hi, x):
     """For each i, the first j in [lo[i], hi[i]) with dv[j] >= x[i], or hi[i]:
-    bisect_left on every sorted run dv[lo[i]:hi[i]] at once."""
+    bisect_left on every sorted run dv[lo[i]:hi[i]] at once. _block_rows
+    calls it once per row, for the lower end of the row's window."""
     size = hi - lo
     for _ in range(int(size.max()).bit_length()):
         half = size >> 1
@@ -121,11 +124,14 @@ def _block_rows(block, ranges, off, dv):
     ranges[i] = _b_range(block[i]).
 
     Every (D, b) row of the block is built with np.repeat, and its window of
-    divisors a of n = |D - b^2| / 4 is bisected out of the table (for D < 0,
-    the divisors a <= isqrt(n) are the first ceil(tau(n)/2) of the row). The
-    forms are listed by (D, b, a): for D < 0 the classes (a, b, c) with
-    b >= 0, for D > 0 the a > 0 reduced forms (_pos_rows). All that stays
-    per D in Python is building the output rows.
+    divisors a of n = |D - b^2| / 4 is found by one bisection, for its lower
+    end. For D < 0 the window ends at isqrt(n), after the first
+    ceil(tau(n)/2) divisors of the row. For D > 0 it is
+    L = (F - b + 2) >> 1 <= a <= U = (F + b) >> 1 with F = isqrt(D), and as
+    (2a)(2n/a) = D - b^2, a < L exactly when n/a > U: the row holds as many
+    divisors above U as below L. The forms are listed by (D, b, a): for D < 0
+    the classes (a, b, c) with b >= 0, for D > 0 the a > 0 reduced forms
+    (_pos_rows). All that stays per D in Python is building the output rows.
     """
     k = len(block)
     d = np.array(block, np.int64)
@@ -143,7 +149,7 @@ def _block_rows(block, ranges, off, dv):
     end = off[n + 1].astype(np.int64)
     if block[0] > 0:
         lo = _bisect(dv, start, end, (fl[j] - b + 2) >> 1)
-        hi = _bisect(dv, lo, end, ((fl[j] + b) >> 1) + 1)
+        hi = end - (lo - start)
     else:
         lo = _bisect(dv, start, end, b)
         hi = start + ((end - start + 1) >> 1)
@@ -175,28 +181,31 @@ def _block_rows(block, ranges, off, dv):
 
 def _torsion_neg(h, j, a, b, c):
     """The 3-torsion count of each D of a block, from its b >= 0 classes
-    (a, b, c) listed by block index j and its class numbers h: 1 unless
-    3 | h, else the classes x with x^2 = x^-1, counting a mirror with its
-    form (_three_torsion_neg)."""
+    (a, b, c) listed by block index j and its class numbers h: the classes
+    x with x^2 = x^-1, counting a mirror with its form, for the D with 9 | h
+    only, whose classes alone are squared, else _sylow_count's 1 or 3
+    (_three_torsion_neg)."""
     k = len(h)
-    i = np.flatnonzero(h[j] % 3 == 0)
+    i = np.flatnonzero(h[j] % 9 == 0)
     j, a, b, c = j[i], a[i], b[i], c[i]
     mirror = (0 < b) & (b < a) & (a < c)
     sa, sb, sc = _reduce_neg_np(*_square_np(a, b, c))
     # the reduced inverse is (a, -b, c) for a mirrored form, else (a, b, c)
     hit = (sa == a) & (sb == np.where(mirror, -b, b)) & (sc == c)
     count = np.bincount(j[hit], minlength=k) + np.bincount(j[hit & mirror], minlength=k)
-    return np.where(h % 3 == 0, count, 1)
+    return _sylow_count(h, count)
 
 
 def _pos_rows(block, d, fl, j, a, b, c):
     """The rows of a block of D > 0 from its a > 0 reduced forms (a, b, c),
     listed by (block index j, b, a).
 
-    Two rho steps send each form to the next a > 0 form of its cycle: that
-    permutation is found by np.searchsorted on a (j, b, a) key, and pointer
-    doubling labels every form with the least index of its cycle, so h+
-    counts the forms that are their own label (the roots).
+    Two rho steps send each form to the next a > 0 form of its cycle, so the
+    (j, b, a) keys of the images are a permutation of the ascending keys of
+    the forms: one argsort of the images inverts it, and a key that does not
+    match names the first broken D. Pointer doubling labels every form with
+    the least index of its cycle, so h+ counts the forms that are their own
+    label (the roots).
     """
     k = len(block)
     D, F = d[j], fl[j]
@@ -206,17 +215,15 @@ def _pos_rows(block, d, fl, j, a, b, c):
     m = int(fl.max()) + 1  # a reduced form has 0 < a, b <= isqrt(D)
     key = (j * m + b) * m + a  # ascending
 
-    def find(jj, bb, aa, what):
-        # the index of each reduced form (aa, bb, .) of block[jj] in key
-        x = (jj * m + bb) * m + aa
-        i = np.minimum(np.searchsorted(key, x), len(key) - 1)
-        lost = key[i] != x
-        if lost.any():
-            raise AssertionError(f"{what} is missing from the reduced forms of "
-                                 f"D={block[int(jj[lost.argmax()])]}")
-        return i
-
-    nxt = find(j, b2, c1, "a rho^2 image")
+    x = (j * m + b2) * m + c1  # the rho^2 images, a permutation of key
+    order = np.argsort(x)
+    lost = x[order] != key
+    if lost.any():
+        i = int(lost.argmax())
+        raise AssertionError("a rho^2 image is missing from the reduced forms of "
+                             f"D={block[int(min(j[i], j[order[i]]))]}")
+    nxt = np.empty_like(order)
+    nxt[order] = np.arange(len(key))
     label = np.arange(len(key))
     jump = nxt
     while True:
@@ -228,7 +235,14 @@ def _pos_rows(block, d, fl, j, a, b, c):
     h_plus = np.bincount(j[root], minlength=k)
 
     def label_of(jj, bb, aa):
-        return label[find(jj, bb, aa, "a reduced form")]
+        # the cycle label of each reduced form (aa, bb, .) of block[jj]
+        x = (jj * m + bb) * m + aa
+        i = np.minimum(np.searchsorted(key, x), len(key) - 1)
+        lost = key[i] != x
+        if lost.any():
+            raise AssertionError("a reduced form is missing from the reduced forms of "
+                                 f"D={block[int(jj[lost.argmax()])]}")
+        return label[i]
 
     count = _torsion_pos(h_plus, j[root], a[root], b[root], c[root], D[root], F[root], label_of)
     return _checked_rows(block, h_plus, count, _unit_norms(d, fl, label_of))
@@ -237,16 +251,24 @@ def _pos_rows(block, d, fl, j, a, b, c):
 def _torsion_pos(h_plus, j, a, b, c, D, F, label_of):
     """The 3-torsion count of each D > 0 of a block, from one reduced form
     (a, b, c) with a > 0 of each class, listed by block index j, and its
-    narrow class numbers h_plus: 1 unless 3 | h+, else the classes whose
-    square and (c, b, a) reduce into one cycle (_three_torsion_pos). The
-    form (c, b, a) is reduced too, so one rho step takes it to the a > 0
-    form (a, F - (F + b) mod 2a, .) of its cycle."""
+    narrow class numbers h_plus: the classes whose square and (c, b, a)
+    reduce into one cycle, for the D with 9 | h+ only, whose classes alone
+    are squared, else _sylow_count's 1 or 3 (_three_torsion_pos). The form
+    (c, b, a) is reduced too, so one rho step takes it to the a > 0 form
+    (a, F - (F + b) mod 2a, .) of its cycle."""
     k = len(h_plus)
-    i = np.flatnonzero(h_plus[j] % 3 == 0)
+    i = np.flatnonzero(h_plus[j] % 9 == 0)
     j, a, b, c, D, F = j[i], a[i], b[i], c[i], D[i], F[i]
     sa, sb, _ = _reduce_pos_np(*_square_np(a, b, c), D, F)
     hit = label_of(j, sb, sa) == label_of(j, F - (F + b) % (2 * a), a)
-    return np.where(h_plus % 3 == 0, np.bincount(j[hit], minlength=k), 1)
+    return _sylow_count(h_plus, np.bincount(j[hit], minlength=k))
+
+
+def _sylow_count(h, count):
+    """The 3-torsion count of each class number h, given the squared count
+    of every h with 9 | h: 1 when 3 does not divide h (Lagrange), 3 when
+    3 || h, as the 3-Sylow subgroup then has order 3."""
+    return np.where(h % 9 == 0, count, np.where(h % 3 == 0, 3, 1))
 
 
 def _unit_norms(d, fl, label_of):

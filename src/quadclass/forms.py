@@ -475,11 +475,12 @@ def compose(x: ClassRep, y: ClassRep) -> ClassRep:
 # cycle, and _reduce_pos lands both the square and (c, b, a) on such forms.
 
 def _three_torsion_neg(h, forms):
-    # Lagrange: a nontrivial 3-torsion element needs 3 | h. Classes come in
+    # Lagrange: a nontrivial 3-torsion element needs 3 | h, and when 3 || h the
+    # 3-Sylow subgroup has order 3, so the count is 3. Classes come in
     # inverse pairs (a, b, c) <-> (a, -b, c) with the same answer, so only
     # the b >= 0 forms among the reduced forms listed are squared.
-    if h % 3 != 0:
-        return 1
+    if h % 9 != 0:
+        return 3 if h % 3 == 0 else 1
     count = 0
     for a, b, c in forms:
         if b < 0:
@@ -492,8 +493,9 @@ def _three_torsion_neg(h, forms):
 def _three_torsion_pos(d, fl, reps, owner):
     # reps holds one reduced form of each class; one rho step takes it to a
     # reduced form (a, b, c) of its class with a > 0, which _square needs.
-    if len(reps) % 3 != 0:
-        return 1
+    # Only 9 | h+ needs squaring, as for _three_torsion_neg.
+    if len(reps) % 9 != 0:
+        return 3 if len(reps) % 3 == 0 else 1
     count = 0
     for f in reps:
         a, b, c = _rho(*f, d, fl)

@@ -751,8 +751,10 @@ class TestInvariantExit:
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_missing_divisor_exits_5(self, capsys, monkeypatch, jobs):
-        # The bulk table loses the divisor 4 of n = 44, and with it the form
-        # (4, 9, -11) of D = 257 that the rho^2 step reaches.
+        # The bulk table loses the divisor 4 of n = 44. The first D it breaks
+        # is 177: the divisor is below its b = 1 window, whose upper end
+        # mirrors the lower one, so the window lists the non-reduced form
+        # (11, 1, -4), and the rho^2 images of D = 177 are no longer its forms.
         table = batch.divisor_table
         monkeypatch.setattr(batch, "divisor_table",
                             lambda limit: without_divisor(table(limit), 44, 4))
@@ -760,7 +762,7 @@ class TestInvariantExit:
                                  "--jobs", jobs)
         assert code == 5 and out == ""
         assert err == ("invariant violated: a rho^2 image is missing from the reduced forms "
-                       "of D=257\n")
+                       "of D=177\n")
 
     def test_broken_pool_is_not_an_invariant(self, monkeypatch):
         def broken(*args, **kwargs):

@@ -1,3 +1,4 @@
+import bisect
 import itertools
 import math
 import pickle
@@ -264,6 +265,32 @@ class TestDivisorTable:
         monkeypatch.setattr(batch, "_BLOCK_ROWS", cap)
         assert batch._batch_core_info(ds, table).tolist() == whole
 
+    def test_window_is_closed_under_cofactor(self):
+        # The batch bisects only the lower end L = (F - b + 2) >> 1 of each
+        # D > 0 row's window, F = isqrt(D): as (2a)(2n/a) = D - b^2, the
+        # divisors a of n below L are the cofactors n/a above the upper end
+        # U = (F + b) >> 1, so both sides hold equally many divisors.
+        divs = [[] for _ in range(20000 // 4 + 1)]
+        for a in range(1, len(divs)):
+            for n in range(a, len(divs), a):
+                divs[n].append(a)
+        for d in fundamental_range(1, 20001):
+            f = math.isqrt(d)
+            for b in range(2 - (d & 1), f + 1, 2):
+                row = divs[(d - b * b) >> 2]
+                below = bisect.bisect_left(row, (f - b + 2) >> 1)
+                above = len(row) - bisect.bisect_right(row, (f + b) >> 1)
+                assert below == above, (d, b)
+
+    @pytest.mark.parametrize("d,row", [
+        (1129, [9, 9, -1, 1]), (-199, [9, 9, 0, 1]),  # 9 | h(+), r3 = 1
+        (-3299, [27, 27, 0, 2]), (32009, [9, 9, -1, 2]),  # r3 = 2
+        (229, [3, 3, -1, 1]), (-23, [3, 3, 0, 1]),  # 3 || h(+), nothing squared
+    ])
+    def test_torsion_shortcut_boundary(self, d, row):
+        # Only a D with 9 | h(+) has its classes squared; 3 || h(+) gives r3 = 1.
+        assert self._batch_matches_sieve([d]) == [[d, *row]]
+
     def test_r3_two_anchors(self):
         ds = TestThreeTorsion.R3_TWO
         assert [row[4] for row in self._batch_matches_sieve(ds)] == [2] * len(ds)
@@ -276,6 +303,11 @@ class TestDivisorTable:
         with pytest.raises(AssertionError, match="reduced forms of D=257$"):
             batch._batch_core_info(ds, table)
         self._batch_matches_sieve([5, 229, 269], table)
+        # For D = 177 at b = 1 (window 7 <= a <= 7 of n = 44) the same divisor
+        # is below the window. The upper end mirrors the lower one, so the
+        # window of the broken row lists the non-reduced form (11, 1, -4).
+        with pytest.raises(AssertionError, match="reduced forms of D=177$"):
+            batch._batch_core_info([5, 177, 229, 257], table)
 
 
 class TestBatchAcrossSigns:
@@ -608,7 +640,9 @@ class TestThreeTorsion:
         # for every D with 3 | h(+) in the two ranges. The real range reaches
         # the first real r3 = 2 case, D = 32009; the ranges hold the r3 = 2
         # cases listed.
-        r3_two = []
+        # three_torsion_count squares nothing when 3 || h(+); the oracle cubes
+        # every class of those D too, of both signs.
+        r3_two, sylow_three = [], set()
         for d in fundamental_range(-12000, -2000) + fundamental_range(2000, 33000):
             classes = forms.enumerate_classes(d)
             if len(classes) % 3:
@@ -618,7 +652,10 @@ class TestThreeTorsion:
             assert forms.three_torsion_count(d) == cubes, d
             if cubes == 9:
                 r3_two.append(d)
+            if len(classes) % 9:
+                sylow_three.add(d > 0)
         assert r3_two == self.R3_TWO
+        assert sylow_three == {False, True}
 
     def test_always_power_of_three(self):
         for d in fundamental_range(-400, 400):
