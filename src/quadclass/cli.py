@@ -401,7 +401,8 @@ _EXPERIMENTS = {
 def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("csv", "json"), default="csv")
-    common.add_argument("--jobs", type=int, default=1, help="worker processes (>= 1)")
+    common.add_argument("--jobs", type=int, default=1,
+                        help="worker processes for D > 0 (>= 1); D < 0 is computed in one")
     common.add_argument("--cache", default=None, help="path of the discriminant cache file")
     common.add_argument("--progress", action="store_true", help="progress on stderr")
 

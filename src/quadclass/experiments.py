@@ -19,10 +19,12 @@ L-sets count D <= X inside the progression, while S+ and S- count
 fundamental discriminants with |D| strictly below X. Each report names the
 denominator its ratios use.
 
-Per-discriminant work is pure and fans out to a process pool (``jobs``);
-aggregation sorts by discriminant, so reports are byte-identical for any
-worker count. An optional ``cache``, a ClassTable or a mapping D ->
-ClassGroupInfo, is consulted before computing and extended in place.
+The class data of D > 0 fans out to a process pool (``jobs``); that of
+D < 0 is one count over all of them, in the calling process whatever
+``jobs`` is. Aggregation sorts by discriminant, so reports are
+byte-identical for any worker count. An optional ``cache``, a ClassTable
+or a mapping D -> ClassGroupInfo, is consulted before computing and
+extended in place.
 
 Class data comes from the numpy batch alone, and a survey past
 survey_limit is refused before it allocates anything. numpy, the batch and
@@ -93,9 +95,11 @@ _PAIR_BOUNDS = {"ratio_L": TARGET_SET_DENSITY,
                 "ratio_Lt": TARGET_SET_DENSITY,
                 "ratio_intersection": TARGET_PAIR_INTERSECTION}
 
-# A run computes its class data over one divisor table of every n up to
-# about D/4 for D > 0 and |D|/3 for D < 0. survey_limit turns this cap on
-# its size (128 MiB) into the largest |D| of each sign that a run accepts.
+# A run computes the class data of D > 0 over one divisor table of every n
+# up to about D/4. survey_limit turns this cap on its size (128 MiB) into the
+# largest D > 0 that a run accepts. D < 0 needs no table, but keeps the limit
+# a table of every n up to about |D|/3 would give (6,402,243) until a limit
+# is derived from the count's own time and memory.
 _TABLE_CAP_BYTES = 1 << 27
 
 
@@ -216,7 +220,9 @@ def survey_limit(negative: bool = False) -> int:
     """The largest |D| of a survey, D < 0 if negative, else D > 0.
 
     Every fundamental discriminant of that sign with |D| up to it is covered
-    by a divisor table within _TABLE_CAP_BYTES, and the next one is not.
+    by a divisor table within _TABLE_CAP_BYTES, and the next one is not. The
+    D > 0 are computed over that table; the D < 0 need none, but keep the
+    limit of the table that the batch once read for them (_largest_n).
     """
     return _limits(_TABLE_CAP_BYTES)[negative]
 
@@ -250,26 +256,38 @@ def _trusted(d: int) -> Discriminant:
 
 
 def _core_rows(todo, jobs, progress):
-    """The (len(todo), 5) int64 array of rows (d, h_plus, h, unit_norm, r3).
+    """The (len(todo), 5) int64 array of rows (d, h_plus, h, unit_norm, r3) of
+    the ascending todo.
 
-    The divisor table is built once here and handed to pool workers through
-    the initializer; it and the pool are released when this returns. The
-    pool has at most one worker per chunk and per core, since the fork
-    start method starts them all at the first submit. The pool module is
-    imported here, so processes that start no pool never load it.
+    The D < 0 come from one count of reduced forms (batch._neg_rows), in this
+    process whatever jobs is. For the D > 0 the divisor table is built once
+    here and handed to pool workers through the initializer; it and the pool
+    are released when this returns. The pool has at most one worker per
+    chunk and per core, since the fork start method starts them all at the
+    first submit. The pool module is imported here, so processes that start
+    no pool never load it.
     """
     import numpy as np
 
-    from .batch import _batch_core_info, divisor_table
+    from .batch import _batch_core_info, _neg_rows, divisor_table
 
-    table = divisor_table(max(map(_largest_n, todo)))
+    split = bisect_left(todo, 0)
+    rows = [np.empty((0, 5), np.int64)]
+    if split:
+        rows.append(_neg_rows(todo[:split]))
+        if progress:
+            print(f"class groups: {split}/{len(todo)}", file=sys.stderr)
+    pos = todo[split:]
+    if not pos:
+        return np.concatenate(rows)
+    table = divisor_table(max(map(_largest_n, pos)))
     # Freeing one 1 MiB block raises glibc's dynamic mmap threshold, so the
     # batch's temporaries (up to about 1 MiB a block) reuse heap pages instead
     # of faulting in fresh mmapped ones (pool workers inherit it at the fork).
     bytearray(1 << 20)
     workers = max(1, min(jobs, os.cpu_count() or 1))
-    size = -(-len(todo) // (8 * workers))
-    chunks = [todo[i : i + size] for i in range(0, len(todo), size)]
+    size = -(-len(pos) // (8 * workers))
+    chunks = [pos[i : i + size] for i in range(0, len(pos), size)]
     workers = min(workers, len(chunks))
     with ExitStack() as stack:
         if workers > 1:
@@ -280,7 +298,6 @@ def _core_rows(todo, jobs, progress):
             parts = pool.map(_pool_chunk, chunks)
         else:
             parts = (_batch_core_info(chunk, table) for chunk in chunks)
-        rows = []
         for part in parts:
             rows.append(part)
             if progress:
@@ -358,9 +375,9 @@ def compute_class_infos(ds, *, jobs: int = 1, cache: Mapping | None = None,
 
     Returns a ClassTable of exactly the D of ds. A ClassTable cache gains the
     computed rows; a mapping D -> ClassGroupInfo is consulted first and gains
-    a ClassGroupInfo per computed D. Output is independent of ``jobs``. A D
-    to compute past survey_limit of its sign raises ValueError first. Only a
-    run that computes some D loads numpy.
+    a ClassGroupInfo per computed D. Output is independent of ``jobs``, which
+    only the D > 0 use (_core_rows). A D to compute past survey_limit of its
+    sign raises ValueError first. Only a run that computes some D loads numpy.
     """
     # Distinct D, ascending: each one unequal to the one before it. Not a
     # set, which raised the peak RSS of a cold nh-average at X = 10^6 by 3.5 MB.

@@ -743,7 +743,7 @@ class TestInvariantExit:
     def test_imaginary_torsion_count_not_power_of_three_exits_5(self, capsys, monkeypatch,
                                                                 jobs):
         # the survey computes its members in ascending order, so D=-299 comes first
-        monkeypatch.setattr(batch, "_torsion_neg", lambda h, *_: np.full_like(h, 2))
+        monkeypatch.setattr(batch, "_neg_torsion", lambda h, *_: np.full_like(h, 2))
         code, out, err = run_cli(capsys, "imaginary", "--m", "1", "--n", "4", "--x", "300",
                                  "--jobs", jobs)
         assert code == 5 and out == ""

@@ -333,6 +333,10 @@ class TestDeterminismAndCache:
         monkeypatch.setattr(experiments.os, "cpu_count", lambda: 3)
         assert experiments.compute_class_infos(ds, jobs=100000) == serial
         assert experiments.compute_class_infos(ds, jobs=2) == serial
+        pos = [d for d in ds if d > 0]
+        assert experiments.compute_class_infos(pos[:2], jobs=100000) == {
+            d: serial[d] for d in pos[:2]}
+        # The D < 0 are counted in this process, so two of them start no pool.
         assert experiments.compute_class_infos(ds[:2], jobs=100000) == {
             d: serial[d] for d in ds[:2]}
         assert experiments.compute_class_infos(ds, jobs=0) == serial

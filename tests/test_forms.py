@@ -10,7 +10,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadclass import arith, batch, forms
+from quadclass import arith, batch, experiments, forms
 from quadclass.forms import ClassRep, Form
 
 
@@ -220,30 +220,34 @@ class TestDivisorTable:
 
     @staticmethod
     def _batch_matches_sieve(ds, table=None):
-        rows = batch._batch_core_info(ds, table or table_for(ds)).tolist()
+        rows = batch_rows(ds, table)
         assert rows == [[d, *forms._core_info(d)] for d in ds]
         return rows
 
     def test_table_path_matches_trial_division(self):
         # Every fundamental |D| < 2*10^4 of both signs goes through the batch in
-        # one call and matches the per-D sieve core. The bulk table covers
-        # exactly the largest n met, so the D that meets it reads the table's
-        # last row.
+        # one call per sign and matches the per-D sieve core. The bulk table
+        # covers exactly the largest n met by a D > 0, so the D that meets it
+        # reads the table's last row. _largest_n still bounds the b-scan of
+        # D < 0, as survey_limit(negative=True) is derived from it.
         ds = fundamental_range(-20000, 20000)
-        table = table_for(ds)
-        assert len(table[0]) - 2 == max(max(self._enumerated_ns(d)) for d in ds)
+        pos = [d for d in ds if d > 0]
+        table = table_for(pos)
+        assert len(table[0]) - 2 == max(max(self._enumerated_ns(d)) for d in pos)
         for d in ds:
             assert arith._largest_n(d) == max(self._enumerated_ns(d)), d
         self._batch_matches_sieve(ds, table)
 
     def test_n_beyond_table_uses_trial_division(self):
         # A table one row short of the largest n is refused, never read past;
-        # a table that covers D answers as the per-D sieve does.
-        for d in (-19999, 19997, 4 * 4999):
+        # a table that covers D answers as the per-D sieve does. A D < 0 is
+        # counted without a table.
+        for d in (19997, 4 * 4999):
             top = max(self._enumerated_ns(d))
             with pytest.raises(ValueError, match=f"does not cover D={d}$"):
                 batch._batch_core_info([d], batch.divisor_table(top - 1))
             self._batch_matches_sieve([d], batch.divisor_table(top))
+        self._batch_matches_sieve([-19999])
 
     @pytest.mark.parametrize("ds", [
         [5], [8], [12], [-3], [-4], [-8], [229], [-3299],
@@ -258,12 +262,14 @@ class TestDivisorTable:
 
     @pytest.mark.parametrize("cap", [1, 7, 100])
     def test_block_boundaries_do_not_change_rows(self, cap, monkeypatch):
-        # A cap below one D's rows makes every D its own block.
+        # A cap below one D's rows makes every D > 0 its own block, and every a
+        # of the forms squared for the D < 0 its own block.
         ds = fundamental_range(-2000, 2000)
-        table = table_for(ds)
-        whole = batch._batch_core_info(ds, table).tolist()
+        table = table_for([d for d in ds if d > 0])
+        whole = batch_rows(ds, table)
         monkeypatch.setattr(batch, "_BLOCK_ROWS", cap)
-        assert batch._batch_core_info(ds, table).tolist() == whole
+        monkeypatch.setattr(batch, "_BLOCK_FORMS", cap)
+        assert batch_rows(ds, table) == whole
 
     def test_window_is_closed_under_cofactor(self):
         # The batch bisects only the lower end L = (F - b + 2) >> 1 of each
@@ -319,13 +325,14 @@ class TestBatchAcrossSigns:
         ds = fundamental_range(1, 10**5)
         stars = [-3 * d if d % 3 else -d // 3 for d in ds]
         real = batch._batch_core_info(ds, table_for(ds)).tolist()
-        imag = batch._batch_core_info(sorted(stars), table_for(stars)).tolist()
+        imag = batch._neg_rows(sorted(stars)).tolist()
         r3 = {row[0]: row[4] for row in imag}
         return ds, real, [r3[s] for s in stars]
 
     def test_scholz_reflection(self, reflected):
         # Scholz (1932): r3(D) <= r3(D*) <= r3(D) + 1. The two signs share
-        # only the squaring; their reductions and inverse tests are separate.
+        # only the squaring; their enumerations, reductions and inverse tests
+        # are separate.
         ds, real, r3_star = reflected
         gaps = [s - row[4] for row, s in zip(real, r3_star)]
         assert [d for d, g in zip(ds, gaps) if g not in (0, 1)] == []
@@ -334,6 +341,64 @@ class TestBatchAcrossSigns:
     def test_unit_norm_matches_cf_walk(self, reflected):
         ds, real, _ = reflected
         assert [row[3] for row in real] == [forms.unit_norm(d) for d in ds]
+
+
+class TestNegativeCount:
+    """The D < 0 route of the batch, one count of reduced forms over every
+    |D| at once (batch._neg_rows), against the per-D forms route and the
+    character sum."""
+
+    def test_every_fundamental_d_matches_forms(self):
+        ds = fundamental_range(-30000, 0)
+        assert batch._neg_rows(ds).tolist() == [[d, *forms._core_info(d)] for d in ds]
+
+    @pytest.mark.parametrize("m,n", [(1, 4), (1, 1), (5, 12), (3, 5), (8, 16), (12, 16)])
+    def test_family_progressions_match_forms(self, m, n):
+        # The |D| of a family step by a multiple g of its modulus, and each
+        # (a, b) progression is counted on its residue mod g only.
+        ds = [d for d in fundamental_range(-20000, 0) if (d - m) % n == 0]
+        assert batch._neg_rows(ds).tolist() == [[d, *forms._core_info(d)] for d in ds]
+
+    @pytest.mark.parametrize("ds", [
+        [-3], [-4], [-8], [-3, -4, -8], ["R3_TWO"],
+        [-199, 1129],
+        [-4027, -3299, -199, -4, -3, 1129],
+        [-3, 5, -11651, 229, -4],
+        ["limit"],
+        ["limit", -3299, -4, -3, 1129],
+    ], ids=lambda ds: ",".join(map(str, ds)))
+    def test_scattered_and_mixed_lists_match_forms(self, ds):
+        # R3_TWO holds 32009 as well. "limit" is the D < 0 at
+        # survey_limit(negative=True): one far |D| costs about one pass over
+        # a <= isqrt(|D|/3), not |D|, and so does a far |D| beside near ones,
+        # which are counted apart.
+        ds = [d for x in ds for d in {"R3_TWO": TestThreeTorsion.R3_TWO,
+                                      "limit": [-experiments.survey_limit(negative=True)]
+                                      }.get(x, [x])]
+        rows = experiments.compute_class_infos(ds).rows.tolist()
+        assert rows == [[d, *forms._core_info(d)] for d in sorted(ds)]
+
+    def test_h_matches_character_sum(self):
+        ds = random.Random(20).sample(fundamental_range(-100000, -50000), 200)
+        rows = batch._neg_rows(ds).tolist()
+        assert [row[2] for row in rows] == [forms.analytic_h_imaginary(d) for d in ds]
+
+    def test_squares_only_the_classes_of_9_divides_h(self, monkeypatch):
+        # Exactly the reduced forms with b >= 0 of the D with 9 | h are
+        # squared, each once.
+        squared = []
+        square = batch._square_np
+
+        def recorded(a, b, c, *gu):
+            squared.extend(zip(a.tolist(), b.tolist(), c.tolist()))
+            return square(a, b, c, *gu)
+
+        monkeypatch.setattr(batch, "_square_np", recorded)
+        ds = fundamental_range(-5000, 0)
+        rows = batch._neg_rows(ds).tolist()
+        want = [f for d, row in zip(ds, rows) if row[2] % 9 == 0
+                for f in forms._reduced_forms_neg(d) if f[1] >= 0]
+        assert 0 < len(want) and sorted(squared) == sorted(want)
 
 
 class TestBatchArithmetic:
@@ -352,7 +417,7 @@ class TestBatchArithmetic:
         fs.sort()
         fs = fs[-200:] + random.Random(d).sample(fs[:-200], 800)
         a, b, c = (np.array(x, np.int64) for x in zip(*fs))
-        square = batch._square_np(a, b, c)
+        square = batch._square_np(a, b, c, *batch._xgcd_np(b, a))
         squares = [forms._compose_raw(f, f) for f in fs]
         assert list(zip(*(x.tolist() for x in square))) == squares
         if d > 0:
@@ -367,6 +432,19 @@ class TestBatchArithmetic:
 def table_for(ds):
     """The least divisor_table that covers every D of ds, as a survey builds it."""
     return batch.divisor_table(max(map(arith._largest_n, ds)))
+
+
+def batch_rows(ds, table=None):
+    """The batch's rows of ds as lists, in order: the D > 0 over table (by
+    default table_for them), the D < 0 from the count of reduced forms, as
+    experiments._core_rows splits them."""
+    pos, neg = [d for d in ds if d > 0], [d for d in ds if d < 0]
+    rows = {}
+    if pos:
+        rows.update(zip(pos, batch._batch_core_info(pos, table or table_for(pos)).tolist()))
+    if neg:
+        rows.update(zip(neg, batch._neg_rows(neg).tolist()))
+    return [rows[d] for d in ds]
 
 
 def without_divisor(table, n, a):
