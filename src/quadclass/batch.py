@@ -6,14 +6,21 @@ time: every (D, b) row's window of divisors is found by one bisection of its
 table row at once, and the cycles are labelled by pointer doubling on the
 permutation that two rho steps induce on the a > 0 forms, inverted by one
 argsort. It reads the unit norm off the cycle labels (it is -1 exactly when
-(-1, b, c) lies in the principal cycle). For D < 0, _neg_rows counts the
-reduced forms of every |D| at once, one strided progression of c per
-(a, b) (Cohen, GTM 138, 5.3), with no table. For the 3-torsion test both
-square and reduce in numpy the classes of each D with 9 | h(+) only
-(3 || h(+) gives 3, the order of the 3-Sylow subgroup), and both check the
-invariants as masks. Their rows, one int64 array, equal those of
-forms._core_info, the single-discriminant route, which needs no numpy and is
-the reference the batch is tested against.
+(-1, b, c) lies in the principal cycle), and squares and reduces in numpy
+the classes of each D with 9 | h+ for the 3-torsion. For D < 0, _neg_rows
+counts the reduced forms of every |D| at once, one strided progression of c
+per (a, b) (Cohen, GTM 138, 5.3), with no table, and composes no form: a
+class x != 1 has x^3 = 1 exactly when the ideal A of its reduced form
+(a, b, c) cubes to a principal (alpha), with alpha = (u + v sqrt D)/2,
+u^2 + |D| v^2 = 4a^3 and v != 0 (Cohen, GTM 138, 5.2). So _cube_roots
+lists the solutions (v, a, u) of that norm equation for every |D| at once
+and keeps those with alpha in A whose content no split prime of a divides:
+then N(alpha) = N(A)^3 makes (alpha) = A^3. Both signs take the 3-torsion
+of the D with 9 | h(+) only (3 || h(+) gives 3, the order of the 3-Sylow
+subgroup), and both check the invariants as masks. Their rows, one int64
+array, equal those of forms._core_info, the single-discriminant route,
+which needs no numpy, squares every class, and is the reference the batch
+is tested against.
 
 Unlike arith, this module imports numpy at its top: only experiments imports
 it, where a discriminant is computed, by which time numpy is loaded.
@@ -150,17 +157,14 @@ def _block_rows(block, ranges, off, dv):
     return _pos_rows(block, d, fl, j[r], a, b[r], -(n[r] // a))
 
 
-# The batch's int64 arithmetic is exact up to |D| = 4·10^8 + 4, beyond which
-# no divisor_table covers a D > 0; the survey limit keeps the |D| of D < 0
-# far below it. Listed forms have 0 < a <= sqrt|D|,
-# 0 <= b <= sqrt|D| and |c| <= |D|/3, and keys stay below k * (sqrt|D| + 1)^2
-# for k discriminants. _square_np's products stay below 2|D|^1.5, and the
-# square (A, B, C) has 0 < A < |D|, 0 <= B < 2|D| + sqrt|D| and
-# |C| < |D| + sqrt|D|. For D < 0, every later value of _reduce_neg_np is below
-# 4|D|, as each translation lands on a c below |D|. For D > 0, a rho step of
-# _reduce_pos_np from a form with third coefficient c takes an r with
-# |r| <= |c| while |c| > sqrt(D), else |r| < 2|c| + sqrt(D) <= 3 sqrt(D), and
-# the next third coefficient is at most max(|c|, sqrt D) in magnitude, so
+# The int64 arithmetic of the D > 0 batch is exact up to D = 4·10^8 + 4,
+# beyond which no divisor_table covers a D. Listed forms have 0 < a <= sqrt D,
+# 0 <= b <= sqrt D and |c| <= D/3, and keys stay below k * (sqrt D + 1)^2
+# for k discriminants. _square_np's products stay below 2 D^1.5, and the
+# square (A, B, C) has 0 < A < D, 0 <= B < 2D + sqrt D and |C| < D + sqrt D.
+# A rho step of _reduce_pos_np from a form with third coefficient c takes an
+# r with |r| <= |c| while |c| > sqrt(D), else |r| < 2|c| + sqrt(D) <= 3 sqrt(D),
+# and the next third coefficient is at most max(|c|, sqrt D) in magnitude, so
 # every rho step of the batch has r^2 < (D + sqrt D)^2 < 2^63.
 # The reduced test of _reduce_pos_np compares 2a - b and 2a + b with isqrt(D)
 # and squares nothing.
@@ -214,7 +218,7 @@ def _pos_rows(block, d, fl, j, a, b, c):
         return label[i]
 
     count = _torsion_pos(h_plus, j[root], a[root], b[root], c[root], D[root], F[root], label_of)
-    return _checked_rows(block, h_plus, count, _unit_norms(d, fl, label_of))
+    return _checked_rows(d, h_plus, count, _unit_norms(d, fl, label_of))
 
 
 def _torsion_pos(h_plus, j, a, b, c, D, F, label_of):
@@ -252,23 +256,28 @@ def _unit_norms(d, fl, label_of):
     return np.where(label_of(j, b, 1) == label_of(j, r, c), -1, 1)
 
 
-def _checked_rows(block, h_plus, count, norm):
-    """The rows (d, h_plus, h, unit_norm, r3) of a block, an int64 array, from
-    its arrays of (narrow) class numbers, 3-torsion counts and unit norms (0
-    for d < 0), with _core_row's checks as masks: the first d that fails one
-    raises _core_row's message."""
+def _checked_rows(d, h_plus, count, norm):
+    """The rows (d, h_plus, h, unit_norm, r3) of a block, one int64 array
+    filled column by column, from its int64 arrays of discriminants, (narrow)
+    class numbers, 3-torsion counts and unit norms (0 for d < 0), with
+    _core_row's checks as masks: the first d that fails one raises
+    _core_row's message."""
+    rows = np.empty((len(d), 5), np.int64)
+    rows[:, 0], rows[:, 1], rows[:, 3] = d, h_plus, norm
+    np.right_shift(h_plus, norm == 1, out=rows[:, 2])  # h = h+/2 when the norm is +1
+    r3 = rows[:, 4]
     pow3 = 3 ** np.arange(21, dtype=np.int64)  # 3^20 exceeds any h+ a table can cover
-    r3 = np.minimum(np.searchsorted(pow3, count), 20)
+    r3[:] = np.searchsorted(pow3, count)
+    np.minimum(r3, 20, out=r3)
     bad_count = pow3[r3] != count
     bad_norm = (norm == 1) & (h_plus & 1 == 1)
     if (bad_count | bad_norm).any():
         i = int((bad_count | bad_norm).argmax())
         if bad_count[i]:
             raise AssertionError(f"3-torsion count {count[i]} is not a power of 3 "
-                                 f"for D={block[i]}")
-        raise AssertionError(f"unit norm +1 with odd narrow class number for D={block[i]}")
-    h = np.where(norm == 1, h_plus >> 1, h_plus)
-    return np.column_stack((block, h_plus, h, norm, r3)).astype(np.int64, copy=False)
+                                 f"for D={d[i]}")
+        raise AssertionError(f"unit norm +1 with odd narrow class number for D={d[i]}")
+    return rows
 
 
 # ----------------------------------------------------------------------
@@ -282,12 +291,6 @@ def _checked_rows(block, h_plus, count, norm):
 # and [-6402243, -4, -3] took 18 s as one count.
 _GAP = 1 << 16
 
-# The least number of forms _neg_torsion squares at once (one a's forms may
-# add more): its temporaries are a few int64 arrays of about this length. A
-# survey at X = 10^6 peaks 5 to 10 MB higher with blocks of 2^16 forms, and
-# takes no less time.
-_BLOCK_FORMS = 1 << 13
-
 
 def _neg_rows(ds):
     """The rows (d, h_plus, h, unit_norm, r3) of the distinct trusted
@@ -298,8 +301,17 @@ def _neg_rows(ds):
     _GAP apart. The n = |D| of a run are lo + g t, with lo its least |D|, g
     the gcd of their differences (any g >= 1 serves one D) and t >= 0.
     _class_counts counts the reduced forms of every such n at once, and for a
-    fundamental D these are its h classes; _neg_torsion squares the classes
-    of the D with 9 | h.
+    fundamental D these are its h classes. _neg_torsion counts the 3-torsion
+    of the D with 9 | h from one pass over the norm equation
+    u^2 + |D| v^2 = 4a^3 of the run (_cube_roots): a reduced form (a, b, c),
+    a > 1, has a class of order 3 exactly when its ideal
+    A = aZ + ((-b + sqrt D)/2)Z cubes to (alpha), alpha = (u + v sqrt D)/2.
+    That holds when alpha lies in A (v b = -u mod 2a), N(alpha) = a^3 = N(A)^3
+    and no split prime p of a divides alpha, for then (alpha) = A^3 prime by
+    prime: a split p with P^k || A has p^3k || N(alpha) and P-bar does not
+    divide alpha, and a ramified P || A has P^3 || (alpha). Conversely
+    (alpha) = A^3 has these properties. For D < -4 alpha is unique up to
+    sign, so v >= 1 fixes it and each class is found once.
     """
     n = -np.array(ds, np.int64)
     h, count = np.empty_like(n), np.empty_like(n)
@@ -310,7 +322,8 @@ def _neg_rows(ds):
         t = (n[run] - lo) // g
         h[run] = _class_counts(lo, g, int(t[-1]) + 1)[t]
         count[run] = _neg_torsion(h[run], t, lo, g)
-    return _checked_rows(ds, h, count, np.zeros(len(ds), np.int64))
+    d = np.negative(n, out=n)  # ds as an array, held once
+    return _checked_rows(d, h, count, np.zeros(len(d), np.int64))
 
 
 def _diagonal(a, lo, g, size):
@@ -322,19 +335,19 @@ def _diagonal(a, lo, g, size):
     return b[keep], r[keep] // g
 
 
-def _progressions(a, lo, g, size, c0):
-    """(b, t, s): the b, 0 <= b <= a, that have forms (a, b, c) with c >= c0
+def _progressions(a, lo, g, size):
+    """(b, t, s): the b, 0 <= b <= a, that have forms (a, b, c) with c > a
     of some n = lo + g t, t < size, the least such t of each, and the step s
-    of those t. The n of (a, b, c) are -b^2 (mod 4a), from c = c0 on, so with
-    e = gcd(4a, g) the t solve (g/e) t = (-b^2 - lo)/e (mod s = 4a/e), which
-    needs e | b^2 + lo."""
+    of those t. The n of (a, b, c) are -b^2 (mod 4a), from c = a + 1 on, so
+    with e = gcd(4a, g) the t solve (g/e) t = (-b^2 - lo)/e (mod s = 4a/e),
+    which needs e | b^2 + lo."""
     e = math.gcd(4 * a, g)
     s = 4 * a // e
     b = np.arange(a + 1, dtype=np.int64)
     r = -b * b - lo
     b, r = b[r % e == 0], r[r % e == 0]
     t = r // e * pow(g // e, -1, s) % s
-    least = -(-(4 * a * c0 - b * b - lo) // g)  # the t of c = c0, rounded up
+    least = -(-(4 * a * (a + 1) - b * b - lo) // g)  # the t of c = a + 1, rounded up
     t += s * np.maximum(-(-(least - t) // s), 0)
     keep = t < size
     return b[keep], t[keep], s
@@ -357,7 +370,7 @@ def _class_counts(lo, g, size):
     count = np.zeros(size + 4 * top, np.int32)  # rows of s <= 4a counts cover size
     for a in range(1, top + 1):
         count[_diagonal(a, lo, g, size)[1]] += 1
-        b, t, s = _progressions(a, lo, g, size, a + 1)
+        b, t, s = _progressions(a, lo, g, size)
         if not len(t):
             continue
         two = (0 < b) & (b < a)
@@ -375,62 +388,125 @@ def _class_counts(lo, g, size):
 
 def _neg_torsion(h, t, lo, g):
     """The 3-torsion count of each D < 0 of _neg_rows, from its class number h
-    and its t (|D| = lo + g t): the classes x with x^2 = x^-1, counting a
-    mirror with its form, for the D with 9 | h only, whose classes alone are
-    squared, else _sylow_count's 1 or 3 (_three_torsion_neg). t ascends."""
+    and its t (|D| = lo + g t, t ascending): for the D with 9 | h, 1 for the
+    principal class plus the forms _cube_roots finds, else _sylow_count's 1
+    or 3 (_three_torsion_neg)."""
     pick = np.flatnonzero(h % 9 == 0)
-    k = len(pick)
-    hits = np.zeros(k, np.int64)
-    for i, a, b, c, xg, xu in _picked_forms(t[pick], lo, g):
-        mirror = (0 < b) & (b < a) & (a < c)
-        sa, sb, sc = _reduce_neg_np(*_square_np(a, b, c, xg, xu))
-        # the reduced inverse is (a, -b, c) for a mirrored form, else (a, b, c)
-        hit = (sa == a) & (sb == np.where(mirror, -b, b)) & (sc == c)
-        hits += np.bincount(i[hit], minlength=k) + np.bincount(i[hit & mirror], minlength=k)
     count = np.zeros(len(h), np.int64)
-    count[pick] = hits
+    count[pick] = 1
+    if len(pick):
+        ts = t[pick]
+        for n, _, _ in _cube_roots(ts, lo, g):
+            np.add.at(count, pick[np.searchsorted(ts, (n - lo) // g)], 1)
     return _sylow_count(h, count)
 
 
-def _picked_forms(ts, lo, g):
-    """The reduced forms (a, b, c) with b >= 0 of each n = lo + g ts[i], for
-    the ascending ts, as blocks (i, a, b, c, *_xgcd_np(b, a)) of arrays, each
-    of at least _BLOCK_FORMS forms but the last.
+def _cube_roots(ts, lo, g):
+    """Blocks (n, a, b) of the reduced forms (a, b, c) with a > 1 of
+    discriminant -n whose ideal cubes to a principal one, for the
+    n = lo + g ts[i] (ts ascending, each n > 4 the |D| of a fundamental D):
+    one form of each 3-torsion class but the principal one, each once
+    (_neg_rows). The solutions (v, a, u) of _norm_solutions over the span of
+    ts, u of either sign, give the forms (_cubed_forms).
 
-    They are gathered through the progressions of _class_counts, one a at a
-    time, here from c = a on: ts[i] takes each b whose first t is ts[i]
-    (mod s) and at most ts[i]. The extended Euclid of (b, a) is taken once
-    per b of each a, not once per form.
+    For n <= 4·10^8 + 4, a <= sqrt(n/3) < 11548, so 4a^3 < 6.2·10^12 < 2^53,
+    where _isqrt_np is exact, and every product of _cubed_forms stays below
+    2^40; the survey limit keeps n far smaller.
     """
-    if not len(ts):
-        return
-    size = int(ts[-1]) + 1
-    block, held = [], 0
-    for a in range(1, math.isqrt((lo + g * (size - 1)) // 3) + 1):
-        b, t, s = _progressions(a, lo, g, size, a)
-        col = t % s
-        order = np.argsort(col, kind="stable")
-        per = np.bincount(col, minlength=s)
-        # ts[i] of residue r meets the per[r] progressions of that residue,
-        # once |D| >= 3a^2
-        first = int(np.searchsorted(ts, -(-(3 * a * a - lo) // g)))
-        r = ts[first:] % s
-        k = per[r]
-        q = np.repeat(np.arange(len(r)), k)
-        p = order[(np.cumsum(per) - per)[r][q] + np.arange(len(q)) - (np.cumsum(k) - k)[q]]
-        i = q + first
-        on = ts[i] >= t[p]
-        i, b = i[on], b[p[on]]
-        c = (lo + g * ts[i] + b * b) // (4 * a)
-        bs = np.arange(a + 1, dtype=np.int64)
-        xg, xu = _xgcd_np(bs, np.full_like(bs, a))
-        block.append((i, np.full(len(i), a), b, c, xg[b], xu[b]))
-        held += len(i)
-        if held >= _BLOCK_FORMS:
-            yield tuple(map(np.concatenate, zip(*block)))
-            block, held = [], 0
-    if held:
-        yield tuple(map(np.concatenate, zip(*block)))
+    base, hi = lo + g * int(ts[0]), lo + g * int(ts[-1])
+    want = np.zeros(int(ts[-1] - ts[0]) + 1, bool)
+    want[ts - ts[0]] = True
+    top = math.isqrt(hi // 3)
+    v = 1
+    while 3 * v * v <= 4 * top:
+        for a, u, n in _norm_solutions(v, base, hi, top):
+            on = (n - base) % g == 0
+            a, u, n = a[on], u[on], n[on]
+            on = want[(n - base) // g]
+            yield _cubed_forms(v, a[on], u[on], n[on])
+        v += 1
+
+
+# The most u that _norm_solutions lists at once (a root's progression may add
+# more): its temporaries are a few int64 arrays of this length, and the heap
+# they leave resident stays small. At the D < 0 survey limit, blocks of 2^16
+# were no faster and left 4 MB more of freed heap resident.
+_BLOCK_NORMS = 1 << 14
+
+
+def _norm_solutions(v, lo, hi, top):
+    """Blocks (a, u, n) of every solution of u^2 + n v^2 = 4a^3 with u >= 0,
+    lo <= n <= hi, n >= 3a^2 and 3v^2 <= 4a, a <= top.
+
+    A reduced form (a, b, c) of discriminant -n has n = 4ac - b^2 >= 3a^2,
+    whence 3v^2 <= 4a. For each a, u^2 runs from 4a^3 - hi v^2 to
+    4a^3 - max(lo, 3a^2) v^2, in the progressions of step v^2 of the roots r
+    of r^2 = 4a^3 (mod v^2), which one argsort of the squares mod v^2 lists.
+    The blocks hold about _BLOCK_NORMS u each.
+    """
+    q = v * v
+    a = np.arange(-(-3 * q // 4), top + 1, dtype=np.int64)
+    cube = 4 * a**3
+    low, high = cube - hi * q, cube - np.maximum(lo, 3 * a * a) * q
+    on = high >= 0
+    a, cube, low, high = a[on], cube[on], low[on], high[on]
+    u0 = np.where(low > 0, _isqrt_np(np.maximum(low, 1) - 1) + 1, 0)  # ceil(sqrt(low))
+    u1 = _isqrt_np(high)
+    sq = np.arange(q, dtype=np.int64) ** 2 % q
+    roots = np.argsort(sq, kind="stable")
+    first = np.searchsorted(sq[roots], np.arange(q + 1))
+    res = cube % q
+    k = first[res + 1] - first[res]
+    i = np.repeat(np.arange(len(a)), k)  # the a of each root
+    r = roots[first[res][i] + np.arange(len(i)) - (np.cumsum(k) - k)[i]]
+    s = -(-(u0[i] - r) // q)  # u = r + q s from the least u >= u0 on
+    m = np.maximum((u1[i] - r) // q - s + 1, 0)
+    cuts = np.searchsorted(np.cumsum(m), np.arange(_BLOCK_NORMS, m.sum(), _BLOCK_NORMS))
+    for i, r, s, m in zip(*(np.split(x, cuts) for x in (i, r, s, m))):
+        j = np.repeat(np.arange(len(r)), m)  # the root of each u
+        u = r[j] + q * (s[j] + np.arange(len(j)) - (np.cumsum(m) - m)[j])
+        j = i[j]
+        yield a[j], u, (cube[j] - u * u) // q
+
+
+def _isqrt_np(x):
+    """math.isqrt of every int64 x >= 0 below 2^53, from the float root,
+    which is then off by at most one."""
+    r = np.sqrt(x).astype(np.int64)
+    r -= r * r > x
+    r += (r + 1) * (r + 1) <= x
+    return r
+
+
+def _cubed_forms(v, a, u, n):
+    """(n, a, b) of each reduced form (a, b, c) of discriminant -n whose ideal
+    A = aZ + ((-b + sqrt(-n))/2)Z cubes to (alpha), alpha = (u + v sqrt(-n))/2,
+    for the (a, u, n) of _norm_solutions and -u: at most one form each.
+
+    Such a b is one in (-a, a] with v b = -u (mod 2a), which is alpha in A,
+    and b^2 = -n (mod 4a), with (a, b, c) reduced. As N(alpha) = a^3, then
+    (alpha) = A^3 exactly when no split prime of a divides alpha: no prime
+    of a outside n divides the content gcd((u + vn)/2, v) of alpha. A form of
+    a fundamental -n has each prime of n in a at most once, so that is: the
+    gcd k of a and the content divides n. The congruence fixes b modulo
+    2a/e, e = gcd(v, 2a), and each of its e lifts is tried.
+    """
+    pos = u > 0
+    a, n, u = (np.concatenate((x, y[pos])) for x, y in ((a, a), (n, n), (u, -u)))
+    e = np.gcd(v, 2 * a)
+    k = np.gcd(a, np.gcd((u + v * n) // 2, v))
+    on = (u % e == 0) & (n % k == 0)
+    a, n, u, e = a[on], n[on], u[on], e[on]
+    m = 2 * a // e
+    _, w = _xgcd_np(v // e, m)  # w v/e = 1 (mod m)
+    b = -(u // e) * w % m
+    i = np.repeat(np.arange(len(b)), e)
+    b = b[i] + m[i] * (np.arange(len(i)) - (np.cumsum(e) - e)[i])
+    a, n = a[i], n[i]
+    b = np.where(b > a, b - 2 * a, b)
+    c, rem = np.divmod(b * b + n, 4 * a)
+    on = (rem == 0) & ((a < c) | (a == c) & (b >= 0))
+    return n[on], a[on], b[on]
 
 
 def _xgcd_np(x, y):
@@ -459,22 +535,6 @@ def _square_np(a, b, c, g, u):
     v = a // g
     r = -u * c % v
     return v * v, b + 2 * v * r, (c * g + r * (b + v * r)) // v
-
-
-def _reduce_neg_np(a, b, c):
-    """_reduce_neg on every row of int64 arrays; a row leaves the loop once
-    it is reduced."""
-    out = np.empty((3, len(a)), np.int64)
-    i = np.arange(len(a))
-    while len(i):
-        r = (a - b) // (2 * a)  # 0 when -a < b <= a
-        c = c + (a * r + b) * r
-        b = b + 2 * a * r
-        swap = (a > c) | ((a == c) & (b < 0))
-        done = ~swap
-        out[:, i[done]] = a[done], b[done], c[done]
-        i, a, b, c = i[swap], c[swap], -b[swap], a[swap]
-    return out
 
 
 def _reduce_pos_np(a, b, c, D, F):

@@ -262,13 +262,14 @@ class TestDivisorTable:
 
     @pytest.mark.parametrize("cap", [1, 7, 100])
     def test_block_boundaries_do_not_change_rows(self, cap, monkeypatch):
-        # A cap below one D's rows makes every D > 0 its own block, and every a
-        # of the forms squared for the D < 0 its own block.
+        # A cap below one D's rows makes every D > 0 its own block, and every
+        # root's progression of u in the norm equation of the D < 0 its own
+        # block.
         ds = fundamental_range(-2000, 2000)
         table = table_for([d for d in ds if d > 0])
         whole = batch_rows(ds, table)
         monkeypatch.setattr(batch, "_BLOCK_ROWS", cap)
-        monkeypatch.setattr(batch, "_BLOCK_FORMS", cap)
+        monkeypatch.setattr(batch, "_BLOCK_NORMS", cap)
         assert batch_rows(ds, table) == whole
 
     def test_window_is_closed_under_cofactor(self):
@@ -330,9 +331,9 @@ class TestBatchAcrossSigns:
         return ds, real, [r3[s] for s in stars]
 
     def test_scholz_reflection(self, reflected):
-        # Scholz (1932): r3(D) <= r3(D*) <= r3(D) + 1. The two signs share
-        # only the squaring; their enumerations, reductions and inverse tests
-        # are separate.
+        # Scholz (1932): r3(D) <= r3(D*) <= r3(D) + 1. The two signs share no
+        # torsion code: D > 0 squares and reduces its classes, D < 0 solves
+        # the norm equation u^2 + |D| v^2 = 4a^3.
         ds, real, r3_star = reflected
         gaps = [s - row[4] for row, s in zip(real, r3_star)]
         assert [d for d, g in zip(ds, gaps) if g not in (0, 1)] == []
@@ -383,50 +384,66 @@ class TestNegativeCount:
         rows = batch._neg_rows(ds).tolist()
         assert [row[2] for row in rows] == [forms.analytic_h_imaginary(d) for d in ds]
 
-    def test_squares_only_the_classes_of_9_divides_h(self, monkeypatch):
-        # Exactly the reduced forms with b >= 0 of the D with 9 | h are
-        # squared, each once.
-        squared = []
-        square = batch._square_np
+    def test_counts_cube_roots_only_where_9_divides_h(self, monkeypatch):
+        # The D < 0 route squares no form, and it solves the norm equation
+        # for exactly the |D| with 9 | h.
+        squared, solved = [], []
+        square, roots = batch._square_np, batch._cube_roots
 
-        def recorded(a, b, c, *gu):
-            squared.extend(zip(a.tolist(), b.tolist(), c.tolist()))
-            return square(a, b, c, *gu)
+        def recorded(ts, lo, g):
+            solved.extend((lo + g * ts).tolist())
+            return roots(ts, lo, g)
 
-        monkeypatch.setattr(batch, "_square_np", recorded)
+        monkeypatch.setattr(batch, "_square_np", lambda *args: squared.append(args) or square(*args))
+        monkeypatch.setattr(batch, "_cube_roots", recorded)
         ds = fundamental_range(-5000, 0)
         rows = batch._neg_rows(ds).tolist()
-        want = [f for d, row in zip(ds, rows) if row[2] % 9 == 0
-                for f in forms._reduced_forms_neg(d) if f[1] >= 0]
-        assert 0 < len(want) and sorted(squared) == sorted(want)
+        want = sorted(-row[0] for row in rows if row[2] % 9 == 0)
+        assert squared == [] and 0 < len(want) and sorted(solved) == want
+
+    def test_cube_root_anchors(self):
+        # 3^2 + 23 * 1^2 = 4 * 2^3 gives the classes (2, +-1, 3) of order 3.
+        # As 9 does not divide h(-23) = 3, the batch never solves for -23.
+        assert cube_root_forms([-23]) == [(-23, 2, -1), (-23, 2, 1)]
+        for d, r3 in [(-199, 1), (-3299, 2), (-4027, 2)]:
+            found = cube_root_forms([d])
+            assert len(found) == 3**r3 - 1 and found == torsion_forms(d), d
+
+    def test_every_cube_root_found_once(self):
+        # One run over every fundamental -30000 < D < -4, those with 3 || h
+        # or 3 not dividing h included: the norm route finds each non-principal
+        # 3-torsion class once, by its reduced form, and nothing else.
+        ds = fundamental_range(-30000, -4)
+        found = cube_root_forms(ds)
+        assert len(set(found)) == len(found)
+        assert found == sorted(f for d in ds for f in torsion_forms(d))
 
 
 class TestBatchArithmetic:
     # Fundamental D of each sign at |D| ~ 4·10^8, where the batch's int64
-    # bound ends (no divisor table covers a larger |D|): the int64 squaring
-    # and reduction must equal the exact Python ones on the forms with the
-    # largest a, whose squares are largest, and on a random sample of the
-    # rest, enumerated without a table.
+    # bound ends (no divisor table covers a larger |D|). For D > 0 the int64
+    # squaring and reduction must equal the exact Python ones on the forms
+    # with the largest a, whose squares are largest, and on a random sample
+    # of the rest, enumerated without a table. For D < 0 the norm route must
+    # find the forms that squaring finds: h(-399999999) = 15360 has 3 || h,
+    # and h(-400000004) = 16416 has 9 | h.
     @pytest.mark.parametrize("d", [400000001, 399999992, -399999999, -400000004])
     def test_square_and_reduce_match_python(self, d):
-        fl = math.isqrt(abs(d))
-        if d > 0:
-            fs = list(forms._reduced_forms_pos(d, fl))
-        else:
-            fs = [f for f in forms._reduced_forms_neg(d) if f[1] >= 0]
-        fs.sort()
+        if d < 0:
+            fs = forms._reduced_forms_neg(d)
+            found = cube_root_forms([d])
+            assert found == torsion_forms(d, fs)
+            assert 1 + len(found) == forms._three_torsion_neg(len(fs), fs) == 3
+            return
+        fl = math.isqrt(d)
+        fs = sorted(forms._reduced_forms_pos(d, fl))
         fs = fs[-200:] + random.Random(d).sample(fs[:-200], 800)
         a, b, c = (np.array(x, np.int64) for x in zip(*fs))
         square = batch._square_np(a, b, c, *batch._xgcd_np(b, a))
         squares = [forms._compose_raw(f, f) for f in fs]
         assert list(zip(*(x.tolist() for x in square))) == squares
-        if d > 0:
-            got = batch._reduce_pos_np(*square, np.full_like(a, d), np.full_like(a, fl))
-            want = [forms._reduce_pos(*f, d, fl) for f in squares]
-        else:
-            got = batch._reduce_neg_np(*square)
-            want = [forms._reduce_neg(*f) for f in squares]
-        assert list(zip(*got.tolist())) == want
+        got = batch._reduce_pos_np(*square, np.full_like(a, d), np.full_like(a, fl))
+        assert list(zip(*got.tolist())) == [forms._reduce_pos(*f, d, fl) for f in squares]
 
 
 def table_for(ds):
@@ -445,6 +462,25 @@ def batch_rows(ds, table=None):
     if neg:
         rows.update(zip(neg, batch._neg_rows(neg).tolist()))
     return [rows[d] for d in ds]
+
+
+def cube_root_forms(ds):
+    """(D, a, b) of every form that batch._cube_roots finds for the D < 0 of
+    ds, all counted as one run, sorted."""
+    ns = sorted(-d for d in ds)
+    ts = np.array(ns, np.int64) - ns[0]
+    return sorted((-n, a, b) for block in batch._cube_roots(ts, ns[0], 1)
+                  for n, a, b in zip(*(x.tolist() for x in block)))
+
+
+def torsion_forms(d, fs=None):
+    """(d, a, b) of the reduced forms (a, b, c), a > 1, of d < 0 whose class
+    has order 3, by squaring in Python; none unless 3 | h (Lagrange)."""
+    fs = forms._reduced_forms_neg(d) if fs is None else fs
+    if len(fs) % 3:
+        return []
+    return sorted((d, a, b) for a, b, c in fs if a > 1 and
+                  forms._reduce_neg(*forms._square(a, b, c)) == forms._reduce_neg(a, -b, c))
 
 
 def without_divisor(table, n, a):

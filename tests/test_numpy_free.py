@@ -7,8 +7,9 @@ any of concurrent.futures, nor dataclasses, inspect or (rendering csv)
 json. A survey loads numpy only to compute a discriminant: a warm one
 computes nothing, so it loads neither numpy nor the batch nor dataclasses
 or inspect, nor the forms unless it builds a certificate's class data, and
-without --jobs above 1 no pool. A CLI run leaves numpy's OpenBLAS one
-thread unless the user chose a count."""
+without --jobs above 1 no pool. A survey that computes loads no numpy.ma.
+A CLI run leaves numpy's OpenBLAS one thread unless the user chose a
+count."""
 
 import os
 import subprocess
@@ -109,7 +110,10 @@ SURVEYS = {
 @pytest.mark.parametrize("name", SURVEYS)
 def test_warm_survey_computes_nothing(name, tmp_path):
     argv = [name, "--x", "3000", *SURVEYS[name], "--cache", str(tmp_path / "c.txt")]
-    cold = _run_fresh(_SURVEY.format(argv=argv) + "assert 'quadclass.batch' in sys.modules\n")
+    # A computing run leaves numpy.ma unloaded: the first np.unique or np.isin
+    # of a process imports it, 9-13 ms on a 2-vCPU Xeon.
+    cold = _run_fresh(_SURVEY.format(argv=argv) + "assert 'quadclass.batch' in sys.modules\n",
+                      ["numpy.ma"])
     # A warm lambda run builds the ClassGroupInfo of each certificate, which
     # the forms define; they load no numpy.
     absent = ["numpy", "dataclasses", "inspect", "quadclass.batch", "concurrent.futures.process",
