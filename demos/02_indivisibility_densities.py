@@ -16,12 +16,12 @@ X = 3 * 10**4
 fam = families.validate(1, 4, 0, "nh")
 print(f"family: D = {fam.m} (mod {fam.N}), X up to {X}\n")
 
-cache = {}
+cache = experiments.ClassTable()  # class data shared by both surveys
 rep = experiments.indivisibility_density(X, fam, [10**3, 10**4, X], cache=cache)
 
 print(f"{'X':>8} {'|S+|':>7} {'avg 3^r3':>10} {'3 does not divide h':>20}")
 for cp in rep.checkpoints:
-    print(f"{cp.x:>8} {cp.sets.S_plus:>7} {cp.nh_average:>10.4f} {cp.indivisible_ratio:>20.4f}")
+    print(f"{cp.x:>8} {cp.sets.S_plus:>7} {cp.nh_average:>10.4f} {cp.ratio_L:>20.4f}")
 print(f"{'limit':>8} {'':>7} {4 / 3:>10.4f} {'>= ' + format(5 / 6, '.4f'):>20}")
 
 print()
@@ -34,4 +34,4 @@ print()
 print("Imaginary fields obey a weaker bound (at least 1/2):")
 imag = experiments.imaginary_density(X, fam, [10**3, 10**4, X], cache=cache)
 for cp in imag.checkpoints:
-    print(f"  X = {cp.x:>6}:  |S-| = {cp.sets.S_plus:>6}, ratio = {cp.indivisible_ratio:.4f}")
+    print(f"  X = {cp.x:>6}:  |S-| = {cp.sets.S_plus:>6}, ratio = {cp.ratio_L:.4f}")

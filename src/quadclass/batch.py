@@ -32,9 +32,7 @@ import math
 
 import numpy as np
 
-from .arith import divisor_table_bytes  # noqa: F401  (re-exported)
-
-__all__ = ["divisor_table", "divisor_table_bytes"]
+__all__ = ["divisor_table"]
 
 
 # ----------------------------------------------------------------------
@@ -53,7 +51,7 @@ def divisor_table(limit: int) -> tuple[np.ndarray, np.ndarray]:
     divisors[offsets[n]:offsets[n + 1]], and row 0 is empty. With
     s = isqrt(limit), each row lists n's divisors d <= s by ascending d, then
     its divisors n/k > s by descending k <= s, so the build is 2s strided
-    numpy passes with no per-n loop. Its size is divisor_table_bytes(limit),
+    numpy passes with no per-n loop. Its size is arith.divisor_table_bytes(limit),
     about 4 * limit * (ln limit + 1) bytes.
     """
     if not 0 <= limit <= 10**8:

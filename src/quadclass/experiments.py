@@ -22,9 +22,8 @@ denominator its ratios use.
 The class data of D > 0 fans out to a process pool (``jobs``); that of
 D < 0 is one count over all of them, in the calling process whatever
 ``jobs`` is. Aggregation sorts by discriminant, so reports are
-byte-identical for any worker count. An optional ``cache``, a ClassTable
-or a mapping D -> ClassGroupInfo, is consulted before computing and
-extended in place.
+byte-identical for any worker count. An optional ``cache``, a ClassTable,
+is consulted before computing and extended in place.
 
 Class data comes from the numpy batch alone, and a survey past
 survey_limit is refused before it allocates anything. numpy, the batch and
@@ -143,7 +142,6 @@ class Checkpoint(NamedTuple):
     ratio_L: float | None = None
     ratio_Lt: float | None = None
     ratio_intersection: float | None = None
-    indivisible_ratio: float | None = None  # over S_plus / S_minus
     nh_average: float | None = None
     lemma_lhs: float | None = None  # 2 * #{r3 = 0} / |S+|
     lemma_rhs: float | None = None  # 3 - running average of 3^r3
@@ -170,7 +168,7 @@ class DensityReport(_Report):
         if xs != sorted(set(xs)):
             raise AssertionError("checkpoints must be strictly increasing")
         for c in self.checkpoints:
-            for r in (c.ratio_L, c.ratio_Lt, c.ratio_intersection, c.indivisible_ratio):
+            for r in (c.ratio_L, c.ratio_Lt, c.ratio_intersection):
                 if r is not None and not 0.0 <= r <= 1.0:
                     raise AssertionError(f"ratio {r} outside [0, 1] at x={c.x}")
             if c.nh_average is not None and c.nh_average < 1.0:
@@ -327,12 +325,17 @@ class ClassTable(Mapping):
         return np.column_stack([np.frombuffer(c, np.int64) for c in self.columns])
 
     def add(self, rows):
-        """Merge an (n, 5) int64 numpy array of rows whose D are new."""
+        """Merge an (n, 5) int64 numpy array of rows of new, distinct D, in
+        any order; they are sorted only when their D do not ascend."""
         import numpy as np
 
-        rows = np.concatenate((self.rows, rows))
-        rows = rows[rows[:, 0].argsort(kind="stable")]
-        self.columns = tuple(array("q", col.tobytes()) for col in rows.T)
+        if (rows[1:, 0] < rows[:-1, 0]).any():
+            rows = rows[rows[:, 0].argsort()]
+        at = np.searchsorted(np.frombuffer(self.columns[0], np.int64), rows[:, 0])
+        columns = tuple(array("q") for _ in self.columns)
+        for column, old, new in zip(columns, self.columns, rows.T):
+            column.frombytes(np.insert(np.frombuffer(old, np.int64), at, new).view(np.uint8))
+        self.columns = columns
 
     def row(self, d):
         """The row of key d as a tuple of ints; KeyError when d is absent."""
@@ -369,36 +372,31 @@ class ClassTable(Mapping):
         return len(self.columns[0])
 
 
-def compute_class_infos(ds, *, jobs: int = 1, cache: Mapping | None = None,
+def compute_class_infos(ds, *, jobs: int = 1, cache: ClassTable | None = None,
                         progress: bool = False) -> ClassTable:
     """Class data for every fundamental discriminant in ds, cache-aware.
 
-    Returns a ClassTable of exactly the D of ds. A ClassTable cache gains the
-    computed rows; a mapping D -> ClassGroupInfo is consulted first and gains
-    a ClassGroupInfo per computed D. Output is independent of ``jobs``, which
-    only the D > 0 use (_core_rows). A D to compute past survey_limit of its
-    sign raises ValueError first. Only a run that computes some D loads numpy.
+    Returns a ClassTable of exactly the D of ds. The cache, a ClassTable, is
+    consulted first and gains the computed rows; any other raises TypeError.
+    Output is independent of ``jobs``, which only the D > 0 use (_core_rows).
+    A D to compute past survey_limit of its sign raises ValueError first.
+    Only a run that computes some D loads numpy.
     """
+    if cache is not None and not isinstance(cache, ClassTable):
+        raise TypeError(f"cache must be a ClassTable or None, not {type(cache).__name__}")
     # Distinct D, ascending: each one unequal to the one before it. Not a
     # set, which raised the peak RSS of a cold nh-average at X = 10^6 by 3.5 MB.
     wanted = sorted(map(operator.index, ds))
     wanted = list(compress(wanted, map(operator.ne, wanted, chain((None,), wanted))))
     if not wanted:
         return ClassTable()
-    table = cache
-    if not isinstance(cache, ClassTable):
-        hits = [cache[d] for d in wanted if d in cache] if cache else []
-        table = ClassTable(array("q", column) for column in zip(
-            *[(i.D.value, i.h_plus, i.h, i.unit_norm, i.r3) for i in hits]))
+    table = ClassTable() if cache is None else cache
     columns = table.within(wanted[0], wanted[-1])
     todo = list(filterfalse(set(columns[0]).__contains__, wanted))  # ascending
     if todo:
         _check_limit(-todo[0], negative=True)
         _check_limit(todo[-1])
-        rows = _core_rows(todo, jobs, progress)
-        table.add(rows)
-        if cache is not None and cache is not table:
-            cache.update(zip(todo, map(_info, *rows.T.tolist())))
+        table.add(_core_rows(todo, jobs, progress))
         columns = table.within(wanted[0], wanted[-1])
     if len(columns[0]) > len(wanted):  # the table holds D that ds does not
         keep = list(map(set(wanted).__contains__, columns[0]))
@@ -519,7 +517,8 @@ def _torsion_sizes(columns):
 
 
 def nh_average(x: int, family: CongruenceFamily, checkpoints=None, *,
-               jobs: int = 1, cache: dict | None = None, progress: bool = False) -> DensityReport:
+               jobs: int = 1, cache: ClassTable | None = None,
+               progress: bool = False) -> DensityReport:
     """Running average of 3^r3 over S+(X, m, N); the limit constant is 4/3."""
     _require_family(family)
 
@@ -533,7 +532,7 @@ def nh_average(x: int, family: CongruenceFamily, checkpoints=None, *,
 
 
 def indivisibility_density(x: int, family: CongruenceFamily, checkpoints=None, *,
-                           jobs: int = 1, cache: dict | None = None,
+                           jobs: int = 1, cache: ClassTable | None = None,
                            progress: bool = False) -> DensityReport:
     """Fraction of S+ with h(D) not divisible by 3; liminf bound 5/6.
 
@@ -548,7 +547,6 @@ def indivisibility_density(x: int, family: CongruenceFamily, checkpoints=None, *
             raise AssertionError(f"counting inequality violated at x={c}")
         return Checkpoint(
             x=c, sets=DiscriminantSets(c, family, s, k, L=zero),
-            indivisible_ratio=zero / k,
             ratio_L=zero / k,
             nh_average=tor / k,
             lemma_lhs=2 * zero / k,
@@ -600,7 +598,7 @@ def _pair_survey(x, family, checkpoints, **run):
 
 
 def pair_experiment(x: int, family: CongruenceFamily, checkpoints=None, *,
-                    jobs: int = 1, cache: dict | None = None,
+                    jobs: int = 1, cache: ClassTable | None = None,
                     progress: bool = False) -> DensityReport:
     """Densities of L, L_t and L with L_t shifted, inside the progression.
 
@@ -617,7 +615,7 @@ def pair_experiment(x: int, family: CongruenceFamily, checkpoints=None, *,
 
 
 def lambda_survey(x: int, family: CongruenceFamily, checkpoints=None, *,
-                  jobs: int = 1, cache: dict | None = None,
+                  jobs: int = 1, cache: ClassTable | None = None,
                   progress: bool = False) -> tuple[list[Lambda3Certificate], DensityReport]:
     """Certificates of vanishing lambda_3 for the pairs in L(X) with L_t(X).
 
@@ -650,7 +648,7 @@ def lambda_survey(x: int, family: CongruenceFamily, checkpoints=None, *,
 
 
 def imaginary_density(x: int, family: CongruenceFamily, checkpoints=None, *,
-                      jobs: int = 1, cache: dict | None = None,
+                      jobs: int = 1, cache: ClassTable | None = None,
                       progress: bool = False) -> DensityReport:
     """Fraction of S-(X, m, N) with 3 not dividing h; liminf bound 1/2.
 
@@ -660,8 +658,7 @@ def imaginary_density(x: int, family: CongruenceFamily, checkpoints=None, *,
     _require_family(family)
 
     def point(c, s, k, indiv):
-        return Checkpoint(x=c, sets=DiscriminantSets(c, family, s, k, L=indiv),
-                          indivisible_ratio=indiv / k, ratio_L=indiv / k)
+        return Checkpoint(x=c, sets=DiscriminantSets(c, family, s, k, L=indiv), ratio_L=indiv / k)
 
     points = _survey(x, family, checkpoints, True,
                      [lambda c: map(truth, map(mod, c[2], repeat(3)))], point,

@@ -41,7 +41,7 @@ def _run_variants(runner, x, family, unpack=False):
     """Run cold/warm x jobs {1, 4} variants; return baseline result + renders."""
     results = {}
     renders = {}
-    warm = {}
+    warm = experiments.ClassTable()
 
     def go(key, jobs, cache):
         if unpack:
@@ -52,7 +52,7 @@ def _run_variants(runner, x, family, unpack=False):
         renders[key] = cli.render_report(rep, "csv", certs) + cli.render_report(rep, "json", certs)
 
     go("cold-j1", 1, warm)  # fills the warm cache
-    go("cold-j4", 4, {})
+    go("cold-j4", 4, experiments.ClassTable())
     go("warm-j1", 1, warm)
     go("warm-j4", 4, warm)
     return results, renders
@@ -149,7 +149,7 @@ def test_a4_squarefree_ap_main_term():
 
 def test_a5_indivisibility_bound(indiv_runs):
     _, rep = indiv_runs[0]["cold-j1"]
-    ratio = rep.checkpoints[-1].indivisible_ratio
+    ratio = rep.checkpoints[-1].ratio_L
     report_line("A5", ratio >= 5 / 6, f"indivisible ratio {ratio:.6f} >= 5/6 at X=10^5")
 
 
@@ -170,7 +170,7 @@ def test_a7_pair_intersection(pairs_runs, fam14):
     ratio_ok = cp.ratio_intersection >= bound and cp.ratio_intersection >= 0.01321
     # independent membership recount at the final checkpoint, using the warm
     # cache for class numbers but fresh squarefree decisions
-    cache = {}
+    cache = experiments.ClassTable()
     experiments.pair_experiment(X_MAIN, fam14, [X_MAIN], cache=cache)
     t = fam14.t
     l = lt = cap = cup = 0
@@ -205,7 +205,7 @@ def test_a8_lambda_certificates(lambda_runs):
 
 def test_a9_imaginary_bound(imag_runs):
     _, rep = imag_runs[0]["cold-j1"]
-    ratio = rep.checkpoints[-1].indivisible_ratio
+    ratio = rep.checkpoints[-1].ratio_L
     report_line("A9", ratio >= 0.5, f"imaginary indivisible ratio {ratio:.6f} >= 0.5 at X=10^5")
 
 

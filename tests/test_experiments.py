@@ -141,7 +141,7 @@ class TestIndivisibility:
         good = [d for d in members if h_of(d) % 3 != 0]
         cp = rep.checkpoints[-1]
         assert cp.sets.L == len(good)
-        assert cp.indivisible_ratio == pytest.approx(len(good) / len(members))
+        assert cp.ratio_L == pytest.approx(len(good) / len(members))
         assert rep.target_bound == pytest.approx(5 / 6)
 
     def test_counting_inequality_reported(self, fam14):
@@ -235,7 +235,7 @@ class TestImaginary:
         cp = rep.checkpoints[-1]
         assert cp.sets.S_plus == len(members)
         assert cp.sets.L == len(good)
-        assert cp.indivisible_ratio == pytest.approx(len(good) / len(members))
+        assert cp.ratio_L == pytest.approx(len(good) / len(members))
         assert rep.target_bound == 0.5
 
     def test_no_data(self, fam14):
@@ -261,19 +261,28 @@ class TestDeterminismAndCache:
             assert self._render(experiments.pair_experiment(x, fam14, jobs=jobs)) == base
 
     def test_warm_cache_transparent(self, fam14):
-        cache = {}
+        cache = experiments.ClassTable()
         cold = self._render(experiments.indivisibility_density(2000, fam14, cache=cache))
         assert cache
         warm = self._render(experiments.indivisibility_density(2000, fam14, cache=cache))
         assert warm == cold
 
-    def test_cache_is_extended_and_reused(self, fam14):
-        cache = {}
+    def test_cache_is_extended_and_reused(self, monkeypatch):
+        cache = experiments.ClassTable()
         experiments.compute_class_infos([5, 13, -23], cache=cache)
         assert set(cache) == {5, 13, -23}
-        marker = cache[5]
+        row = cache.row(5)
+        computed = []
+        core_rows = experiments._core_rows
+
+        def recording(todo, *args):
+            computed.append(todo)
+            return core_rows(todo, *args)
+
+        monkeypatch.setattr(experiments, "_core_rows", recording)
         experiments.compute_class_infos([5, 17], cache=cache)
-        assert cache[5] is marker  # cached value untouched
+        assert computed == [[17]]  # only the D the cache lacks are computed
+        assert cache.row(5) == row  # cached row untouched
         assert set(cache) == {5, 13, 17, -23}
 
     def test_over_cap_falls_back_to_trial_division(self, monkeypatch):
@@ -386,6 +395,39 @@ class TestClassTable:
         assert table[13] == forms.class_group_info(13)
         assert table[-4] == forms.class_group_info(-4)
 
+    @staticmethod
+    def _row(d):
+        info = forms.class_group_info(d)
+        return [d, info.h_plus, info.h, info.unit_norm, info.r3]
+
+    @pytest.mark.parametrize("before", [[], [229, -23]], ids=repr)
+    @pytest.mark.parametrize("ds", [[13, 12, 8, 5, -3, -4, -24], [-24, -4, 5, 13]], ids=repr)
+    def test_add_rows_in_any_order(self, before, ds):
+        """Rows given in descending or ascending D, into an empty table or
+        not, give ascending int64 columns of forms.class_group_info."""
+        table = experiments.ClassTable()
+        for new in (before, ds):
+            table.add(np.array([self._row(d) for d in new], np.int64).reshape(-1, 5))
+        expected = sorted(before + ds)
+        assert [c.tolist() for c in table.columns] == list(map(list, zip(*map(self._row, expected))))
+        assert {c.typecode for c in table.columns} == {"q"}
+        assert table == {d: forms.class_group_info(d) for d in expected}
+
+    @pytest.mark.parametrize("cache", [{}, {5: None}, [], [5]], ids=repr)
+    @pytest.mark.parametrize("ds", [[], [5]], ids=repr)
+    def test_other_caches_are_refused(self, monkeypatch, fam14, cache, ds):
+        """A cache that is not a ClassTable raises TypeError naming its type,
+        before anything is computed, even when there is nothing to compute."""
+        def fail(*args):
+            pytest.fail("_core_rows called")
+
+        monkeypatch.setattr(experiments, "_core_rows", fail)
+        name = type(cache).__name__
+        with pytest.raises(TypeError, match=rf"not {name}$"):
+            experiments.compute_class_infos(ds, cache=cache)
+        with pytest.raises(TypeError, match=rf"not {name}$"):
+            experiments.nh_average(100, fam14, cache=cache)
+
     def test_table_cache_is_extended(self, table):
         got = experiments.compute_class_infos(iter([17, 12, 13, 5]), cache=table)
         assert list(got) == [5, 12, 13, 17]
@@ -396,7 +438,7 @@ class TestClassTable:
     def test_holds_exactly_the_d_asked_for(self, table, ds):
         """Unsorted, repeated or no D; a cache holding other D adds none."""
         expected = sorted(set(np.asarray(ds).tolist()))
-        for cache in (None, {}, experiments.ClassTable(), dict(table), table):
+        for cache in (None, experiments.ClassTable(), table):
             got = experiments.compute_class_infos(ds, cache=cache)
             assert list(got) == expected
             assert got == {d: forms.class_group_info(d) for d in expected}

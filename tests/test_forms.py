@@ -201,7 +201,7 @@ class TestDivisorTable:
         offsets, divisors = batch.divisor_table(limit)
         assert offsets.dtype == divisors.dtype == "int32"
         assert len(offsets) == limit + 2 and offsets[0] == offsets[1] == 0
-        assert offsets.nbytes + divisors.nbytes == batch.divisor_table_bytes(limit)
+        assert offsets.nbytes + divisors.nbytes == arith.divisor_table_bytes(limit)
         for n in range(1, limit + 1):
             row = divisors[offsets[n] : offsets[n + 1]].tolist()
             assert row == sympy.divisors(n), n
