@@ -5,8 +5,12 @@ A process loads only what its subcommand runs: a query loads no numpy,
 and numpy is loaded only by a survey that computes some discriminant. A
 survey whose discriminants are all cached loads neither numpy nor the batch,
 nor the forms unless it builds lambda's certificates: the cache is parsed
-by json and checked column by column in plain Python. json is imported only
-to read a cache or to render ``--format json``. ``run`` sets
+by json and checked column by column in plain Python. A survey process does
+its set-up once: one match finds the cache file's first bad line, each
+parsed chunk is checked from the lists json returns, the squarefree sieve of
+the cache check serves the survey's own scan, and the survey limit is
+derived only for a |D| past a bound that provably fits within it. json is
+imported only to read a cache or to render ``--format json``. ``run`` sets
 OPENBLAS_NUM_THREADS to 1 unless the user chose a value: quadclass calls no
 BLAS routine, and numpy's OpenBLAS would otherwise start a worker thread
 that spends CPU in every process that computes.
@@ -191,15 +195,15 @@ def render_sieve_count(res: arith.SquarefreeAPCount, fmt: str = "csv") -> str:
 # A canonical field is what str() makes of an int: "0", or an optional "-"
 # and a nonzero digit, then more digits. At most 19 digits, so that it can
 # fit in int64; the parse refuses a 19-digit field beyond int64.
-_FIELD = rb"(?:0|-?[1-9][0-9]{0,18})"
-_LINE = rb"%s(?:,%s){4}" % (_FIELD, _FIELD)
-_BAD_LINE = re.compile(rb"^(?!%s$)" % _LINE, re.MULTILINE)
-_LONG_FIELD = re.compile(rb"-?[0-9]{19}")
+_FIELD = rb"(?:0|-?[1-9][0-9]{0,18}+)"
+# The good lines that open a file, each ended by LF or by the end of the
+# file, in one match: the possessive repeat never backtracks into a line it
+# has taken, so the match ends where the first bad line starts.
+_GOOD_LINES = re.compile(rb"(?:%s(?:\n|\Z))*+" % b",".join([_FIELD] * 5))
 _INT64 = range(-(1 << 63), 1 << 63)
-# Bytes of record lines parsed at once, and records checked at once: each
-# bounds the Python ints alive during a load to about 10 MB.
+# Bytes of record lines parsed and checked at once, which bounds the Python
+# ints alive during a load to about 10 MB.
 _CHUNK = 1 << 20
-_BLOCK = 1 << 16
 _POW3 = [3**k for k in range(40)]  # 3^39 < 2^63 - 1 < 3^40
 
 
@@ -210,11 +214,7 @@ def _record_checks():
     that they keep the ones before it and that D ascends; each is a few
     passes of C-level builtins. A message is formatted with the record as
     rec and its sign as kind."""
-    from .experiments import _fundamental, survey_limit
-
-    # No run computes a |D| past the survey limit of its sign, so no run
-    # stores one; the fundamental check, after this one, sieves within it.
-    limits = range(-survey_limit(negative=True), survey_limit() + 1)
+    from .experiments import _fundamental, _within_limit
 
     def consistent(d, h_plus, h, unit_norm, r3):
         # unit_norm is 0 exactly for the D < 0, which come first, and h_plus
@@ -228,7 +228,9 @@ def _record_checks():
         (lambda d, h_plus, h, unit_norm, r3:
          0 not in d and min(h_plus) >= 1 and min(h) >= 1 and min(r3) >= 0,
          "impossible record {rec}"),
-        (lambda d, *_: min(d) in limits and max(d) in limits,
+        # No run computes a |D| past the survey limit of its sign, so no run
+        # stores one; the fundamental check, after this one, sieves within it.
+        (lambda d, *_: _within_limit(-min(d), negative=True) and _within_limit(max(d)),
          "|D| exceeds the survey limit in {rec}"),
         (lambda d, h_plus, h, unit_norm, r3: min(unit_norm) >= -1 and max(unit_norm) <= 1,
          "unit_norm outside {{-1, 0, 1}} in {rec}"),
@@ -241,49 +243,48 @@ def _record_checks():
     ]
 
 
-def _first_fault(columns):
-    """(index, message) of the first record of the columns that breaks an
-    invariant of _record_checks or the ascending order of D, or None. The
-    records are checked a block at a time as lists of ints, and only in a
-    block that fails is the first bad record looked for."""
-    checks = _record_checks()
-
-    def clean(part, before):  # whether the records of part pass, after D = before
+def _first_fault(part, before, checks):
+    """(index, message) of the first record of part, five nonempty lists of
+    ints, that breaks one of the checks of _record_checks or the ascending
+    order of D after D = before (None at the first record), or None. The
+    first bad record is looked for only when the whole part fails."""
+    def clean(part):
         d = part[0] if before is None else [before, *part[0]]
         return (all(check(*part) for check, _ in checks)
                 and all(map(operator.lt, d, islice(d, 1, None))))
 
-    before = None
-    for lo in range(0, len(columns[0]), _BLOCK):
-        part = [c[lo : lo + _BLOCK].tolist() for c in columns]
-        if not clean(part, before):
-            # Every prefix of a clean prefix is clean.
-            i = bisect_left(range(len(part[0])), True,
-                            key=lambda k: not clean([c[: k + 1] for c in part], before))
-            rec = CacheRecord(*(c[i] for c in part))
-            kind = "imaginary" if rec.D < 0 else "real"
-            return lo + i, next((message.format(rec=rec, kind=kind) for check, message in checks
-                                 if not check(*([v] for v in rec))),
-                                "records not strictly ascending")
-        before = part[0][-1]
-    return None
+    if clean(part):
+        return None
+    # Every prefix of a clean prefix is clean.
+    i = bisect_left(range(len(part[0])), True, key=lambda k: not clean([c[: k + 1] for c in part]))
+    rec = CacheRecord(*(c[i] for c in part))
+    kind = "imaginary" if rec.D < 0 else "real"
+    return i, next((message.format(rec=rec, kind=kind) for check, message in checks
+                    if not check(*([v] for v in rec))), "records not strictly ascending")
 
 
 def _parse_columns(data: bytes, end: int):
     """The five int64 array('q') columns of the canonical record lines
-    data[:end], parsed by json a chunk of lines at a time; OverflowError when
-    a field does not fit in int64."""
+    data[:end], parsed by json a chunk of lines at a time, and (index,
+    message) of the first record that _first_fault refuses, or None; after a
+    refused record the columns stop at the end of its chunk. OverflowError
+    when a field does not fit in int64."""
     import json
 
+    checks = _record_checks()
     columns = [array("q") for _ in range(5)]
-    start = 0
+    start, before = 0, None
     while start < end:
         stop = data.find(b"\n", start + _CHUNK, end) + 1 or end
         fields = json.loads(b"[%s]" % data[start:stop].rstrip(b"\n").replace(b"\n", b","))
-        for column, values in zip(columns, (fields[j::5] for j in range(5))):
-            column.extend(values)
-        start = stop
-    return columns
+        part = [fields[j::5] for j in range(5)]
+        for column, values in zip(columns, part):
+            column.extend(array("q", values))  # sized once, unlike an extend by the list
+        fault = _first_fault(part, before, checks)
+        if fault is not None:
+            return columns, (len(columns[0]) - len(part[0]) + fault[0], fault[1])
+        start, before = stop, part[0][-1]
+    return columns, None
 
 
 def _format_fault(line: bytes) -> str:
@@ -307,35 +308,34 @@ def _format_fault(line: bytes) -> str:
 def cache_load(path: str) -> experiments.ClassTable:
     """Load and validate a cache file; sorted ascending by D, no duplicates.
 
-    The file is read once. A pattern finds the first line that is not five
-    canonical integers, and the lines before it are parsed into five int64
-    columns. The record invariants, that every D is a fundamental
-    discriminant and the ascending order are checked column by column; only
-    when a check fails is the first bad record looked for. The columns
-    become those of the experiments.ClassTable the surveys read. No numpy
-    is loaded. CacheCorruption names path:lineno of the first bad line.
+    The file is read once. One match of the good lines that open it finds
+    the first line that is not five canonical integers, and the lines before
+    it are parsed by json a chunk at a time into five int64 columns. Each
+    chunk is checked from json's lists, column by column: the record
+    invariants, that every D is a fundamental discriminant and the ascending
+    order; only in a chunk that fails is the first bad record looked for.
+    The columns become those of the experiments.ClassTable the surveys read.
+    No numpy is loaded. CacheCorruption names path:lineno of the first bad
+    line.
     """
     from . import experiments
 
     with open(path, "rb") as fh:
         data = fh.read()
-    bad = _BAD_LINE.search(data)
-    # After a final LF (or in an empty file) the search stops at len(data),
-    # where no line starts.
-    end = bad.start() if bad else len(data)
+    # The end of the file, or of the last good line before a bad one.
+    end = _GOOD_LINES.match(data).end()
     try:
-        columns = _parse_columns(data, end)
+        columns, fault = _parse_columns(data, end)
     except OverflowError:  # a 19-digit field beyond int64; the lines before it stand
-        field = next(f for f in _LONG_FIELD.finditer(data, 0, end) if int(f[0]) not in _INT64)
+        fields = re.compile(rb"-?[0-9]{19}").finditer(data, 0, end)
+        field = next(f for f in fields if int(f[0]) not in _INT64)
         end = data.rfind(b"\n", 0, field.start()) + 1
-        columns = _parse_columns(data, end)
-    bad_line = data[end:].split(b"\n", 1)[0] if end < len(data) else None
-    del data
-    fault = _first_fault(columns)
+        columns, fault = _parse_columns(data, end)
     if fault is not None:
         raise CacheCorruption(f"{path}:{fault[0] + 1}: {fault[1]}")
-    if bad_line is not None:
-        raise CacheCorruption(f"{path}:{len(columns[0]) + 1}: {_format_fault(bad_line)}")
+    if end < len(data):
+        why = _format_fault(data[end:].split(b"\n", 1)[0])
+        raise CacheCorruption(f"{path}:{len(columns[0]) + 1}: {why}")
     return experiments.ClassTable(columns)
 
 

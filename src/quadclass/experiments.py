@@ -225,10 +225,34 @@ def survey_limit(negative: bool = False) -> int:
     return _limits(_TABLE_CAP_BYTES)[negative]
 
 
+@lru_cache
+def _sure_limits(cap):
+    """Lower bounds of _limits(cap) found without its search.
+
+    sum_{n <= L} tau(n) <= L (ln L + 1), so the divisor table of the largest
+    L with 4 (L + 2 + L (ln L + 1)) <= cap fits within cap, which one exact
+    divisor_table_bytes(L) confirms. _largest_n is at most D/4 for D > 0 and
+    |D|/3 for D < 0, so every fundamental |D| up to 4L, or 3L, fits, and the
+    largest of them is at most the survey limit of its sign."""
+    low = bisect_left(range(1, cap // 4 + 1), True,
+                      key=lambda n: 4 * (n + 2 + n * (math.log(n) + 1)) > cap)
+    if not low or divisor_table_bytes(low) > cap:
+        return 0, 0
+    return tuple(next((m for m in range(k * low, 0, -1) if is_fundamental_discriminant(sign * m)), 0)
+                 for sign, k in ((1, 4), (-1, 3)))
+
+
+def _within_limit(largest, negative=False):
+    """Whether a run's largest |D| of one sign is within survey_limit, which
+    is derived only for a |D| past _sure_limits."""
+    return (largest <= _sure_limits(_TABLE_CAP_BYTES)[negative]
+            or largest <= survey_limit(negative))
+
+
 def _check_limit(largest, negative=False):
     """ValueError when a run's largest |D| of one sign is past survey_limit."""
-    if largest > (limit := survey_limit(negative)):
-        raise ValueError(f"|D| = {largest} exceeds the survey limit {limit} for "
+    if not _within_limit(largest, negative):
+        raise ValueError(f"|D| = {largest} exceeds the survey limit {survey_limit(negative)} for "
                          f"D {'<' if negative else '>'} 0 (a divisor table within "
                          f"{_TABLE_CAP_BYTES} bytes)")
 
@@ -331,7 +355,9 @@ class ClassTable(Mapping):
 
         if (rows[1:, 0] < rows[:-1, 0]).any():
             rows = rows[rows[:, 0].argsort()]
-        at = np.searchsorted(np.frombuffer(self.columns[0], np.int64), rows[:, 0])
+        # Into an empty table every row goes at 0, which spares np.insert its
+        # index arrays of the rows' length.
+        at = np.searchsorted(np.frombuffer(self.columns[0], np.int64), rows[:, 0]) if self else 0
         columns = tuple(array("q") for _ in self.columns)
         for column, old, new in zip(columns, self.columns, rows.T):
             column.frombytes(np.insert(np.frombuffer(old, np.int64), at, new).view(np.uint8))
@@ -350,9 +376,12 @@ class ClassTable(Mapping):
         return tuple(c[i] for c in self.columns)
 
     def within(self, lo, hi):
-        """The columns of the rows with lo <= D <= hi."""
+        """The columns of the rows with lo <= D <= hi: copies, or the table's
+        own columns when every row is within."""
         keys = self.columns[0]
         i, j = bisect_left(keys, lo), bisect_right(keys, hi)
+        if j - i == len(keys):
+            return list(self.columns)
         return [c[i:j] for c in self.columns]
 
     def __getitem__(self, d):
@@ -376,8 +405,9 @@ def compute_class_infos(ds, *, jobs: int = 1, cache: ClassTable | None = None,
                         progress: bool = False) -> ClassTable:
     """Class data for every fundamental discriminant in ds, cache-aware.
 
-    Returns a ClassTable of exactly the D of ds. The cache, a ClassTable, is
-    consulted first and gains the computed rows; any other raises TypeError.
+    Returns a ClassTable of exactly the D of ds, over the cache's own columns
+    when the cache holds just those D. The cache, a ClassTable, is consulted
+    first and gains the computed rows; any other raises TypeError.
     Output is independent of ``jobs``, which only the D > 0 use (_core_rows).
     A D to compute past survey_limit of its sign raises ValueError first.
     Only a run that computes some D loads numpy.
@@ -392,7 +422,8 @@ def compute_class_infos(ds, *, jobs: int = 1, cache: ClassTable | None = None,
         return ClassTable()
     table = ClassTable() if cache is None else cache
     columns = table.within(wanted[0], wanted[-1])
-    todo = list(filterfalse(set(columns[0]).__contains__, wanted))  # ascending
+    # ascending; wanted itself when nothing is cached, as in a cold survey
+    todo = list(filterfalse(set(columns[0]).__contains__, wanted)) if columns[0] else wanted
     if todo:
         _check_limit(-todo[0], negative=True)
         _check_limit(todo[-1])
@@ -434,21 +465,28 @@ def _progression(family, lo, hi):
     return range(lo + (family.m - lo) % family.N, hi + 1, family.N)
 
 
+# The squarefree flags of 0 < k < len(_sf), _sf[k], kept for every later
+# _fundamental of the process; _sf[0] is 0.
+_sf = bytearray(1)
+
+
 def _fundamental(ds):
     """Flags (a bytes object of 1 or 0) of the fundamental discriminants in
-    ds, a sequence of ints with |D| within DEFAULT_MAX_CELLS. One squarefree
-    sieve of [1, n], n = max |D|, is sliced into the flags of every
+    ds, a sequence of ints with |D| within DEFAULT_MAX_CELLS. The squarefree
+    flags of [1, n], n = max |D|, are sliced into the flags of every
     -n <= D <= n: D = 1 (mod 4) with core |D|, and D = 8, 12 (mod 16) with
-    core |D|/4."""
+    core |D|/4. They come from _sf, which is sieved only over the cells it
+    lacks, so a process sieves each cell once."""
     if not ds:
         return b""
     n = max(max(ds), -min(ds), 16)  # at least 16, so that every slice starts in range
-    sf = bytes(1) + _squarefree_cells(1, n, 1, DEFAULT_MAX_CELLS)  # sf[k] flags k
+    if n >= len(_sf):
+        _sf.extend(_squarefree_cells(len(_sf), n, 1, DEFAULT_MAX_CELLS))
     flags = bytearray(2 * n + 1)  # flags[n + D]
-    flags[n + 1 :: 4] = sf[1::4]
-    flags[n - 3 :: -4] = sf[3::4]
+    flags[n + 1 :: 4] = _sf[1 : n + 1 : 4]
+    flags[n - 3 :: -4] = _sf[3 : n + 1 : 4]
     for d, core in ((8, 2), (12, 3), (-8, 2), (-4, 1)):
-        flags[n + d :: 16 if d > 0 else -16] = sf[core : n // 4 + 1 : 4]
+        flags[n + d :: 16 if d > 0 else -16] = _sf[core : n // 4 + 1 : 4]
     flags[n + 1] = 0  # 1 is squarefree, but no discriminant
     return bytes(map(flags.__getitem__, map(n.__add__, ds)))
 
@@ -569,7 +607,9 @@ def _pair_survey(x, family, checkpoints, **run):
     prog = _progression(family, 1, x)
     shifted = range(prog.start + t, prog.stop + t, prog.step)
     # Members are 1 (mod 4) at theorem level, so L's base is exactly S+.
-    base_l, base_lt = _fundamental(prog), _fundamental(shifted)
+    # shifted (t >= 0) reaches the larger |D|, so prog's flags need no sieve.
+    base_lt = _fundamental(shifted)
+    base_l = _fundamental(prog)
     infos = compute_class_infos([*compress(prog, base_l), *compress(shifted, base_lt)], **run)
     ds, _, hs = infos.columns[:3]
     indivisible = set(compress(ds, map(mod, hs, repeat(3))))

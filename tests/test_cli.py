@@ -456,6 +456,60 @@ class TestCacheParserReference:
             cli.cache_load(str(path))
 
 
+_OVER = "9223372036854775808"  # 2^63, one past int64
+
+
+class TestCacheLoadEdges:
+    """cache_load names the first bad line of each file as path:line: reason,
+    in one chunk and when every line is a chunk of its own."""
+
+    @pytest.mark.parametrize("chunk", [1 << 20, 16], ids=["one-chunk", "a-chunk-a-line"])
+    @pytest.mark.parametrize("text,expected", [
+        ("5,1,1,-1,0\n229,3,3,-1,1", [5, 229]),
+        ("5,1,1,-1,0\n229,3,3,-1,", "2: invalid literal for int() with base 10: ''"),
+        ("", []),
+        ("\n", "1: expected 5 fields"),
+        ("5,1,1,-1,0\r\n229,3,3,-1,1\r\n", "1: non-canonical formatting"),
+        ("5,1,1,-1,0\n229,3,3,-1,1\r\n", "2: non-canonical formatting"),
+        ("5,1,1,-1\n229,3,3,-1,1\n", "1: expected 5 fields"),
+        ("5,1,1,-1,0\n229,3,3,-1,01\n257,3,3,-1,1\n", "2: non-canonical formatting"),
+        ("5,1,1,-1,0\n229,3,3,-1,1\n257,3,3,-1,1,\n", "3: expected 5 fields"),
+        ("5,1,1,-1,0\n229,3,3,-1,1\n\n", "3: expected 5 fields"),
+        ("5,1,1,-1,-0\n", "1: non-canonical formatting"),
+        (f"5,1,1,-1,0\n229,3,3,-1\n257,{_OVER},{_OVER},-1,0\n", "2: expected 5 fields"),
+        (f"5,1,1,-1,0\n257,{_OVER},{_OVER},-1,0\n229,3,3,-1\n",
+         "2: field outside the int64 range"),
+        ("5,1,1,-1,0\n9,1,1,-1,0\nx\n", "2: cached D=9 is not a fundamental discriminant"),
+        (f"5,1,1,-1,0\n13,1,1,-1,0\n9,1,1,-1,0\n257,{_OVER},{_OVER},-1,0\n",
+         "3: cached D=9 is not a fundamental discriminant"),
+        (f"5,1,1,-1,0\n257,{_OVER},{_OVER},-1,0\n9,1,1,-1,0\n",
+         "2: field outside the int64 range"),
+    ], ids=["last-line-without-lf", "bad-last-line-without-lf", "empty-file", "lone-lf", "crlf",
+            "crlf-after-a-good-line", "bad-line-first", "bad-line-in-the-middle", "bad-line-last",
+            "blank-line-last", "minus-zero", "int64-overflow-after-a-bad-line", "int64-overflow-before-a-bad-line",
+            "record-fault-before-a-bad-line", "record-fault-before-an-int64-overflow",
+            "record-fault-after-an-int64-overflow"])
+    def test_first_bad_line(self, tmp_path, monkeypatch, chunk, text, expected):
+        monkeypatch.setattr(cli, "_CHUNK", chunk)
+        path = tmp_path / "c.txt"
+        path.write_bytes(text.encode("ascii"))
+        if isinstance(expected, list):
+            assert list(cli.cache_load(str(path))) == expected
+        else:
+            with pytest.raises(CacheCorruption) as info:
+                cli.cache_load(str(path))
+            assert str(info.value) == f"{path}:{expected}"
+
+    def test_a_fault_after_clean_chunks(self, tmp_path, monkeypatch):
+        # The D before each chunk carries over, so a descent across two
+        # chunks is named; the chunks before a fault are not searched.
+        monkeypatch.setattr(cli, "_CHUNK", 16)
+        path = tmp_path / "c.txt"
+        path.write_text("5,1,1,-1,0\n13,1,1,-1,0\n17,1,1,-1,0\n13,1,1,-1,0\n")
+        with pytest.raises(CacheCorruption, match=r"c\.txt:4: records not strictly ascending$"):
+            cli.cache_load(str(path))
+
+
 class TestWarmPath:
     ARGS = ["indivisibility", "--m", "1", "--n", "4", "--x", "2000"]
 
@@ -631,6 +685,87 @@ def test_survey_past_its_limit_leaves_no_cache_file(tmp_path, capsys, monkeypatc
                              "--cache", "new.txt")
     assert (code, out) == (2, "") and "exceeds the survey limit" in err
     assert list(tmp_path.iterdir()) == []
+
+
+class TestSetUpOnce:
+    """A survey process sieves each squarefree cell once, and derives the
+    survey limit only for a |D| past experiments._sure_limits."""
+
+    @pytest.fixture
+    def windows(self, monkeypatch):
+        """The (lo, hi) of every experiments._squarefree_cells call, from an
+        empty kept sieve."""
+        calls = []
+        cells = experiments._squarefree_cells
+
+        def counted(lo, hi, k, max_cells):
+            calls.append((lo, hi))
+            return cells(lo, hi, k, max_cells)
+
+        monkeypatch.setattr(experiments, "_squarefree_cells", counted)
+        monkeypatch.setattr(experiments, "_sf", bytearray(1))
+        return calls
+
+    @pytest.mark.parametrize("name,reach", [("pairs", 3005), ("imaginary", 2999)])
+    def test_cold_and_warm_surveys_sieve_once(self, tmp_path, capsys, monkeypatch, windows,
+                                              name, reach):
+        # The largest |D| of each survey at x = 3000 (D + t = 3005, D = -2999)
+        # is fundamental, so the warm run's cache check sieves all of it.
+        cache = tmp_path / "c.txt"
+        argv = [*_family_argv(name, 3000), "--cache", str(cache)]
+        code, cold, _ = run_cli(capsys, *argv)
+        assert code == 0 and windows == [(1, reach)]
+        assert max(abs(int(line.split(",")[0])) for line in cache.read_text().split()) == reach
+        monkeypatch.setattr(experiments, "_sf", bytearray(1))
+        windows.clear()
+        code, warm, _ = run_cli(capsys, *argv)
+        assert code == 0 and warm == cold and windows == [(1, reach)]
+
+    def test_warm_survey_past_its_cache_sieves_the_rest(self, tmp_path, capsys, monkeypatch,
+                                                        windows):
+        # nh-average at x = 3000 reaches 2997 = 3^4 * 37, but its cache stops
+        # at 2993: the warm run sieves 2994..2997 alone.
+        cache = tmp_path / "c.txt"
+        argv = [*_family_argv("nh-average", 3000), "--cache", str(cache)]
+        code, cold, _ = run_cli(capsys, *argv)
+        assert code == 0 and windows == [(1, 2997)]
+        monkeypatch.setattr(experiments, "_sf", bytearray(1))
+        windows.clear()
+        code, warm, _ = run_cli(capsys, *argv)
+        assert code == 0 and warm == cold and windows == [(1, 2993), (2994, 2997)]
+
+    def test_no_limit_derived_below_the_sure_limits(self, tmp_path, capsys, monkeypatch):
+        def derive(cap):
+            raise AssertionError("experiments._limits was called")
+
+        monkeypatch.setattr(experiments, "_limits", derive)
+        for name in SURVEY_ARGS:
+            cache = tmp_path / f"{name}.txt"
+            outs = []
+            for _ in ("cold", "warm"):
+                code, out, err = run_cli(capsys, *_family_argv(name, 3000), "--cache", str(cache))
+                assert code == 0, err
+                outs.append(out)
+            assert outs[0] == outs[1]
+            assert len(cli.cache_load(str(cache))) > 0
+
+    @pytest.mark.parametrize("name,x,largest,limit,sign", [
+        ("nh-average", LIMIT + 1, LIMIT + 1, LIMIT, ">"),
+        ("imaginary", LIMIT_NEG + 2, LIMIT_NEG + 1, LIMIT_NEG, "<")])
+    def test_survey_past_the_limit_derives_it(self, capsys, monkeypatch, name, x, largest, limit,
+                                              sign):
+        derived = []
+        limits = experiments._limits
+
+        def derive(cap):
+            derived.append(cap)
+            return limits(cap)
+
+        monkeypatch.setattr(experiments, "_limits", derive)
+        code, out, err = run_cli(capsys, name, "--x", str(x), "--m", "1", "--n", "4")
+        assert (code, out) == (2, "") and derived
+        assert err == (f"invalid arguments: |D| = {largest} exceeds the survey limit {limit} "
+                       f"for D {sign} 0 (a divisor table within 134217728 bytes)\n")
 
 
 class TestColumnarPath:

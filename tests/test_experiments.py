@@ -87,6 +87,20 @@ class TestSurveyLimit:
             fits = [arith.divisor_table_bytes(arith._largest_n(sign * m)) <= cap for m in fund]
             assert experiments.survey_limit(sign < 0) == fund[fits.index(False) - 1], sign
 
+    @pytest.mark.parametrize("cap", [1 << 6, 1 << 8, 1 << 10, 1 << 12, 1 << 14, 1 << 20, 1 << 27])
+    def test_sure_limits_are_fundamental_and_within_the_limits(self, cap):
+        """_sure_limits, which a run checks before it derives a limit, never
+        exceeds the limit of its sign."""
+        pos, neg = experiments._sure_limits(cap)
+        assert 0 < pos <= experiments._limits(cap)[0] and 0 < neg <= experiments._limits(cap)[1]
+        assert arith.is_fundamental_discriminant(pos) and arith.is_fundamental_discriminant(-neg)
+
+    def test_sure_limits_at_the_default_cap(self):
+        # L = 2,030,663: the fundamental D up to 4L = 8,122,652 and down to
+        # -3L = -6,091,989 (not fundamental) fit.
+        assert experiments._sure_limits(1 << 27) == (8_122_652, 6_091_988)
+        assert arith.divisor_table_bytes(2_030_663) <= 1 << 27
+
     def test_refused_before_any_array_is_made(self, monkeypatch, fam14, fam_lambda):
         # Each survey checks x, x + t or x - 1; enumerate_s_plus computes no
         # class data, so its bound is the squarefree sieve's 2^27 cells.
@@ -428,6 +442,18 @@ class TestClassTable:
         with pytest.raises(TypeError, match=rf"not {name}$"):
             experiments.nh_average(100, fam14, cache=cache)
 
+    def test_shares_the_columns_of_a_cache_holding_just_its_d(self):
+        """A cold or warm run whose cache holds exactly its D gets the cache's
+        own columns, and a later merge into the cache leaves them as they were."""
+        cache = experiments.ClassTable()
+        for ds in ([5, 13, -4], [13, -4, 5, 13]):
+            got = experiments.compute_class_infos(ds, cache=cache)
+            assert all(a is b for a, b in zip(got.columns, cache.columns))
+        sub = experiments.compute_class_infos([5], cache=cache)
+        assert not any(a is b for a, b in zip(sub.columns, cache.columns)) and list(sub) == [5]
+        experiments.compute_class_infos([17], cache=cache)
+        assert list(got) == [-4, 5, 13] and list(cache) == [-4, 5, 13, 17]
+
     def test_table_cache_is_extended(self, table):
         got = experiments.compute_class_infos(iter([17, 12, 13, 5]), cache=table)
         assert list(got) == [5, 12, 13, 17]
@@ -537,6 +563,26 @@ class TestScanEquivalence:
                     if all(arith.is_fundamental_discriminant(e) and h_of(e) % 3 != 0
                            for e in (d, d + fam.t))]
         assert [c.D.value for c in certs] == expected
+
+    @pytest.mark.parametrize("first,second", [(30_000, 3000), (3000, 30_000)],
+                             ids=["smaller-after-larger", "larger-after-smaller"])
+    def test_fundamental_keeps_its_sieve(self, monkeypatch, first, second):
+        """The kept sieve serves a smaller n by slicing and grows for a larger
+        one by the cells it lacks alone."""
+        windows = []
+        cells = experiments._squarefree_cells
+
+        def counted(lo, hi, k, max_cells):
+            windows.append((lo, hi))
+            return cells(lo, hi, k, max_cells)
+
+        monkeypatch.setattr(experiments, "_squarefree_cells", counted)
+        monkeypatch.setattr(experiments, "_sf", bytearray(1))
+        for n in (first, second):
+            ds = [*range(-n, n + 1, 7), -n, n, -n + 1, n - 1]
+            assert list(experiments._fundamental(ds)) == [
+                arith.is_fundamental_discriminant(d) for d in ds]
+        assert windows == ([(1, 30_000)] if first > second else [(1, 3000), (3001, 30_000)])
 
     def test_fundamental_without_window(self):
         rng = random.Random(19)
