@@ -5,15 +5,14 @@ A process loads only what its subcommand runs: a query loads no numpy,
 and numpy is loaded only by a survey that computes some discriminant. A
 survey whose discriminants are all cached loads neither numpy nor the batch,
 nor the forms unless it builds lambda's certificates: the cache is parsed
-by json and checked column by column in plain Python. A survey process does
-its set-up once: one match finds the cache file's first bad line, each
-parsed chunk is checked from the lists json returns, the squarefree sieve of
-the cache check serves the survey's own scan, and the survey limit is
-derived only for a |D| past a bound that provably fits within it. json is
-imported only to read a cache or to render ``--format json``. ``run`` sets
-OPENBLAS_NUM_THREADS to 1 unless the user chose a value: quadclass calls no
-BLAS routine, and numpy's OpenBLAS would otherwise start a worker thread
-that spends CPU in every process that computes.
+by json and checked column by column in plain Python: one match finds the
+cache file's first bad line, each parsed chunk is checked from the lists
+json returns, and the squarefree sieve of the cache check serves the
+survey's own scan. json is imported only to read a cache or to render
+``--format json``. ``run`` sets OPENBLAS_NUM_THREADS to 1 unless the user
+chose a value: quadclass calls no BLAS routine, and numpy's OpenBLAS would
+otherwise start a worker thread that spends CPU in every process that
+computes.
 
 Exit codes: 0 success; 2 invalid family or flag values (verdict printed),
 or a survey past experiments.survey_limit, refused before it allocates;
@@ -198,7 +197,9 @@ def render_sieve_count(res: arith.SquarefreeAPCount, fmt: str = "csv") -> str:
 _FIELD = rb"(?:0|-?[1-9][0-9]{0,18}+)"
 # The good lines that open a file, each ended by LF or by the end of the
 # file, in one match: the possessive repeat never backtracks into a line it
-# has taken, so the match ends where the first bad line starts.
+# has taken, so the match ends where the first bad line starts, and it keeps
+# no backtracking state per line, where a greedy repeat keeps about 1 KB.
+# Possessive repeats need Python 3.11, the floor of pyproject.toml.
 _GOOD_LINES = re.compile(rb"(?:%s(?:\n|\Z))*+" % b",".join([_FIELD] * 5))
 _INT64 = range(-(1 << 63), 1 << 63)
 # Bytes of record lines parsed and checked at once, which bounds the Python
@@ -214,7 +215,11 @@ def _record_checks():
     that they keep the ones before it and that D ascends; each is a few
     passes of C-level builtins. A message is formatted with the record as
     rec and its sign as kind."""
-    from .experiments import _fundamental, _within_limit
+    from .experiments import _fundamental, survey_limit
+
+    # No run computes a |D| past the survey limit of its sign, so no run
+    # stores one; the fundamental check, after this one, sieves within it.
+    limits = range(-survey_limit(negative=True), survey_limit() + 1)
 
     def consistent(d, h_plus, h, unit_norm, r3):
         # unit_norm is 0 exactly for the D < 0, which come first, and h_plus
@@ -228,9 +233,7 @@ def _record_checks():
         (lambda d, h_plus, h, unit_norm, r3:
          0 not in d and min(h_plus) >= 1 and min(h) >= 1 and min(r3) >= 0,
          "impossible record {rec}"),
-        # No run computes a |D| past the survey limit of its sign, so no run
-        # stores one; the fundamental check, after this one, sieves within it.
-        (lambda d, *_: _within_limit(-min(d), negative=True) and _within_limit(max(d)),
+        (lambda d, *_: min(d) in limits and max(d) in limits,
          "|D| exceeds the survey limit in {rec}"),
         (lambda d, h_plus, h, unit_norm, r3: min(unit_norm) >= -1 and max(unit_norm) <= 1,
          "unit_norm outside {{-1, 0, 1}} in {rec}"),

@@ -200,8 +200,20 @@ class Lambda3Certificate(NamedTuple):
 @lru_cache
 def _limits(cap):
     """survey_limit of D > 0 and of D < 0 for a table cap of cap bytes."""
-    # The largest table limit within cap: the bytes grow with the limit.
-    top = bisect_left(range(cap // 4 + 1), True, key=lambda n: divisor_table_bytes(n) > cap) - 1
+    # The largest table limit within cap. The bytes grow with the limit n, as
+    # 4 n (ln n + 2 gamma) up to O(sqrt n) (Dirichlet's divisor problem), so
+    # the search runs over n +- sqrt n about the root of that main term, and
+    # from 0 only when those ends do not bracket the top.
+    def over(n):
+        return divisor_table_bytes(n) > cap
+
+    root = cap / 4
+    for _ in range(4):
+        root = cap / 4 / (math.log(max(root, 2)) + 1.1544313)
+    lo, hi = max(0, int(root - math.sqrt(root))), int(root + math.sqrt(root)) + 1
+    if over(lo) or not over(hi):
+        lo, hi = 0, cap // 4  # 4 (cap // 4 + 2) > cap
+    top = lo + bisect_left(range(lo, hi + 1), True, key=over) - 1
     limits = []
     # _largest_n is at most D/4 for D > 0 and |D|/3 for D < 0, so every |D|
     # up to 4 top, or 3 top, fits: the first fundamental |D| that misses is
@@ -225,34 +237,10 @@ def survey_limit(negative: bool = False) -> int:
     return _limits(_TABLE_CAP_BYTES)[negative]
 
 
-@lru_cache
-def _sure_limits(cap):
-    """Lower bounds of _limits(cap) found without its search.
-
-    sum_{n <= L} tau(n) <= L (ln L + 1), so the divisor table of the largest
-    L with 4 (L + 2 + L (ln L + 1)) <= cap fits within cap, which one exact
-    divisor_table_bytes(L) confirms. _largest_n is at most D/4 for D > 0 and
-    |D|/3 for D < 0, so every fundamental |D| up to 4L, or 3L, fits, and the
-    largest of them is at most the survey limit of its sign."""
-    low = bisect_left(range(1, cap // 4 + 1), True,
-                      key=lambda n: 4 * (n + 2 + n * (math.log(n) + 1)) > cap)
-    if not low or divisor_table_bytes(low) > cap:
-        return 0, 0
-    return tuple(next((m for m in range(k * low, 0, -1) if is_fundamental_discriminant(sign * m)), 0)
-                 for sign, k in ((1, 4), (-1, 3)))
-
-
-def _within_limit(largest, negative=False):
-    """Whether a run's largest |D| of one sign is within survey_limit, which
-    is derived only for a |D| past _sure_limits."""
-    return (largest <= _sure_limits(_TABLE_CAP_BYTES)[negative]
-            or largest <= survey_limit(negative))
-
-
 def _check_limit(largest, negative=False):
     """ValueError when a run's largest |D| of one sign is past survey_limit."""
-    if not _within_limit(largest, negative):
-        raise ValueError(f"|D| = {largest} exceeds the survey limit {survey_limit(negative)} for "
+    if largest > (limit := survey_limit(negative)):
+        raise ValueError(f"|D| = {largest} exceeds the survey limit {limit} for "
                          f"D {'<' if negative else '>'} 0 (a divisor table within "
                          f"{_TABLE_CAP_BYTES} bytes)")
 
@@ -477,16 +465,20 @@ def _fundamental(ds):
     -n <= D <= n: D = 1 (mod 4) with core |D|, and D = 8, 12 (mod 16) with
     core |D|/4. They come from _sf, which is sieved only over the cells it
     lacks, so a process sieves each cell once."""
+    global _sf
     if not ds:
         return b""
     n = max(max(ds), -min(ds), 16)  # at least 16, so that every slice starts in range
-    if n >= len(_sf):
-        _sf.extend(_squarefree_cells(len(_sf), n, 1, DEFAULT_MAX_CELLS))
+    sf = _sf
+    if n >= len(sf):
+        # A new object, never an in-place extend: a call on another thread
+        # that holds the old one still slices a consistent prefix.
+        sf = _sf = sf + _squarefree_cells(len(sf), n, 1, DEFAULT_MAX_CELLS)
     flags = bytearray(2 * n + 1)  # flags[n + D]
-    flags[n + 1 :: 4] = _sf[1 : n + 1 : 4]
-    flags[n - 3 :: -4] = _sf[3 : n + 1 : 4]
+    flags[n + 1 :: 4] = sf[1 : n + 1 : 4]
+    flags[n - 3 :: -4] = sf[3 : n + 1 : 4]
     for d, core in ((8, 2), (12, 3), (-8, 2), (-4, 1)):
-        flags[n + d :: 16 if d > 0 else -16] = _sf[core : n // 4 + 1 : 4]
+        flags[n + d :: 16 if d > 0 else -16] = sf[core : n // 4 + 1 : 4]
     flags[n + 1] = 0  # 1 is squarefree, but no discriminant
     return bytes(map(flags.__getitem__, map(n.__add__, ds)))
 

@@ -688,8 +688,8 @@ def test_survey_past_its_limit_leaves_no_cache_file(tmp_path, capsys, monkeypatc
 
 
 class TestSetUpOnce:
-    """A survey process sieves each squarefree cell once, and derives the
-    survey limit only for a |D| past experiments._sure_limits."""
+    """A survey process sieves each squarefree cell once, and a survey past
+    its limit exits 2 naming it."""
 
     @pytest.fixture
     def windows(self, monkeypatch):
@@ -734,36 +734,12 @@ class TestSetUpOnce:
         code, warm, _ = run_cli(capsys, *argv)
         assert code == 0 and warm == cold and windows == [(1, 2993), (2994, 2997)]
 
-    def test_no_limit_derived_below_the_sure_limits(self, tmp_path, capsys, monkeypatch):
-        def derive(cap):
-            raise AssertionError("experiments._limits was called")
-
-        monkeypatch.setattr(experiments, "_limits", derive)
-        for name in SURVEY_ARGS:
-            cache = tmp_path / f"{name}.txt"
-            outs = []
-            for _ in ("cold", "warm"):
-                code, out, err = run_cli(capsys, *_family_argv(name, 3000), "--cache", str(cache))
-                assert code == 0, err
-                outs.append(out)
-            assert outs[0] == outs[1]
-            assert len(cli.cache_load(str(cache))) > 0
-
     @pytest.mark.parametrize("name,x,largest,limit,sign", [
         ("nh-average", LIMIT + 1, LIMIT + 1, LIMIT, ">"),
         ("imaginary", LIMIT_NEG + 2, LIMIT_NEG + 1, LIMIT_NEG, "<")])
-    def test_survey_past_the_limit_derives_it(self, capsys, monkeypatch, name, x, largest, limit,
-                                              sign):
-        derived = []
-        limits = experiments._limits
-
-        def derive(cap):
-            derived.append(cap)
-            return limits(cap)
-
-        monkeypatch.setattr(experiments, "_limits", derive)
+    def test_survey_past_the_limit_exits_2(self, capsys, name, x, largest, limit, sign):
         code, out, err = run_cli(capsys, name, "--x", str(x), "--m", "1", "--n", "4")
-        assert (code, out) == (2, "") and derived
+        assert (code, out) == (2, "")
         assert err == (f"invalid arguments: |D| = {largest} exceeds the survey limit {limit} "
                        f"for D {sign} 0 (a divisor table within 134217728 bytes)\n")
 

@@ -1,3 +1,4 @@
+import bisect
 import concurrent.futures
 import json
 import random
@@ -87,19 +88,32 @@ class TestSurveyLimit:
             fits = [arith.divisor_table_bytes(arith._largest_n(sign * m)) <= cap for m in fund]
             assert experiments.survey_limit(sign < 0) == fund[fits.index(False) - 1], sign
 
-    @pytest.mark.parametrize("cap", [1 << 6, 1 << 8, 1 << 10, 1 << 12, 1 << 14, 1 << 20, 1 << 27])
-    def test_sure_limits_are_fundamental_and_within_the_limits(self, cap):
-        """_sure_limits, which a run checks before it derives a limit, never
-        exceeds the limit of its sign."""
-        pos, neg = experiments._sure_limits(cap)
-        assert 0 < pos <= experiments._limits(cap)[0] and 0 < neg <= experiments._limits(cap)[1]
-        assert arith.is_fundamental_discriminant(pos) and arith.is_fundamental_discriminant(-neg)
+    @pytest.mark.parametrize("cap", [40, 41, 100, 1 << 8, 1 << 14, 1 << 20, 1 << 27, 1 << 28,
+                                     10**8 + 7])
+    def test_table_top_from_a_window_about_the_main_term(self, cap, monkeypatch):
+        """_limits bisects the exact table bytes over a checked window about
+        the root of their main term: the limits are those of a bisection from
+        0, and at 128 MiB it counts the bytes of 13 tables, not 25."""
+        calls = []
+        table_bytes = arith.divisor_table_bytes
 
-    def test_sure_limits_at_the_default_cap(self):
-        # L = 2,030,663: the fundamental D up to 4L = 8,122,652 and down to
-        # -3L = -6,091,989 (not fundamental) fit.
-        assert experiments._sure_limits(1 << 27) == (8_122_652, 6_091_988)
-        assert arith.divisor_table_bytes(2_030_663) <= 1 << 27
+        def counted(n):
+            calls.append(n)
+            return table_bytes(n)
+
+        monkeypatch.setattr(experiments, "divisor_table_bytes", counted)
+        limits = experiments._limits.__wrapped__(cap)
+        top = bisect.bisect_left(range(cap // 4 + 1), True,
+                                 key=lambda n: table_bytes(n) > cap) - 1
+        assert table_bytes(top) <= cap < table_bytes(top + 1)
+        for limit, sign in zip(limits, (1, -1)):
+            assert arith.is_fundamental_discriminant(sign * limit)
+            assert arith._largest_n(sign * limit) <= top
+            after = next(m for m in range(limit + 1, 2 * limit + 100)
+                         if arith.is_fundamental_discriminant(sign * m))
+            assert arith._largest_n(sign * after) > top
+        if cap == 1 << 27:
+            assert limits == (8_533_837, 6_402_243) and len(calls) == 13
 
     def test_refused_before_any_array_is_made(self, monkeypatch, fam14, fam_lambda):
         # Each survey checks x, x + t or x - 1; enumerate_s_plus computes no
@@ -579,9 +593,14 @@ class TestScanEquivalence:
         monkeypatch.setattr(experiments, "_squarefree_cells", counted)
         monkeypatch.setattr(experiments, "_sf", bytearray(1))
         for n in (first, second):
+            kept = experiments._sf
+            size = len(kept)
             ds = [*range(-n, n + 1, 7), -n, n, -n + 1, n - 1]
             assert list(experiments._fundamental(ds)) == [
                 arith.is_fundamental_discriminant(d) for d in ds]
+            # Grown into a new object, so a caller holding the old one still
+            # slices a consistent prefix.
+            assert len(kept) == size
         assert windows == ([(1, 30_000)] if first > second else [(1, 3000), (3001, 30_000)])
 
     def test_fundamental_without_window(self):
