@@ -47,7 +47,6 @@ from array import array
 from bisect import bisect_left, bisect_right
 from collections.abc import Mapping
 from contextlib import ExitStack
-from functools import lru_cache
 from itertools import chain, compress, count, filterfalse, islice, repeat
 from operator import and_, mod, not_, or_, truth
 from typing import Iterator, NamedTuple
@@ -100,6 +99,10 @@ _PAIR_BOUNDS = {"ratio_L": TARGET_SET_DENSITY,
 # a table of every n up to about |D|/3 would give (6,402,243) until a limit
 # is derived from the count's own time and memory.
 _TABLE_CAP_BYTES = 1 << 27
+# survey_limit of each cap, seeded with the limits that _limits derives at
+# 128 MiB (tests derive them again), so that a run at the default cap does
+# not spend the 3-6 ms of that search.
+_SURVEY_LIMITS = {1 << 27: (8_533_837, 6_402_243)}
 
 
 # ----------------------------------------------------------------------
@@ -197,23 +200,10 @@ class Lambda3Certificate(NamedTuple):
 # bulk class-group computation
 # ----------------------------------------------------------------------
 
-@lru_cache
 def _limits(cap):
     """survey_limit of D > 0 and of D < 0 for a table cap of cap bytes."""
-    # The largest table limit within cap. The bytes grow with the limit n, as
-    # 4 n (ln n + 2 gamma) up to O(sqrt n) (Dirichlet's divisor problem), so
-    # the search runs over n +- sqrt n about the root of that main term, and
-    # from 0 only when those ends do not bracket the top.
-    def over(n):
-        return divisor_table_bytes(n) > cap
-
-    root = cap / 4
-    for _ in range(4):
-        root = cap / 4 / (math.log(max(root, 2)) + 1.1544313)
-    lo, hi = max(0, int(root - math.sqrt(root))), int(root + math.sqrt(root)) + 1
-    if over(lo) or not over(hi):
-        lo, hi = 0, cap // 4  # 4 (cap // 4 + 2) > cap
-    top = lo + bisect_left(range(lo, hi + 1), True, key=over) - 1
+    # The largest table limit within cap: the bytes grow with the limit.
+    top = bisect_left(range(cap // 4 + 1), True, key=lambda n: divisor_table_bytes(n) > cap) - 1
     limits = []
     # _largest_n is at most D/4 for D > 0 and |D|/3 for D < 0, so every |D|
     # up to 4 top, or 3 top, fits: the first fundamental |D| that misses is
@@ -234,7 +224,9 @@ def survey_limit(negative: bool = False) -> int:
     D > 0 are computed over that table; the D < 0 need none, but keep the
     limit of the table that the batch once read for them (_largest_n).
     """
-    return _limits(_TABLE_CAP_BYTES)[negative]
+    if _TABLE_CAP_BYTES not in _SURVEY_LIMITS:
+        _SURVEY_LIMITS[_TABLE_CAP_BYTES] = _limits(_TABLE_CAP_BYTES)
+    return _SURVEY_LIMITS[_TABLE_CAP_BYTES][negative]
 
 
 def _check_limit(largest, negative=False):

@@ -1,4 +1,3 @@
-import bisect
 import concurrent.futures
 import json
 import random
@@ -88,32 +87,11 @@ class TestSurveyLimit:
             fits = [arith.divisor_table_bytes(arith._largest_n(sign * m)) <= cap for m in fund]
             assert experiments.survey_limit(sign < 0) == fund[fits.index(False) - 1], sign
 
-    @pytest.mark.parametrize("cap", [40, 41, 100, 1 << 8, 1 << 14, 1 << 20, 1 << 27, 1 << 28,
-                                     10**8 + 7])
-    def test_table_top_from_a_window_about_the_main_term(self, cap, monkeypatch):
-        """_limits bisects the exact table bytes over a checked window about
-        the root of their main term: the limits are those of a bisection from
-        0, and at 128 MiB it counts the bytes of 13 tables, not 25."""
-        calls = []
-        table_bytes = arith.divisor_table_bytes
-
-        def counted(n):
-            calls.append(n)
-            return table_bytes(n)
-
-        monkeypatch.setattr(experiments, "divisor_table_bytes", counted)
-        limits = experiments._limits.__wrapped__(cap)
-        top = bisect.bisect_left(range(cap // 4 + 1), True,
-                                 key=lambda n: table_bytes(n) > cap) - 1
-        assert table_bytes(top) <= cap < table_bytes(top + 1)
-        for limit, sign in zip(limits, (1, -1)):
-            assert arith.is_fundamental_discriminant(sign * limit)
-            assert arith._largest_n(sign * limit) <= top
-            after = next(m for m in range(limit + 1, 2 * limit + 100)
-                         if arith.is_fundamental_discriminant(sign * m))
-            assert arith._largest_n(sign * after) > top
-        if cap == 1 << 27:
-            assert limits == (8_533_837, 6_402_243) and len(calls) == 13
+    def test_default_cap_limits_are_derived(self):
+        """survey_limit's seeded limits of the default cap are those _limits
+        derives, so a run at that cap can skip the search."""
+        derived = experiments._limits(1 << 27)
+        assert derived == experiments._SURVEY_LIMITS[1 << 27] == (8_533_837, 6_402_243)
 
     def test_refused_before_any_array_is_made(self, monkeypatch, fam14, fam_lambda):
         # Each survey checks x, x + t or x - 1; enumerate_s_plus computes no
