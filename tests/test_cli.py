@@ -688,8 +688,8 @@ def test_survey_past_its_limit_leaves_no_cache_file(tmp_path, capsys, monkeypatc
 
 
 class TestSetUpOnce:
-    """A survey process sieves each squarefree cell once, and a survey past
-    its limit exits 2 naming it."""
+    """A survey process sieves each squarefree cell once, and at the default
+    table cap reads the survey limits without searching for them."""
 
     @pytest.fixture
     def windows(self, monkeypatch):
@@ -733,6 +733,37 @@ class TestSetUpOnce:
         windows.clear()
         code, warm, _ = run_cli(capsys, *argv)
         assert code == 0 and warm == cold and windows == [(1, 2993), (2994, 2997)]
+
+    _NO_SEARCH = """
+import contextlib, io, json, sys
+from quadclass import cli, experiments
+
+def search(cap):
+    raise AssertionError("experiments._limits was called")
+
+experiments._limits = search
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        codes.append(cli.run(argv))
+print(json.dumps(codes))
+"""
+
+    def test_no_limit_search_at_the_default_cap(self, tmp_path):
+        """A fresh process, with experiments._limits failing, runs every survey
+        cold and then warm, checking its cache, and refuses two past their
+        limits: exit 0 for each run, 2 for each refusal (5 had it searched)."""
+        argvs = [[*_family_argv(name, 3000), "--cache", str(tmp_path / f"{name}.txt")]
+                 for name in SURVEY_ARGS for _ in ("cold", "warm")]
+        argvs += [["nh-average", "--x", str(LIMIT + 1), "--m", "1", "--n", "4"],
+                  ["imaginary", "--x", str(LIMIT_NEG + 2), "--m", "1", "--n", "4"]]
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", self._NO_SEARCH, json.dumps(argvs)], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [0] * (2 * len(SURVEY_ARGS)) + [2, 2]
 
     @pytest.mark.parametrize("name,x,largest,limit,sign", [
         ("nh-average", LIMIT + 1, LIMIT + 1, LIMIT, ">"),
