@@ -120,9 +120,9 @@ def _factorize(n: int) -> list[tuple[int, int]]:
 def _largest_n(d):
     # The largest n = |d - b^2| / 4 of the b = d (mod 2) of an enumeration of
     # reduced forms, the least limit of a divisor table that covers d: at b = 1
-    # or 2 for d > 0 (batch._b_range), at the largest b with 3b^2 <= |d| for
-    # d < 0, which the batch no longer reads from a table, but which still
-    # fixes experiments.survey_limit(negative=True).
+    # or 2 for d > 0 (batch._batch_core_info), at the largest b with
+    # 3b^2 <= |d| for d < 0, which the batch no longer reads from a table, but
+    # which still fixes experiments.survey_limit(negative=True).
     b = 2 - (d & 1) if d > 0 else math.isqrt(-d // 3)
     b -= (b - d) & 1
     return abs(d - b * b) >> 2

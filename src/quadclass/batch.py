@@ -3,11 +3,12 @@
 The surveys compute their class data here alone. For D > 0,
 _batch_core_info works over one divisor_table, a block of discriminants at a
 time: every (D, b) row's window of divisors is found by one bisection of its
-table row at once, and the cycles are labelled by pointer doubling on the
-permutation that two rho steps induce on the a > 0 forms, inverted by one
-argsort. It reads the unit norm off the cycle labels (it is -1 exactly when
-(-1, b, c) lies in the principal cycle), and squares and reduces in numpy
-the classes of each D with 9 | h+ for the 3-torsion. For D < 0, _neg_rows
+table row at once, and the cycles are labelled by bounded rounds of pointer
+doubling on rho^2 = pi^2, pi being a rho step and a negation, a permutation
+of the a > 0 forms that one argsort inverts. It reads the unit norm off the
+cycle labels (it is -1 exactly when (-1, b, c) lies in the principal
+cycle), and squares and reduces in numpy the classes of each D with 9 | h+
+for the 3-torsion. For D < 0, _neg_rows
 counts the reduced forms of every |D| at once, one strided progression of c
 per (a, b) (Cohen, GTM 138, 5.3), with no table, and composes no form: a
 class x != 1 has x^3 = 1 exactly when the ideal A of its reduced form
@@ -38,11 +39,6 @@ __all__ = ["divisor_table"]
 # ----------------------------------------------------------------------
 # divisor table
 # ----------------------------------------------------------------------
-
-def _b_range(d):
-    # The b of the batch's enumeration of d > 0: b = d (mod 2), 0 < b <= isqrt(d).
-    return range(2 - (d & 1), math.isqrt(d) + 1, 2)
-
 
 def divisor_table(limit: int) -> tuple[np.ndarray, np.ndarray]:
     """The divisors of every 1 <= n <= limit, ascending, as compressed sparse rows.
@@ -92,67 +88,61 @@ def _batch_core_info(ds, table):
     (ds[i],) + _core_info(ds[i]).
 
     table is a divisor_table covering every n the enumeration of ds meets; a
-    shorter one is refused with ValueError. The rows are computed a block of
-    at most _BLOCK_ROWS b-rows at a time (_block_rows).
+    shorter one is refused with ValueError. Each block (_block_rows) is the
+    longest run of ds with at most _BLOCK_ROWS rows b = d (mod 2),
+    0 < b <= isqrt(d), or one d, cut by searchsorted over the row counts.
     """
-    out = [np.empty((0, 5), np.int64)]
-    block, ranges, rows = [], [], 0
-    for d in ds:
-        bs = _b_range(d)
-        if block and rows + len(bs) > _BLOCK_ROWS:
-            out.append(_block_rows(block, ranges, *table))
-            block, ranges, rows = [], [], 0
-        block.append(d)
-        ranges.append(bs)
-        rows += len(bs)
-    if block:
-        out.append(_block_rows(block, ranges, *table))
+    d = np.array(ds, np.int64)
+    fl = _isqrt_np(d)
+    b0 = 2 - (d & 1)
+    count = ((fl - b0) >> 1) + 1
+    ends = np.cumsum(count)
+    out, start = [np.empty((0, 5), np.int64)], 0
+    while start < len(d):
+        top = ends[start] - count[start] + _BLOCK_ROWS
+        stop = max(int(np.searchsorted(ends, top, "right")), start + 1)
+        i = slice(start, stop)
+        out.append(_block_rows(d[i], fl[i], b0[i], count[i], *table))
+        start = stop
     return np.concatenate(out)
 
 
 def _bisect(dv, lo, hi, x):
     """For each i, the first j in [lo[i], hi[i]) with dv[j] >= x[i], or hi[i]:
-    bisect_left on every sorted run dv[lo[i]:hi[i]] at once. _block_rows
-    calls it once per row, for the lower end of the row's window."""
-    size = hi - lo
-    for _ in range(int(size.max()).bit_length()):
-        half = size >> 1
-        go = (size > 0) & (dv.take(lo + half, mode="clip") < x)
-        lo = np.where(go, lo + half + 1, lo)
-        size = np.where(go, size - half - 1, half)
-    return lo
+    bisect_left on every sorted run dv[lo[i]:hi[i]] at once, in steps of
+    descending powers of two. _block_rows calls it once per row, for the
+    lower end of the row's window."""
+    pos = lo
+    for p in range(int((hi - lo).max()).bit_length() - 1, -1, -1):
+        ahead = pos + (1 << p)
+        pos = np.where((ahead <= hi) & (dv.take(ahead - 1, mode="clip") < x), ahead, pos)
+    return pos
 
 
-def _block_rows(block, ranges, off, dv):
-    """_batch_core_info of one block of discriminants, with
-    ranges[i] = _b_range(block[i]).
+def _block_rows(d, fl, b0, count, off, dv):
+    """_batch_core_info of one block d, with fl = isqrt(d), and b0 and
+    count the first b and the number of each d's rows.
 
     Every (D, b) row of the block is built with np.repeat, and its window
     L = (F - b + 2) >> 1 <= a <= U = (F + b) >> 1, F = isqrt(D), of divisors
     a of n = (D - b^2) / 4 is found by one bisection, for its lower end: as
     (2a)(2n/a) = D - b^2, a < L exactly when n/a > U, so the row holds as
     many divisors above U as below L. The a > 0 reduced forms are listed by
-    (D, b, a) (_pos_rows). All that stays per D in Python is building the
-    output rows.
+    (D, b, a) (_pos_rows).
     """
-    k = len(block)
-    d = np.array(block, np.int64)
-    b0 = np.array([bs.start for bs in ranges], np.int64)
-    count = np.array([len(bs) for bs in ranges], np.int64)
-    fl = np.array([math.isqrt(x) for x in block], np.int64)
-    j = np.repeat(np.arange(k), count)  # the block index of each row
+    j = np.repeat(np.arange(len(d)), count)  # the block index of each row
     b = b0[j] + 2 * (np.arange(len(j)) - (np.cumsum(count) - count)[j])
     n = (d[j] - b * b) >> 2
     if n.max() > len(off) - 2:
         raise ValueError(f"divisor table up to n = {len(off) - 2} does not cover "
-                         f"D={block[int(j[n.argmax()])]}")
+                         f"D={d[j[n.argmax()]]}")
     start = off[n].astype(np.int64)
     end = off[n + 1].astype(np.int64)
     lo = _bisect(dv, start, end, (fl[j] - b + 2) >> 1)
     width = end - (lo - start) - lo
     r = np.repeat(np.arange(len(j)), width)  # the row of each form
     a = dv[lo[r] + np.arange(len(r)) - (np.cumsum(width) - width)[r]].astype(np.int64)
-    return _pos_rows(block, d, fl, j[r], a, b[r], -(n[r] // a))
+    return _pos_rows(d, fl, j[r], a, b[r], -(n[r] // a))
 
 
 # The int64 arithmetic of the D > 0 batch is exact up to D = 4·10^8 + 4,
@@ -167,72 +157,73 @@ def _block_rows(block, ranges, off, dv):
 # The reduced test of _reduce_pos_np compares 2a - b and 2a + b with isqrt(D)
 # and squares nothing.
 
-def _pos_rows(block, d, fl, j, a, b, c):
-    """The rows of a block of D > 0 from its a > 0 reduced forms (a, b, c),
-    listed by (block index j, b, a).
+def _pos_rows(d, fl, j, a, b, c):
+    """The rows of a block of discriminants d > 0 from their a > 0 reduced
+    forms (a, b, c), listed by (block index j, b, a).
 
-    Two rho steps send each form to the next a > 0 form of its cycle, so the
-    (j, b, a) keys of the images are a permutation of the ascending keys of
-    the forms: one argsort of the images inverts it, and a key that does not
-    match names the first broken D. Pointer doubling labels every form with
-    the least index of its cycle, so h+ counts the forms that are their own
-    label (the roots).
+    pi, a rho step (a, b, c) -> (c, b1, c1) followed by negating a and c,
+    permutes the forms of each D, as reduction ignores the signs. One argsort
+    of the keys of the images inverts it, a key that does not match names
+    the first broken D, and pi(pi(f)) = rho(rho(f)) is the next a > 0 form
+    of the cycle of f. No cycle is longer than its D's count of forms, so
+    ceil(log2) of the most forms of one D doubling rounds label every form
+    with the least index of its cycle, checked once. h+ counts the roots,
+    the forms that are their own label.
     """
-    k = len(block)
     D, F = d[j], fl[j]
-    b1 = F - (F + b) % (-2 * c)
-    c1 = (b1 * b1 - D) // (4 * c)  # rho: (a, b, c) -> (c, b1, c1), c1 > 0
-    b2 = F - (F + b1) % (2 * c1)  # rho: -> (c1, b2, .)
+    b1 = F - (F + b) % (-2 * c)  # rho: (a, b, c) -> (c, b1, .), c < 0
     m = int(fl.max()) + 1  # a reduced form has 0 < a, b <= isqrt(D)
     key = (j * m + b) * m + a  # ascending
-
-    x = (j * m + b2) * m + c1  # the rho^2 images, a permutation of key
+    x = (j * m + b1) * m - c  # the pi images, a permutation of key
     order = np.argsort(x)
     lost = x[order] != key
     if lost.any():
         i = int(lost.argmax())
         raise AssertionError("a rho^2 image is missing from the reduced forms of "
-                             f"D={block[int(min(j[i], j[order[i]]))]}")
-    nxt = np.empty_like(order)
-    nxt[order] = np.arange(len(key))
+                             f"D={d[min(j[i], j[order[i]])]}")
+    half = np.empty_like(order)
+    half[order] = np.arange(len(key))
+    nxt = half[half]
     label = np.arange(len(key))
-    jump = nxt
-    while True:
-        label = np.minimum(label, label[jump])
-        if (label[nxt] == label).all():
-            break
-        jump = jump[jump]
+    for i in range(int(np.bincount(j).max() - 1).bit_length()):
+        jump = jump[jump] if i else nxt
+        np.minimum(label, label[jump], out=label)
+    if (label[nxt] != label).any():
+        raise AssertionError("the cycle labels did not settle for "
+                             f"D={d[j[(label[nxt] != label).argmax()]]}")
     root = label == np.arange(len(key))
-    h_plus = np.bincount(j[root], minlength=k)
+    h_plus = np.bincount(j[root], minlength=len(d))
 
     def label_of(jj, bb, aa):
-        # the cycle label of each reduced form (aa, bb, .) of block[jj]
+        # the cycle label of each reduced form (aa, bb, .) of d[jj]
         x = (jj * m + bb) * m + aa
         i = np.minimum(np.searchsorted(key, x), len(key) - 1)
         lost = key[i] != x
         if lost.any():
             raise AssertionError("a reduced form is missing from the reduced forms of "
-                                 f"D={block[int(jj[lost.argmax()])]}")
+                                 f"D={d[jj[lost.argmax()]]}")
         return label[i]
 
-    count = _torsion_pos(h_plus, j[root], a[root], b[root], c[root], D[root], F[root], label_of)
+    count = _torsion_pos(h_plus, root, j, a, b, c, D, F, label_of)
     return _checked_rows(d, h_plus, count, _unit_norms(d, fl, label_of))
 
 
-def _torsion_pos(h_plus, j, a, b, c, D, F, label_of):
-    """The 3-torsion count of each D > 0 of a block, from one reduced form
-    (a, b, c) with a > 0 of each class, listed by block index j, and its
-    narrow class numbers h_plus: the classes whose square and (c, b, a)
-    reduce into one cycle, for the D with 9 | h+ only, whose classes alone
-    are squared, else _sylow_count's 1 or 3 (_three_torsion_pos). The form
+def _torsion_pos(h_plus, root, j, a, b, c, D, F, label_of):
+    """The 3-torsion count of each D > 0 of a block, from its narrow class
+    numbers h_plus and its a > 0 reduced forms (a, b, c), listed by block
+    index j, with root marking one per class: the classes whose square and
+    (c, b, a) reduce into one cycle, for the D with 9 | h+ only, else
+    _sylow_count's 1 or 3 (_three_torsion_pos). The form
     (c, b, a) is reduced too, so one rho step takes it to the a > 0 form
     (a, F - (F + b) mod 2a, .) of its cycle."""
-    k = len(h_plus)
-    i = np.flatnonzero(h_plus[j] % 9 == 0)
+    nine = h_plus % 9 == 0
+    if not nine.any():
+        return _sylow_count(h_plus, 0)
+    i = np.flatnonzero(root & nine[j])
     j, a, b, c, D, F = j[i], a[i], b[i], c[i], D[i], F[i]
     sa, sb, _ = _reduce_pos_np(*_square_np(a, b, c, *_xgcd_np(b, a)), D, F)
     hit = label_of(j, sb, sa) == label_of(j, F - (F + b) % (2 * a), a)
-    return _sylow_count(h_plus, np.bincount(j[hit], minlength=k))
+    return _sylow_count(h_plus, np.bincount(j[hit], minlength=len(h_plus)))
 
 
 def _sylow_count(h, count):

@@ -358,7 +358,7 @@ def cache_store(path: str, records) -> None:
     tmp = _temp_path(path)
     try:
         with open(tmp, "w", encoding="ascii", newline="") as fh:
-            fh.writelines(",".join(map(str, merged[d])) + "\n" for d in sorted(merged))
+            fh.writelines("{},{},{},{},{}\n".format(*merged[d]) for d in sorted(merged))
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):

@@ -282,7 +282,8 @@ def _core_rows(todo, jobs, progress):
     pos = todo[split:]
     if not pos:
         return np.concatenate(rows)
-    table = divisor_table(max(map(_largest_n, pos)))
+    # _largest_n(D > 0) is (D - 1)/4 or (D - 4)/4, so the last D meets the largest n.
+    table = divisor_table(_largest_n(pos[-1]))
     # Freeing one 1 MiB block raises glibc's dynamic mmap threshold, so the
     # batch's temporaries (up to about 1 MiB a block) reuse heap pages instead
     # of faulting in fresh mmapped ones (pool workers inherit it at the fork).

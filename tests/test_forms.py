@@ -238,6 +238,14 @@ class TestDivisorTable:
             assert arith._largest_n(d) == max(self._enumerated_ns(d)), d
         self._batch_matches_sieve(ds, table)
 
+    def test_largest_d_meets_the_largest_n(self):
+        # experiments._core_rows sizes the table of its ascending D > 0 by the
+        # last D alone: _largest_n never decreases for D > 0.
+        top = 0
+        for d in fundamental_range(1, 20000):
+            top = max(top, arith._largest_n(d))
+            assert arith._largest_n(d) == top, d
+
     def test_n_beyond_table_uses_trial_division(self):
         # A table one row short of the largest n is refused, never read past;
         # a table that covers D answers as the per-D sieve does. A D < 0 is
@@ -342,6 +350,86 @@ class TestBatchAcrossSigns:
     def test_unit_norm_matches_cf_walk(self, reflected):
         ds, real, _ = reflected
         assert [row[3] for row in real] == [forms.unit_norm(d) for d in ds]
+
+
+class TestPositiveBatchSteps:
+    """The steps of the D > 0 batch one at a time: the bisection of the
+    divisor windows, the permutation pi whose square is rho^2, the bound on
+    the labelling rounds, the block planning and the 3-torsion skip."""
+
+    def test_bisect_matches_bisect_left(self):
+        # Runs of every length 0..17 and of lengths 2^k and 2^k + 1 up to 2^10
+        # + 1, repeats allowed, laid end to end in one array, each searched
+        # for x below, above and among its entries (present or not).
+        rng = random.Random(25)
+        lengths = list(range(18)) + [n + e for k in range(5, 11) for n in [1 << k] for e in (0, 1)]
+        runs, dv = [], []
+        for size in lengths * 3:
+            run = sorted(rng.randrange(1, 2 * size + 2) for _ in range(size))
+            xs = [0, 2 * size + 3] + [rng.randrange(0, 2 * size + 4) for _ in range(3)]
+            runs += [(len(dv), len(dv) + size, x, run) for x in xs + run[:1] + run[-1:]]
+            dv += run
+        lo, hi, x = (np.array(col, np.int64) for col in list(zip(*runs))[:3])
+        got = batch._bisect(np.array(dv, np.int32), lo, hi, x).tolist()
+        assert got == [s + bisect.bisect_left(run, v) for s, _, v, run in runs]
+
+    def test_pi_squared_is_rho_squared(self):
+        # pi is a rho step followed by (A, B, C) -> (-A, B, -C). On the a > 0
+        # reduced forms of each D < 2*10^4 it is a permutation, and pi(pi(f))
+        # is rho(rho(f)), so the batch takes one rho step per form.
+        for d in fundamental_range(1, 20000):
+            reduced = [Form(*f, d) for f in forms._reduced_forms_pos(d, math.isqrt(d))]
+            pi = {}
+            for f in reduced:
+                g = forms.rho(f)
+                pi[f] = Form(-g.a, g.b, -g.c, d)
+            assert sorted(pi.values()) == sorted(reduced), d
+            assert all(pi[pi[f]] == forms.rho(forms.rho(f)) for f in reduced), d
+
+    def test_rounds_are_tight_where_h_plus_is_one(self, monkeypatch):
+        # A D with h+ = 1 has one cycle through all its a > 0 forms, so with
+        # one D per block the labelling takes exactly the bound's rounds.
+        ds = [d for d in fundamental_range(1, 20000) if forms._core_info(d)[0] == 1]
+        monkeypatch.setattr(batch, "_BLOCK_ROWS", 1)
+        rows = batch._batch_core_info(ds, table_for(ds)).tolist()
+        assert rows == [[d, *forms._core_info(d)] for d in ds]
+
+    @pytest.mark.parametrize("cap", [1, 3, 40, 1 << 12])
+    def test_blocks_are_the_longest_runs_that_fit(self, cap, monkeypatch):
+        # Each block is the longest run of D, taken in order, whose b-rows
+        # number at most _BLOCK_ROWS, or one D whose rows alone exceed it.
+        ds = fundamental_range(1, 10000)
+        blocks, block_rows = [], batch._block_rows
+        monkeypatch.setattr(batch, "_block_rows", lambda d, *rest: blocks.append(d.tolist())
+                            or block_rows(d, *rest))
+        monkeypatch.setattr(batch, "_BLOCK_ROWS", cap)
+        batch._batch_core_info(ds, table_for(ds))
+        want, rows = [[]], 0
+        for d in ds:
+            count = len(range(2 - (d & 1), math.isqrt(d) + 1, 2))
+            if want[-1] and rows + count > cap:
+                want.append([])
+                rows = 0
+            want[-1].append(d)
+            rows += count
+        assert blocks == want
+
+    def test_blocks_without_9_dividing_h_plus_square_nothing(self, monkeypatch):
+        # With one D per block, only the D with 9 | h+ have their classes
+        # squared, in one call each; blocks of D with 9 not dividing h+ make
+        # no call.
+        ds = fundamental_range(1, 5000)
+        squared, square = [], batch._square_np
+        monkeypatch.setattr(batch, "_square_np", lambda *args: squared.append(args) or square(*args))
+        monkeypatch.setattr(batch, "_BLOCK_ROWS", 1)
+        rows = batch._batch_core_info(ds, table_for(ds)).tolist()
+        nine = [row[0] for row in rows if row[1] % 9 == 0]
+        assert 0 < len(squared) == len(nine)
+        monkeypatch.setattr(batch, "_BLOCK_ROWS", 1 << 12)
+        squared.clear()
+        assert batch._batch_core_info([5, 8, 229, 257], table_for([257])).tolist() == [
+            [d, *forms._core_info(d)] for d in (5, 8, 229, 257)]
+        assert squared == []
 
 
 class TestNegativeCount:
