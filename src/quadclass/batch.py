@@ -1,27 +1,27 @@
 """Batched class data for the surveys, in numpy.
 
 The surveys compute their class data here alone. For D > 0,
-_batch_core_info works over one divisor_table, a block of discriminants at a
+_batch_core_info works over one pos_table, a block of discriminants at a
 time: every (D, b) row's window of divisors is found by one bisection of its
 table row at once, and the cycles are labelled by bounded rounds of pointer
 doubling on rho^2 = pi^2, pi being a rho step and a negation, a permutation
 of the a > 0 forms that one argsort inverts. It reads the unit norm off the
 cycle labels (it is -1 exactly when (-1, b, c) lies in the principal
-cycle), and squares and reduces in numpy the classes of each D with 9 | h+
-for the 3-torsion. For D < 0, _neg_rows
-counts the reduced forms of every |D| at once, one strided progression of c
-per (a, b) (Cohen, GTM 138, 5.3), with no table, and composes no form: a
+cycle), and r3 off one count of binary cubic forms (_cubic_counts):
+3^r3 = 2 N(D) + 1, N(D) the cubic fields of discriminant D (Delone-Faddeev;
+Hasse, Math. Z. 31, 1930). No class of either sign is composed. For D < 0,
+_neg_rows counts the reduced forms of every |D| at once, one strided
+progression of c per (a, b) (Cohen, GTM 138, 5.3), with no table: a
 class x != 1 has x^3 = 1 exactly when the ideal A of its reduced form
 (a, b, c) cubes to a principal (alpha), with alpha = (u + v sqrt D)/2,
 u^2 + |D| v^2 = 4a^3 and v != 0 (Cohen, GTM 138, 5.2). So _cube_roots
 lists the solutions (v, a, u) of that norm equation for every |D| at once
 and keeps those with alpha in A whose content no split prime of a divides:
-then N(alpha) = N(A)^3 makes (alpha) = A^3. Both signs take the 3-torsion
-of the D with 9 | h(+) only (3 || h(+) gives 3, the order of the 3-Sylow
-subgroup), and both check the invariants as masks. Their rows, one int64
-array, equal those of forms._core_info, the single-discriminant route,
-which needs no numpy, squares every class, and is the reference the batch
-is tested against.
+then N(alpha) = N(A)^3 makes (alpha) = A^3, for the D with 9 | h only
+(3 || h gives 3, the order of the 3-Sylow subgroup). Both signs check the
+invariants as masks. Their rows, one int64 array, equal those of
+forms._core_info, the single-discriminant route, which needs no numpy,
+squares every class, and is the reference the batch is tested against.
 
 Unlike arith, this module imports numpy at its top: only experiments imports
 it, where a discriminant is computed, by which time numpy is loaded.
@@ -33,11 +33,13 @@ import math
 
 import numpy as np
 
-__all__ = ["divisor_table"]
+from .arith import _largest_n
+
+__all__ = ["divisor_table", "pos_table"]
 
 
 # ----------------------------------------------------------------------
-# divisor table
+# the tables of D > 0: divisors and cubic fields
 # ----------------------------------------------------------------------
 
 def divisor_table(limit: int) -> tuple[np.ndarray, np.ndarray]:
@@ -72,6 +74,63 @@ def divisor_table(limit: int) -> tuple[np.ndarray, np.ndarray]:
     return offsets, divisors
 
 
+def pos_table(max_d):
+    """(offsets, divisors, fields) = divisor_table(_largest_n(max_d)) and
+    _cubic_counts(max_d), for the D > 0 up to max_d; the count, first, frees
+    its int64 temporaries before the table is built."""
+    fields = _cubic_counts(max_d)
+    return (*divisor_table(_largest_n(max_d)), fields)
+
+
+def _cubic_counts(x):
+    """N(delta) for each 0 <= delta <= x, as uint8 from one bincount: the
+    reduced binary cubic forms (a, b, c, d), a >= 1, of discriminant delta.
+
+    Reduced means the Hessian P x^2 + Q xy + R y^2, P = b^2 - 3ac,
+    Q = bc - 9ad, R = c^2 - 3bd, has 0 <= Q <= P <= R (Belabas, Math. Comp.
+    66, 1997), so 3 delta = 4PR - Q^2 >= 3P^2. The cubic covariant at (1, 0),
+    2bP - 3aQ, squares to 4P^3 - 27 delta a^2, so H(b, -3a) = P^2: then
+    b^2 + 9a^2 <= P if b < 0 and b^2 - 3ab + 9a^2 <= P if b > 0 bound a and
+    b. c runs over 1 <= P <= sqrt x, d over 0 <= Q <= P and P <= R, and
+    R <= (3x + P^2)/(4P) by delta <= x; when b = 0, R = c^2 does not involve
+    d, so the R cuts select c. Every product stays below 4x.
+
+    For a fundamental D, N(D) counts the (3^r3 - 1)/2 cubic fields of
+    discriminant D (Delone-Faddeev; Hasse): the reducible class Z x O_K has
+    a = 0, as its Hessian x^2 + bxy + ((b^2 + 3D)/4) y^2 is 1 only at
+    +-(1, 0), and no reduced form of a fundamental D in the tests' range lies
+    on the boundary Q = 0, Q = P or P = R, where it would need a tie-break.
+    """
+    s, t = math.isqrt(x), math.isqrt(16 * x)  # floor(sqrt x), floor(4 sqrt x)
+    deltas = [np.empty(0, np.int64)]
+    for a in range(1, math.isqrt(t // 27) + 1):  # 27a^2 <= 4 sqrt x
+        b = np.arange(-math.isqrt(max(s - 9 * a * a, 0)),
+                      (3 * a + math.isqrt(t - 27 * a * a)) // 2 + 1, dtype=np.int64)
+        lo, hi = -((s - b * b) // (3 * a)), (b * b - 1) // (3 * a)
+        k = np.maximum(hi - lo + 1, 0)
+        i = np.repeat(np.arange(len(b)), k)
+        b, c = b[i], lo[i] + np.arange(len(i)) - (np.cumsum(k) - k)[i]
+        p, cc = b * b - 3 * a * c, c * c
+        top = (3 * x + p * p) // (4 * p)  # the most R
+        lo, hi = -((p - b * c) // (9 * a)), b * c // (9 * a)  # 0 <= Q <= P
+        # P <= R = c^2 - 3bd <= top: a window of d, or of c when b = 0
+        e, u, v = np.where(b == 0, 1, 3 * b), np.where(b > 0, top, p), np.where(b > 0, p, top)
+        lo = np.where(b == 0, lo, np.maximum(lo, -((u - cc) // e)))
+        hi = np.where(b == 0, np.where((p <= cc) & (cc <= top), hi, lo - 1),
+                      np.minimum(hi, (cc - v) // e))
+        k = np.maximum(hi - lo + 1, 0)
+        i = np.repeat(np.arange(len(k)), k)
+        b, c, p = b[i], c[i], p[i]
+        d = lo[i] + np.arange(len(i)) - (np.cumsum(k) - k)[i]
+        q, r = b * c - 9 * a * d, c * c - 3 * b * d
+        delta = (4 * p * r - q * q) // 3
+        deltas.append(delta[delta <= x])
+    n = np.bincount(np.concatenate(deltas), minlength=x + 1)
+    if n.max() > 255:
+        raise AssertionError(f"{n.max()} reduced cubic forms of D={n.argmax()} exceed uint8")
+    return n.astype(np.uint8)
+
+
 # ----------------------------------------------------------------------
 # batched class data of D > 0 over a divisor table
 # ----------------------------------------------------------------------
@@ -87,10 +146,11 @@ def _batch_core_info(ds, table):
     of ds, in order, as one (len(ds), 5) int64 array: row i is
     (ds[i],) + _core_info(ds[i]).
 
-    table is a divisor_table covering every n the enumeration of ds meets; a
-    shorter one is refused with ValueError. Each block (_block_rows) is the
-    longest run of ds with at most _BLOCK_ROWS rows b = d (mod 2),
-    0 < b <= isqrt(d), or one d, cut by searchsorted over the row counts.
+    table is a pos_table covering every D of ds; a divisor table that misses
+    an n the enumeration of ds meets is refused with ValueError. Each block
+    (_block_rows) is the longest run of ds with at most _BLOCK_ROWS rows
+    b = d (mod 2), 0 < b <= isqrt(d), or one d, cut by searchsorted over the
+    row counts.
     """
     d = np.array(ds, np.int64)
     fl = _isqrt_np(d)
@@ -119,7 +179,7 @@ def _bisect(dv, lo, hi, x):
     return pos
 
 
-def _block_rows(d, fl, b0, count, off, dv):
+def _block_rows(d, fl, b0, count, off, dv, fields):
     """_batch_core_info of one block d, with fl = isqrt(d), and b0 and
     count the first b and the number of each d's rows.
 
@@ -128,7 +188,7 @@ def _block_rows(d, fl, b0, count, off, dv):
     a of n = (D - b^2) / 4 is found by one bisection, for its lower end: as
     (2a)(2n/a) = D - b^2, a < L exactly when n/a > U, so the row holds as
     many divisors above U as below L. The a > 0 reduced forms are listed by
-    (D, b, a) (_pos_rows).
+    (D, b, a) (_pos_rows), and fields is pos_table's count of cubic fields.
     """
     j = np.repeat(np.arange(len(d)), count)  # the block index of each row
     b = b0[j] + 2 * (np.arange(len(j)) - (np.cumsum(count) - count)[j])
@@ -142,22 +202,15 @@ def _block_rows(d, fl, b0, count, off, dv):
     width = end - (lo - start) - lo
     r = np.repeat(np.arange(len(j)), width)  # the row of each form
     a = dv[lo[r] + np.arange(len(r)) - (np.cumsum(width) - width)[r]].astype(np.int64)
-    return _pos_rows(d, fl, j[r], a, b[r], -(n[r] // a))
+    return _pos_rows(d, fl, j[r], a, b[r], -(n[r] // a), fields)
 
 
 # The int64 arithmetic of the D > 0 batch is exact up to D = 4·10^8 + 4,
 # beyond which no divisor_table covers a D. Listed forms have 0 < a <= sqrt D,
 # 0 <= b <= sqrt D and |c| <= D/3, and keys stay below k * (sqrt D + 1)^2
-# for k discriminants. _square_np's products stay below 2 D^1.5, and the
-# square (A, B, C) has 0 < A < D, 0 <= B < 2D + sqrt D and |C| < D + sqrt D.
-# A rho step of _reduce_pos_np from a form with third coefficient c takes an
-# r with |r| <= |c| while |c| > sqrt(D), else |r| < 2|c| + sqrt(D) <= 3 sqrt(D),
-# and the next third coefficient is at most max(|c|, sqrt D) in magnitude, so
-# every rho step of the batch has r^2 < (D + sqrt D)^2 < 2^63.
-# The reduced test of _reduce_pos_np compares 2a - b and 2a + b with isqrt(D)
-# and squares nothing.
+# for k discriminants.
 
-def _pos_rows(d, fl, j, a, b, c):
+def _pos_rows(d, fl, j, a, b, c, fields):
     """The rows of a block of discriminants d > 0 from their a > 0 reduced
     forms (a, b, c), listed by (block index j, b, a).
 
@@ -168,9 +221,9 @@ def _pos_rows(d, fl, j, a, b, c):
     of the cycle of f. No cycle is longer than its D's count of forms, so
     ceil(log2) of the most forms of one D doubling rounds label every form
     with the least index of its cycle, checked once. h+ counts the roots,
-    the forms that are their own label.
+    the forms that are their own label, and 3^r3 is 2 fields[d] + 1.
     """
-    D, F = d[j], fl[j]
+    F = fl[j]
     b1 = F - (F + b) % (-2 * c)  # rho: (a, b, c) -> (c, b1, .), c < 0
     m = int(fl.max()) + 1  # a reduced form has 0 < a, b <= isqrt(D)
     key = (j * m + b) * m + a  # ascending
@@ -204,33 +257,8 @@ def _pos_rows(d, fl, j, a, b, c):
                                  f"D={d[jj[lost.argmax()]]}")
         return label[i]
 
-    count = _torsion_pos(h_plus, root, j, a, b, c, D, F, label_of)
+    count = 2 * fields[d].astype(np.int64) + 1
     return _checked_rows(d, h_plus, count, _unit_norms(d, fl, label_of))
-
-
-def _torsion_pos(h_plus, root, j, a, b, c, D, F, label_of):
-    """The 3-torsion count of each D > 0 of a block, from its narrow class
-    numbers h_plus and its a > 0 reduced forms (a, b, c), listed by block
-    index j, with root marking one per class: the classes whose square and
-    (c, b, a) reduce into one cycle, for the D with 9 | h+ only, else
-    _sylow_count's 1 or 3 (_three_torsion_pos). The form
-    (c, b, a) is reduced too, so one rho step takes it to the a > 0 form
-    (a, F - (F + b) mod 2a, .) of its cycle."""
-    nine = h_plus % 9 == 0
-    if not nine.any():
-        return _sylow_count(h_plus, 0)
-    i = np.flatnonzero(root & nine[j])
-    j, a, b, c, D, F = j[i], a[i], b[i], c[i], D[i], F[i]
-    sa, sb, _ = _reduce_pos_np(*_square_np(a, b, c, *_xgcd_np(b, a)), D, F)
-    hit = label_of(j, sb, sa) == label_of(j, F - (F + b) % (2 * a), a)
-    return _sylow_count(h_plus, np.bincount(j[hit], minlength=len(h_plus)))
-
-
-def _sylow_count(h, count):
-    """The 3-torsion count of each class number h, given the squared count
-    of every h with 9 | h: 1 when 3 does not divide h (Lagrange), 3 when
-    3 || h, as the 3-Sylow subgroup then has order 3."""
-    return np.where(h % 9 == 0, count, np.where(h % 3 == 0, 3, 1))
 
 
 def _unit_norms(d, fl, label_of):
@@ -378,16 +406,16 @@ def _class_counts(lo, g, size):
 def _neg_torsion(h, t, lo, g):
     """The 3-torsion count of each D < 0 of _neg_rows, from its class number h
     and its t (|D| = lo + g t, t ascending): for the D with 9 | h, 1 for the
-    principal class plus the forms _cube_roots finds, else _sylow_count's 1
-    or 3 (_three_torsion_neg)."""
+    principal class plus the forms _cube_roots finds; else 3 when 3 || h, the
+    order of the 3-Sylow subgroup, and 1 when 3 does not divide h (Lagrange)."""
     pick = np.flatnonzero(h % 9 == 0)
-    count = np.zeros(len(h), np.int64)
+    count = np.where(h % 3 == 0, 3, 1)
     count[pick] = 1
     if len(pick):
         ts = t[pick]
         for n, _, _ in _cube_roots(ts, lo, g):
             np.add.at(count, pick[np.searchsorted(ts, (n - lo) // g)], 1)
-    return _sylow_count(h, count)
+    return count
 
 
 def _cube_roots(ts, lo, g):
@@ -514,30 +542,3 @@ def _xgcd_np(x, y):
         r0, r1 = r1, r0 - q * r1
         s0, s1 = s1, s0 - q * s1
     return g, u
-
-
-def _square_np(a, b, c, g, u):
-    """_compose_raw(f, f) for every form f = (a, b, c) of int64 arrays with
-    a > 0 and b >= 0, given (g, u) = _xgcd_np(b, a): with g = gcd(a, b),
-    u*b = g (mod a) and v = a/g, the square is (v^2, b + 2vr, (cg + r(b + vr)) / v)
-    for r = -uc mod v."""
-    v = a // g
-    r = -u * c % v
-    return v * v, b + 2 * v * r, (c * g + r * (b + v * r)) // v
-
-
-def _reduce_pos_np(a, b, c, D, F):
-    """_reduce_pos on every row of int64 arrays, with F = isqrt(D); a row
-    leaves the loop once it is a reduced form with a > 0, which is
-    0 < b <= F, 2a - b <= F < 2a + b, exactly as sqrt(D) is irrational."""
-    out = np.empty((3, len(a)), np.int64)
-    i = np.arange(len(a))
-    while len(i):
-        done = (0 < b) & (b <= F) & (2 * a - b <= F) & (F < 2 * a + b)
-        out[:, i[done]] = a[done], b[done], c[done]
-        go = ~done
-        i, a, b, c, D, F = i[go], a[go], b[go], c[go], D[go], F[go]
-        m = np.maximum(F, np.abs(c))  # centred while |c| > F, as in _reduce_pos
-        r = m - (m + b) % (2 * np.abs(c))  # rho: (a, b, c) -> (c, r, .)
-        a, b, c = c, r, (r * r - D) // (4 * c)
-    return out

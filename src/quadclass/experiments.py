@@ -262,16 +262,16 @@ def _core_rows(todo, jobs, progress):
     the ascending todo.
 
     The D < 0 come from one count of reduced forms (batch._neg_rows), in this
-    process whatever jobs is. For the D > 0 the divisor table is built once
-    here and handed to pool workers through the initializer; it and the pool
-    are released when this returns. The pool has at most one worker per
-    chunk and per core, since the fork start method starts them all at the
-    first submit. The pool module is imported here, so processes that start
-    no pool never load it.
+    process whatever jobs is. For the D > 0 the pos_table (divisors and cubic
+    fields) is built once here and handed to pool workers through the
+    initializer; it and the pool are released when this returns. The pool
+    has at most one worker per chunk and per core, since the fork start
+    method starts them all at the first submit. The pool module is imported
+    here, so processes that start no pool never load it.
     """
     import numpy as np
 
-    from .batch import _batch_core_info, _neg_rows, divisor_table
+    from .batch import _batch_core_info, _neg_rows, pos_table
 
     split = bisect_left(todo, 0)
     rows = [np.empty((0, 5), np.int64)]
@@ -282,8 +282,7 @@ def _core_rows(todo, jobs, progress):
     pos = todo[split:]
     if not pos:
         return np.concatenate(rows)
-    # _largest_n(D > 0) is (D - 1)/4 or (D - 4)/4, so the last D meets the largest n.
-    table = divisor_table(_largest_n(pos[-1]))
+    table = pos_table(pos[-1])
     # Freeing one 1 MiB block raises glibc's dynamic mmap threshold, so the
     # batch's temporaries (up to about 1 MiB a block) reuse heap pages instead
     # of faulting in fresh mmapped ones (pool workers inherit it at the fork).

@@ -447,8 +447,7 @@ def _compose_raw(f1, f2):
 def _square(a, b, c):
     """_compose_raw(f, f) for f = (a, b, c) with a > 0 and b >= 0, in one
     extended Euclid: with g = gcd(a, b), u*b = g (mod a) and v = a/g, the
-    square is (v^2, b + 2vr, (cg + r(b + vr)) / v) for r = -uc mod v
-    (batch._square_np is its numpy twin)."""
+    square is (v^2, b + 2vr, (cg + r(b + vr)) / v) for r = -uc mod v."""
     g, u, _ = _xgcd(b, a)
     v = a // g
     r = -u * c % v

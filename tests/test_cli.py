@@ -874,11 +874,23 @@ class TestInvariantExit:
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_torsion_count_not_power_of_three_exits_5(self, capsys, monkeypatch, jobs):
-        monkeypatch.setattr(batch, "_torsion_pos", lambda h_plus, *_: np.full_like(h_plus, 2))
+        # One cubic field too many at D = 229 (r3 = 1) gives 2 * 2 + 1 = 5.
+        # The pool workers read the count from the table they are handed.
+        counts = batch._cubic_counts
+
+        def broken(x):
+            n = counts(x)
+            n[229] += 1
+            return n
+
+        monkeypatch.setattr(batch, "_cubic_counts", broken)
+        with pytest.raises(AssertionError, match="^3-torsion count 5 is not a power of 3 "
+                                                 "for D=229$"):
+            experiments.compute_class_infos([5, 229, 257])
         code, out, err = run_cli(capsys, "nh-average", "--m", "1", "--n", "4", "--x", "300",
                                  "--jobs", jobs)
         assert code == 5 and out == ""
-        assert err == "invariant violated: 3-torsion count 2 is not a power of 3 for D=5\n"
+        assert err == "invariant violated: 3-torsion count 5 is not a power of 3 for D=229\n"
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_imaginary_torsion_count_not_power_of_three_exits_5(self, capsys, monkeypatch,

@@ -251,10 +251,11 @@ class TestDivisorTable:
         # a table that covers D answers as the per-D sieve does. A D < 0 is
         # counted without a table.
         for d in (19997, 4 * 4999):
-            top = max(self._enumerated_ns(d))
+            table = table_for([d])
+            assert len(table[0]) - 2 == max(self._enumerated_ns(d))
             with pytest.raises(ValueError, match=f"does not cover D={d}$"):
-                batch._batch_core_info([d], batch.divisor_table(top - 1))
-            self._batch_matches_sieve([d], batch.divisor_table(top))
+                batch._batch_core_info([d], (table[0][:-1], *table[1:]))
+            self._batch_matches_sieve([d], table)
         self._batch_matches_sieve([-19999])
 
     @pytest.mark.parametrize("ds", [
@@ -300,10 +301,11 @@ class TestDivisorTable:
     @pytest.mark.parametrize("d,row", [
         (1129, [9, 9, -1, 1]), (-199, [9, 9, 0, 1]),  # 9 | h(+), r3 = 1
         (-3299, [27, 27, 0, 2]), (32009, [9, 9, -1, 2]),  # r3 = 2
-        (229, [3, 3, -1, 1]), (-23, [3, 3, 0, 1]),  # 3 || h(+), nothing squared
+        (229, [3, 3, -1, 1]), (-23, [3, 3, 0, 1]),  # 3 || h(+)
     ])
     def test_torsion_shortcut_boundary(self, d, row):
-        # Only a D with 9 | h(+) has its classes squared; 3 || h(+) gives r3 = 1.
+        # Only a D < 0 with 9 | h solves the norm equation; 3 || h gives
+        # r3 = 1. A D > 0 reads r3 off the count of cubic fields whatever h+ is.
         assert self._batch_matches_sieve([d]) == [[d, *row]]
 
     def test_r3_two_anchors(self):
@@ -340,8 +342,8 @@ class TestBatchAcrossSigns:
 
     def test_scholz_reflection(self, reflected):
         # Scholz (1932): r3(D) <= r3(D*) <= r3(D) + 1. The two signs share no
-        # torsion code: D > 0 squares and reduces its classes, D < 0 solves
-        # the norm equation u^2 + |D| v^2 = 4a^3.
+        # torsion code: D > 0 counts binary cubic forms, D < 0 solves the
+        # norm equation u^2 + |D| v^2 = 4a^3.
         ds, real, r3_star = reflected
         gaps = [s - row[4] for row, s in zip(real, r3_star)]
         assert [d for d, g in zip(ds, gaps) if g not in (0, 1)] == []
@@ -351,11 +353,72 @@ class TestBatchAcrossSigns:
         ds, real, _ = reflected
         assert [row[3] for row in real] == [forms.unit_norm(d) for d in ds]
 
+    def test_r3_matches_three_torsion_count(self, reflected):
+        # The batch reads r3 off the count of cubic forms, and h+ off its
+        # cycles: where 3 | h+, 3^r3 is the count of classes forms finds by
+        # squaring, and elsewhere r3 = 0.
+        ds, real, _ = reflected
+        three = [(d, row[4]) for d, row in zip(ds, real) if row[1] % 3 == 0]
+        assert len(three) == 3305
+        assert [3**r3 for _, r3 in three] == [forms.three_torsion_count(d) for d, _ in three]
+        assert [d for d, row in zip(ds, real) if row[1] % 3 and row[4]] == []
+
+
+class TestCubicCount:
+    """batch._cubic_counts, the reduced binary cubic forms (a, b, c, d),
+    a >= 1, of every discriminant up to x, against enumerations that do not
+    share its bounds."""
+
+    def test_matches_brute_force_box(self):
+        # Every (a, b, c, d) of a box, reduced or not, at x = 3000. The
+        # reduced forms found lie well inside it, so a bound of the count cut
+        # past its exact value loses forms that the box keeps.
+        x = 3000
+        a, b, c, d = np.ix_(np.arange(1, 7), *[np.arange(-24, 25)] * 3)
+        p, q, r = b * b - 3 * a * c, b * c - 9 * a * d, c * c - 3 * b * d
+        delta = (4 * p * r - q * q) // 3
+        on = (0 <= q) & (q <= p) & (p <= r) & (0 < delta) & (delta <= x)
+        found = np.argwhere(on)
+        assert found[:, 0].max() < 3 and (np.abs(found[:, 1:] - 24) <= 12).all()
+        want = np.bincount(delta[on], minlength=x + 1)
+        assert batch._cubic_counts(x).tolist() == want.tolist()
+        # The cuts that depend on x, R <= (3x + P^2)/(4P) and delta <= x,
+        # are exact where x is itself a discriminant.
+        for top in np.flatnonzero(want).tolist():
+            assert batch._cubic_counts(top).tolist() == want[: top + 1].tolist(), top
+
+    def test_matches_enumeration_with_wide_a_and_b(self):
+        # At x = 10^5 with twice the a and b the count's bounds allow, c and
+        # d cut only by 1 <= P <= sqrt x and 0 <= Q <= P.
+        x = 10**5
+        forms_ = cubic_forms(x, 12, 40)
+        assert forms_[0].max() <= 6 and np.abs(forms_[1]).max() <= 20
+        assert batch._cubic_counts(x).tolist() == np.bincount(forms_[4], minlength=x + 1).tolist()
+
+    def test_no_fundamental_form_on_the_hessian_boundary(self):
+        # The count has no tie-break between the reduced forms of one class
+        # whose Hessian has Q = 0, Q = P or P = R; no fundamental D <= 10^5
+        # has such a form.
+        a, b, c, d, delta = cubic_forms(10**5, 12, 40)
+        p, q, r = b * b - 3 * a * c, b * c - 9 * a * d, c * c - 3 * b * d
+        edge = (q == 0) | (q == p) | (p == r)
+        assert edge.any()
+        assert [D for D in delta[edge].tolist() if arith.is_fundamental_discriminant(D)] == []
+
+    def test_anchors(self):
+        # 2 N(D) + 1 = 3^r3: D = 5 and 8 have no cubic field, 229 and 892
+        # one, 32009 four. The form (2, 0, -5, -1) of D = 892 and (2, 0, -1, 0)
+        # of D = 8 have R < P, which the b = 0 rule cuts by c.
+        n = batch._cubic_counts(32009)
+        assert n.dtype == np.uint8
+        assert [int(n[d]) for d in (5, 8, 229, 892, 32009)] == [0, 0, 1, 1, 4]
+        assert [forms._core_info(d)[3] for d in (5, 8, 229, 892, 32009)] == [0, 0, 1, 1, 2]
+
 
 class TestPositiveBatchSteps:
     """The steps of the D > 0 batch one at a time: the bisection of the
     divisor windows, the permutation pi whose square is rho^2, the bound on
-    the labelling rounds, the block planning and the 3-torsion skip."""
+    the labelling rounds and the block planning."""
 
     def test_bisect_matches_bisect_left(self):
         # Runs of every length 0..17 and of lengths 2^k and 2^k + 1 up to 2^10
@@ -414,23 +477,6 @@ class TestPositiveBatchSteps:
             rows += count
         assert blocks == want
 
-    def test_blocks_without_9_dividing_h_plus_square_nothing(self, monkeypatch):
-        # With one D per block, only the D with 9 | h+ have their classes
-        # squared, in one call each; blocks of D with 9 not dividing h+ make
-        # no call.
-        ds = fundamental_range(1, 5000)
-        squared, square = [], batch._square_np
-        monkeypatch.setattr(batch, "_square_np", lambda *args: squared.append(args) or square(*args))
-        monkeypatch.setattr(batch, "_BLOCK_ROWS", 1)
-        rows = batch._batch_core_info(ds, table_for(ds)).tolist()
-        nine = [row[0] for row in rows if row[1] % 9 == 0]
-        assert 0 < len(squared) == len(nine)
-        monkeypatch.setattr(batch, "_BLOCK_ROWS", 1 << 12)
-        squared.clear()
-        assert batch._batch_core_info([5, 8, 229, 257], table_for([257])).tolist() == [
-            [d, *forms._core_info(d)] for d in (5, 8, 229, 257)]
-        assert squared == []
-
 
 class TestNegativeCount:
     """The D < 0 route of the batch, one count of reduced forms over every
@@ -473,21 +519,19 @@ class TestNegativeCount:
         assert [row[2] for row in rows] == [forms.analytic_h_imaginary(d) for d in ds]
 
     def test_counts_cube_roots_only_where_9_divides_h(self, monkeypatch):
-        # The D < 0 route squares no form, and it solves the norm equation
-        # for exactly the |D| with 9 | h.
-        squared, solved = [], []
-        square, roots = batch._square_np, batch._cube_roots
+        # The D < 0 route solves the norm equation for exactly the |D| with
+        # 9 | h.
+        solved, roots = [], batch._cube_roots
 
         def recorded(ts, lo, g):
             solved.extend((lo + g * ts).tolist())
             return roots(ts, lo, g)
 
-        monkeypatch.setattr(batch, "_square_np", lambda *args: squared.append(args) or square(*args))
         monkeypatch.setattr(batch, "_cube_roots", recorded)
         ds = fundamental_range(-5000, 0)
         rows = batch._neg_rows(ds).tolist()
         want = sorted(-row[0] for row in rows if row[2] % 9 == 0)
-        assert squared == [] and 0 < len(want) and sorted(solved) == want
+        assert 0 < len(want) and sorted(solved) == want
 
     def test_cube_root_anchors(self):
         # 3^2 + 23 * 1^2 = 4 * 2^3 gives the classes (2, +-1, 3) of order 3.
@@ -508,35 +552,21 @@ class TestNegativeCount:
 
 
 class TestBatchArithmetic:
-    # Fundamental D of each sign at |D| ~ 4·10^8, where the batch's int64
-    # bound ends (no divisor table covers a larger |D|). For D > 0 the int64
-    # squaring and reduction must equal the exact Python ones on the forms
-    # with the largest a, whose squares are largest, and on a random sample
-    # of the rest, enumerated without a table. For D < 0 the norm route must
-    # find the forms that squaring finds: h(-399999999) = 15360 has 3 || h,
-    # and h(-400000004) = 16416 has 9 | h.
-    @pytest.mark.parametrize("d", [400000001, 399999992, -399999999, -400000004])
+    # Fundamental D < 0 at |D| ~ 4·10^8, where the batch's int64 bound ends.
+    # The norm route must find the forms that squaring finds:
+    # h(-399999999) = 15360 has 3 || h, and h(-400000004) = 16416 has 9 | h.
+    @pytest.mark.parametrize("d", [-399999999, -400000004])
     def test_square_and_reduce_match_python(self, d):
-        if d < 0:
-            fs = forms._reduced_forms_neg(d)
-            found = cube_root_forms([d])
-            assert found == torsion_forms(d, fs)
-            assert 1 + len(found) == forms._three_torsion_neg(len(fs), fs) == 3
-            return
-        fl = math.isqrt(d)
-        fs = sorted(forms._reduced_forms_pos(d, fl))
-        fs = fs[-200:] + random.Random(d).sample(fs[:-200], 800)
-        a, b, c = (np.array(x, np.int64) for x in zip(*fs))
-        square = batch._square_np(a, b, c, *batch._xgcd_np(b, a))
-        squares = [forms._compose_raw(f, f) for f in fs]
-        assert list(zip(*(x.tolist() for x in square))) == squares
-        got = batch._reduce_pos_np(*square, np.full_like(a, d), np.full_like(a, fl))
-        assert list(zip(*got.tolist())) == [forms._reduce_pos(*f, d, fl) for f in squares]
+        fs = forms._reduced_forms_neg(d)
+        found = cube_root_forms([d])
+        assert found == torsion_forms(d, fs)
+        assert 1 + len(found) == forms._three_torsion_neg(len(fs), fs) == 3
 
 
 def table_for(ds):
-    """The least divisor_table that covers every D of ds, as a survey builds it."""
-    return batch.divisor_table(max(map(arith._largest_n, ds)))
+    """The pos_table of the D > 0 of ds, as a survey builds it: the least
+    divisor table that covers them, and the cubic fields up to max(ds)."""
+    return batch.pos_table(max(ds))
 
 
 def batch_rows(ds, table=None):
@@ -550,6 +580,28 @@ def batch_rows(ds, table=None):
     if neg:
         rows.update(zip(neg, batch._neg_rows(neg).tolist()))
     return [rows[d] for d in ds]
+
+
+def cubic_forms(x, a_top, b_top):
+    """(a, b, c, d, delta), int64 rows, of the reduced binary cubic forms
+    with 1 <= a <= a_top, |b| <= b_top and 0 < delta <= x, their c taken
+    from 1 <= P <= sqrt x and their d from 0 <= Q <= P alone."""
+    s = math.isqrt(x)
+    a, b = (g.ravel() for g in np.meshgrid(np.arange(1, a_top + 1), np.arange(-b_top, b_top + 1)))
+    lo = -((s - b * b) // (3 * a))
+    k = np.maximum((b * b - 1) // (3 * a) - lo + 1, 0)
+    i = np.repeat(np.arange(len(k)), k)
+    a, b, c = a[i], b[i], lo[i] + np.arange(len(i)) - (np.cumsum(k) - k)[i]
+    p = b * b - 3 * a * c
+    lo = -((p - b * c) // (9 * a))
+    k = np.maximum(b * c // (9 * a) - lo + 1, 0)
+    i = np.repeat(np.arange(len(k)), k)
+    a, b, c, p = a[i], b[i], c[i], p[i]
+    d = lo[i] + np.arange(len(i)) - (np.cumsum(k) - k)[i]
+    q, r = b * c - 9 * a * d, c * c - 3 * b * d
+    delta = (4 * p * r - q * q) // 3
+    on = (p <= r) & (delta <= x)
+    return np.array([a, b, c, d, delta])[:, on]
 
 
 def cube_root_forms(ds):
@@ -572,12 +624,12 @@ def torsion_forms(d, fs=None):
 
 
 def without_divisor(table, n, a):
-    """A divisor_table with the divisor a of n deleted from row n."""
-    off, dv = table
+    """A divisor_table or pos_table with the divisor a of n deleted from row n."""
+    off, dv, *rest = table
     i = off[n] + dv[off[n] : off[n + 1]].tolist().index(a)
     off = off.copy()
     off[n + 1 :] -= 1
-    return off, np.delete(dv, i)
+    return off, np.delete(dv, i), *rest
 
 
 def reference_forms(d):
