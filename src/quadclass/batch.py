@@ -17,11 +17,11 @@ class x != 1 has x^3 = 1 exactly when the ideal A of its reduced form
 u^2 + |D| v^2 = 4a^3 and v != 0 (Cohen, GTM 138, 5.2). So _cube_roots
 lists the solutions (v, a, u) of that norm equation for every |D| at once
 and keeps those with alpha in A whose content no split prime of a divides:
-then N(alpha) = N(A)^3 makes (alpha) = A^3, for the D with 9 | h only
-(3 || h gives 3, the order of the 3-Sylow subgroup). Both signs check the
-invariants as masks. Their rows, one int64 array, equal those of
-forms._core_info, the single-discriminant route, which needs no numpy,
-squares every class, and is the reference the batch is tested against.
+then N(alpha) = N(A)^3 makes (alpha) = A^3, and 3^r3 is 1 plus the forms
+kept. No r3 is read off h, so the checks 3^r3 | h and 3 | h => r3 > 0 tie
+two routes. The rows, one int64 array, equal those of forms._core_info,
+the single-discriminant route, which needs no numpy, squares every class,
+and is the reference the batch is tested against.
 
 Unlike arith, this module imports numpy at its top: only experiments imports
 it, where a discriminant is computed, by which time numpy is loaded.
@@ -277,23 +277,30 @@ def _checked_rows(d, h_plus, count, norm):
     """The rows (d, h_plus, h, unit_norm, r3) of a block, one int64 array
     filled column by column, from its int64 arrays of discriminants, (narrow)
     class numbers, 3-torsion counts and unit norms (0 for d < 0), with
-    _core_row's checks as masks: the first d that fails one raises
-    _core_row's message."""
+    _core_row's checks as masks and two that tie r3 to h, 3^r3 | h and
+    3 | h => r3 > 0: the first d that fails one raises its first message."""
     rows = np.empty((len(d), 5), np.int64)
     rows[:, 0], rows[:, 1], rows[:, 3] = d, h_plus, norm
-    np.right_shift(h_plus, norm == 1, out=rows[:, 2])  # h = h+/2 when the norm is +1
-    r3 = rows[:, 4]
+    h, r3 = rows[:, 2], rows[:, 4]
+    np.right_shift(h_plus, norm == 1, out=h)  # h = h+/2 when the norm is +1
     pow3 = 3 ** np.arange(21, dtype=np.int64)  # 3^20 exceeds any h+ a table can cover
     r3[:] = np.searchsorted(pow3, count)
     np.minimum(r3, 20, out=r3)
-    bad_count = pow3[r3] != count
     bad_norm = (norm == 1) & (h_plus & 1 == 1)
-    if (bad_count | bad_norm).any():
-        i = int((bad_count | bad_norm).argmax())
+    p = pow3[r3]
+    bad_count = p != count
+    p[r3 == 0] = 3  # 3^r3 | h where r3 > 0, and 3 does not divide h where r3 = 0
+    bad_h = (np.remainder(h, p, out=p) == 0) != (r3 > 0)
+    bad = bad_count | bad_norm | bad_h
+    if bad.any():
+        i = int(bad.argmax())
         if bad_count[i]:
             raise AssertionError(f"3-torsion count {count[i]} is not a power of 3 "
                                  f"for D={d[i]}")
-        raise AssertionError(f"unit norm +1 with odd narrow class number for D={d[i]}")
+        if bad_norm[i]:
+            raise AssertionError(f"unit norm +1 with odd narrow class number for D={d[i]}")
+        raise AssertionError(f"3-torsion count {count[i]} does not match h={h[i]} "
+                             f"for D={d[i]}")
     return rows
 
 
@@ -318,11 +325,11 @@ def _neg_rows(ds):
     _GAP apart. The n = |D| of a run are lo + g t, with lo its least |D|, g
     the gcd of their differences (any g >= 1 serves one D) and t >= 0.
     _class_counts counts the reduced forms of every such n at once, and for a
-    fundamental D these are its h classes. _neg_torsion counts the 3-torsion
-    of the D with 9 | h from one pass over the norm equation
-    u^2 + |D| v^2 = 4a^3 of the run (_cube_roots): a reduced form (a, b, c),
-    a > 1, has a class of order 3 exactly when its ideal
-    A = aZ + ((-b + sqrt D)/2)Z cubes to (alpha), alpha = (u + v sqrt D)/2.
+    fundamental D these are its h classes. Whatever h is, the 3-torsion count
+    of each D is 1 plus the forms that one pass over the norm equation
+    u^2 + |D| v^2 = 4a^3 of the run finds (_cube_roots), added by one
+    bincount: a reduced form (a, b, c), a > 1, has a class of order 3 exactly
+    when A = aZ + ((-b + sqrt D)/2)Z cubes to (alpha), alpha = (u + v sqrt D)/2.
     That holds when alpha lies in A (v b = -u mod 2a), N(alpha) = a^3 = N(A)^3
     and no split prime p of a divides alpha, for then (alpha) = A^3 prime by
     prime: a split p with P^k || A has p^3k || N(alpha) and P-bar does not
@@ -331,14 +338,15 @@ def _neg_rows(ds):
     sign, so v >= 1 fixes it and each class is found once.
     """
     n = -np.array(ds, np.int64)
-    h, count = np.empty_like(n), np.empty_like(n)
+    h, count = np.empty_like(n), np.ones_like(n)
     order = np.argsort(n)
     for run in np.split(order, np.flatnonzero(np.diff(n[order]) > _GAP) + 1):
         lo = int(n[run[0]])
         g = int(np.gcd.reduce(n[run] - lo)) or 1
         t = (n[run] - lo) // g
         h[run] = _class_counts(lo, g, int(t[-1]) + 1)[t]
-        count[run] = _neg_torsion(h[run], t, lo, g)
+        hits = (np.searchsorted(t, (m - lo) // g) for m, _, _ in _cube_roots(t, lo, g))
+        count[run] += np.bincount(np.concatenate(list(hits)), minlength=len(t))
     d = np.negative(n, out=n)  # ds as an array, held once
     return _checked_rows(d, h, count, np.zeros(len(d), np.int64))
 
@@ -403,28 +411,15 @@ def _class_counts(lo, g, size):
     return count[:size]
 
 
-def _neg_torsion(h, t, lo, g):
-    """The 3-torsion count of each D < 0 of _neg_rows, from its class number h
-    and its t (|D| = lo + g t, t ascending): for the D with 9 | h, 1 for the
-    principal class plus the forms _cube_roots finds; else 3 when 3 || h, the
-    order of the 3-Sylow subgroup, and 1 when 3 does not divide h (Lagrange)."""
-    pick = np.flatnonzero(h % 9 == 0)
-    count = np.where(h % 3 == 0, 3, 1)
-    count[pick] = 1
-    if len(pick):
-        ts = t[pick]
-        for n, _, _ in _cube_roots(ts, lo, g):
-            np.add.at(count, pick[np.searchsorted(ts, (n - lo) // g)], 1)
-    return count
-
-
 def _cube_roots(ts, lo, g):
-    """Blocks (n, a, b) of the reduced forms (a, b, c) with a > 1 of
-    discriminant -n whose ideal cubes to a principal one, for the
-    n = lo + g ts[i] (ts ascending, each n > 4 the |D| of a fundamental D):
+    """Blocks (n, a, b), at least one, of the reduced forms (a, b, c) with
+    a > 1 of discriminant -n whose ideal cubes to a principal one, for the
+    n = lo + g ts[i] (ts ascending, each the |D| of a fundamental D):
     one form of each 3-torsion class but the principal one, each once
     (_neg_rows). The solutions (v, a, u) of _norm_solutions over the span of
-    ts, u of either sign, give the forms (_cubed_forms).
+    ts, u of either sign, give the forms (_cubed_forms). None has a = 1:
+    u^2 + n v^2 = 4 needs n <= 4, and D = -3 and -4, whose units are not
+    +-1 alone, have one class, that of a = 1, so they get none.
 
     For n <= 4·10^8 + 4, a <= sqrt(n/3) < 11548, so 4a^3 < 6.2·10^12 < 2^53,
     where _isqrt_np is exact, and every product of _cubed_forms stays below
@@ -453,7 +448,7 @@ _BLOCK_NORMS = 1 << 14
 
 def _norm_solutions(v, lo, hi, top):
     """Blocks (a, u, n) of every solution of u^2 + n v^2 = 4a^3 with u >= 0,
-    lo <= n <= hi, n >= 3a^2 and 3v^2 <= 4a, a <= top.
+    lo <= n <= hi, n >= 3a^2 and 3v^2 <= 4a, 2 <= a <= top.
 
     A reduced form (a, b, c) of discriminant -n has n = 4ac - b^2 >= 3a^2,
     whence 3v^2 <= 4a. For each a, u^2 runs from 4a^3 - hi v^2 to
@@ -462,7 +457,7 @@ def _norm_solutions(v, lo, hi, top):
     The blocks hold about _BLOCK_NORMS u each.
     """
     q = v * v
-    a = np.arange(-(-3 * q // 4), top + 1, dtype=np.int64)
+    a = np.arange(max(-(-3 * q // 4), 2), top + 1, dtype=np.int64)
     cube = 4 * a**3
     low, high = cube - hi * q, cube - np.maximum(lo, 3 * a * a) * q
     on = high >= 0

@@ -33,7 +33,7 @@ import re
 import sys
 from array import array
 from bisect import bisect_left
-from itertools import islice
+from itertools import islice, repeat
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import arith
@@ -237,10 +237,14 @@ def _record_checks():
          "|D| exceeds the survey limit in {rec}"),
         (lambda d, h_plus, h, unit_norm, r3: min(unit_norm) >= -1 and max(unit_norm) <= 1,
          "unit_norm outside {{-1, 0, 1}} in {rec}"),
-        # 3^39 < 2^63 - 1 < 3^40, so r3 > 39 exceeds every int64 h_plus.
+        # 3 does not divide h exactly when r3 = 0, so a survey may read either.
+        # 3^39 < 2^63 - 1 < 3^40, so 3^r3 with r3 > 39 divides no int64 h.
         (lambda d, h_plus, h, unit_norm, r3:
-         max(r3) <= 39 and all(map(operator.le, map(_POW3.__getitem__, r3), h_plus)),
-         "3^r3 exceeds h_plus in {rec}"),
+         max(r3) <= 39 and not any(map(operator.mod, h, map(_POW3.__getitem__, r3))),
+         "3^r3 does not divide h in {rec}"),
+        (lambda d, h_plus, h, unit_norm, r3:
+         all(map(operator.or_, r3, map(operator.mod, h, repeat(3)))),
+         "r3 = 0 with 3 dividing h in {rec}"),
         (consistent, "{kind} record inconsistent: {rec}"),
         (lambda d, *_: all(_fundamental(d)), "cached D={rec.D} is not a fundamental discriminant"),
     ]

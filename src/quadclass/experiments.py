@@ -48,7 +48,7 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Mapping
 from contextlib import ExitStack
 from itertools import chain, compress, count, filterfalse, islice, repeat
-from operator import and_, mod, not_, or_, truth
+from operator import and_, not_, or_
 from typing import Iterator, NamedTuple
 
 from .arith import (DEFAULT_MAX_CELLS, Discriminant, _largest_n, _squarefree_cells,
@@ -595,8 +595,7 @@ def _pair_survey(x, family, checkpoints, **run):
     base_lt = _fundamental(shifted)
     base_l = _fundamental(prog)
     infos = compute_class_infos([*compress(prog, base_l), *compress(shifted, base_lt)], **run)
-    ds, _, hs = infos.columns[:3]
-    indivisible = set(compress(ds, map(mod, hs, repeat(3))))
+    indivisible = set(compress(infos.columns[0], map(not_, infos.columns[4])))
     in_l = bytes(map(indivisible.__contains__, prog))
     in_lt = bytes(map(indivisible.__contains__, shifted))
     in_both = bytes(map(and_, in_l, in_lt))
@@ -685,7 +684,7 @@ def imaginary_density(x: int, family: CongruenceFamily, checkpoints=None, *,
         return Checkpoint(x=c, sets=DiscriminantSets(c, family, s, k, L=indiv), ratio_L=indiv / k)
 
     points = _survey(x, family, checkpoints, True,
-                     [lambda c: map(truth, map(mod, c[2], repeat(3)))], point,
+                     [lambda c: map(not_, c[4])], point,
                      jobs=jobs, cache=cache, progress=progress)
     return DensityReport("imaginary", family, "S_minus", TARGET_IMAGINARY_INDIVISIBLE,
                          {"indivisible_ratio": TARGET_IMAGINARY_INDIVISIBLE}, points)

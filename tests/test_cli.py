@@ -137,7 +137,7 @@ class TestCache:
         assert len(ds) == n
         recs = []
         for d in ds:
-            recs.append(CacheRecord(d, 4, 2, 1, 1))
+            recs.append(CacheRecord(d, 6, 3, 1, 1))
         return recs
 
     def test_round_trip(self, tmp_path):
@@ -161,7 +161,7 @@ class TestCache:
 
     def test_invariant_violation_rejected(self, tmp_path):
         path = tmp_path / "cache.txt"
-        path.write_text("12,2,1,1,1\n")  # 3^1 > h_plus = 2
+        path.write_text("12,2,1,1,1\n")  # 3^1 does not divide h = 1
         with pytest.raises(CacheCorruption):
             cli.cache_load(str(path))
 
@@ -290,8 +290,9 @@ def _valid_record(rec):
         return False
     if not _is_fundamental(d):
         return False
-    # 3^r3 >= 2^r3, so a large r3 is refused before 3**r3 is computed.
-    if r3 >= h_plus.bit_length() or 3**r3 > h_plus:
+    # 3^r3 | h and 3 | h => r3 > 0; as 3^r3 >= 2^r3, a large r3 is refused
+    # before 3**r3 is computed.
+    if r3 >= h.bit_length() or h % 3**r3 or (r3 == 0 and h % 3 == 0):
         return False
     if d < 0:
         return unit_norm == 0 and h == h_plus
@@ -347,7 +348,7 @@ def _record_lines(draw):
     # so valid lines draw fundamental D; _JUNK_LINES adds lines with 9D.
     d = draw(st.integers(-10**6, 10**6).map(_next_fundamental))
     r3 = draw(st.integers(0, 3))
-    h = 3**r3 * draw(st.integers(1, 4))
+    h = 3**r3 * draw(st.sampled_from([1, 2, 4] if r3 == 0 else [1, 2, 3, 4]))
     if d < 0:
         return f"{d},{h},{h},0,{r3}"
     unit_norm = draw(st.sampled_from([-1, 1]))
@@ -413,6 +414,8 @@ class TestCacheParserReference:
         ("0,1,1,0,0\n5,1,1,-1,0\n", 1),
         ("5,1,1,-1,0\n229,3,3,-2,1\n", 2),
         ("5,1,1,-1,0\n12,2,1,1,1\n", 2),
+        ("-23,3,3,0,0\n5,1,1,-1,0\n", 1),
+        ("5,1,1,-1,0\n229,4,4,-1,1\n", 2),
         ("-3,2,1,0,0\n", 1),
         ("5,1,1,0,0\n", 1),
         ("5,2,2,1,0\n", 1),
@@ -430,7 +433,8 @@ class TestCacheParserReference:
     ], ids=["minus-zero", "plus-sign", "leading-zero", "padding", "crlf", "blank-line",
             "missing-final-lf", "empty-file", "duplicate-d", "descending-d", "19-digits-int64",
             "19-digits-beyond-int64", "below-int64", "r3-40", "r3-40-beyond-int64",
-            "d-zero", "unit-norm-range", "3-torsion-exceeds-h-plus", "imaginary-inconsistent",
+            "d-zero", "unit-norm-range", "3-torsion-exceeds-h",
+            "r3-zero-with-3-dividing-h", "3^r3-not-dividing-h", "imaginary-inconsistent",
             "real-norm-zero", "real-h-plus-not-2h", "r3-int64-max", "d-below-minus-2^27",
             "d-above-2^27", "d-at-plus-minus-2^27", "d-below-minus-limit", "d-above-limit",
             "d-at-both-limits", "non-fundamental-first-line",
@@ -484,11 +488,16 @@ class TestCacheLoadEdges:
          "3: cached D=9 is not a fundamental discriminant"),
         (f"5,1,1,-1,0\n257,{_OVER},{_OVER},-1,0\n9,1,1,-1,0\n",
          "2: field outside the int64 range"),
+        ("5,1,1,-1,0\n229,3,3,-1,0\n", "2: r3 = 0 with 3 dividing h in "
+         "CacheRecord(D=229, h_plus=3, h=3, unit_norm=-1, r3=0)"),
+        ("-23,3,3,0,1\n-7,2,2,0,1\n", "2: 3^r3 does not divide h in "
+         "CacheRecord(D=-7, h_plus=2, h=2, unit_norm=0, r3=1)"),
     ], ids=["last-line-without-lf", "bad-last-line-without-lf", "empty-file", "lone-lf", "crlf",
             "crlf-after-a-good-line", "bad-line-first", "bad-line-in-the-middle", "bad-line-last",
             "blank-line-last", "minus-zero", "int64-overflow-after-a-bad-line", "int64-overflow-before-a-bad-line",
             "record-fault-before-a-bad-line", "record-fault-before-an-int64-overflow",
-            "record-fault-after-an-int64-overflow"])
+            "record-fault-after-an-int64-overflow", "r3-zero-with-3-dividing-h",
+            "3^r3-not-dividing-h"])
     def test_first_bad_line(self, tmp_path, monkeypatch, chunk, text, expected):
         monkeypatch.setattr(cli, "_CHUNK", chunk)
         path = tmp_path / "c.txt"
@@ -895,12 +904,48 @@ class TestInvariantExit:
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_imaginary_torsion_count_not_power_of_three_exits_5(self, capsys, monkeypatch,
                                                                 jobs):
-        # the survey computes its members in ascending order, so D=-299 comes first
-        monkeypatch.setattr(batch, "_neg_torsion", lambda h, *_: np.full_like(h, 2))
+        # One form of order 3 too many at D = -299 (h = 8, r3 = 0) gives 1 + 1 = 2.
+        roots = batch._cube_roots
+
+        def extra(ts, lo, g):
+            yield from roots(ts, lo, g)
+            if 299 in lo + g * ts:
+                yield np.array([299]), np.array([3]), np.array([1])
+
+        monkeypatch.setattr(batch, "_cube_roots", extra)
         code, out, err = run_cli(capsys, "imaginary", "--m", "1", "--n", "4", "--x", "300",
                                  "--jobs", jobs)
         assert code == 5 and out == ""
         assert err == "invariant violated: 3-torsion count 2 is not a power of 3 for D=-299\n"
+
+    def test_real_r3_zero_with_3_dividing_h_exits_5(self, capsys, monkeypatch):
+        # No cubic field at D = 229 gives r3 = 0, though cycles give h = 3.
+        counts = batch._cubic_counts
+
+        def broken(x):
+            n = counts(x)
+            n[229] = 0
+            return n
+
+        monkeypatch.setattr(batch, "_cubic_counts", broken)
+        code, out, err = run_cli(capsys, "nh-average", "--m", "1", "--n", "4", "--x", "300")
+        assert code == 5 and out == ""
+        assert err == "invariant violated: 3-torsion count 1 does not match h=3 for D=229\n"
+
+    def test_imaginary_r3_zero_with_3_dividing_h_exits_5(self, capsys, monkeypatch):
+        # Without the forms (2, +-1, 3) of D = -23 the norm route gives r3 = 0,
+        # though the count of reduced forms gives h = 3.
+        roots = batch._cube_roots
+
+        def dropped(ts, lo, g):
+            for n, a, b in roots(ts, lo, g):
+                keep = n != 23
+                yield n[keep], a[keep], b[keep]
+
+        monkeypatch.setattr(batch, "_cube_roots", dropped)
+        code, out, err = run_cli(capsys, "imaginary", "--m", "1", "--n", "4", "--x", "300")
+        assert code == 5 and out == ""
+        assert err == "invariant violated: 3-torsion count 1 does not match h=3 for D=-23\n"
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_missing_divisor_exits_5(self, capsys, monkeypatch, jobs):

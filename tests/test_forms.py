@@ -304,8 +304,8 @@ class TestDivisorTable:
         (229, [3, 3, -1, 1]), (-23, [3, 3, 0, 1]),  # 3 || h(+)
     ])
     def test_torsion_shortcut_boundary(self, d, row):
-        # Only a D < 0 with 9 | h solves the norm equation; 3 || h gives
-        # r3 = 1. A D > 0 reads r3 off the count of cubic fields whatever h+ is.
+        # The batch reads r3 off no h, whether 9 | h(+) or 3 || h(+): a D < 0
+        # solves the norm equation, and a D > 0 counts its cubic fields.
         assert self._batch_matches_sieve([d]) == [[d, *row]]
 
     def test_r3_two_anchors(self):
@@ -342,8 +342,8 @@ class TestBatchAcrossSigns:
 
     def test_scholz_reflection(self, reflected):
         # Scholz (1932): r3(D) <= r3(D*) <= r3(D) + 1. The two signs share no
-        # torsion code: D > 0 counts binary cubic forms, D < 0 solves the
-        # norm equation u^2 + |D| v^2 = 4a^3.
+        # torsion code and neither reads h: D > 0 counts binary cubic forms,
+        # D < 0 solves the norm equation u^2 + |D| v^2 = 4a^3 for every D.
         ds, real, r3_star = reflected
         gaps = [s - row[4] for row, s in zip(real, r3_star)]
         assert [d for d, g in zip(ds, gaps) if g not in (0, 1)] == []
@@ -518,9 +518,9 @@ class TestNegativeCount:
         rows = batch._neg_rows(ds).tolist()
         assert [row[2] for row in rows] == [forms.analytic_h_imaginary(d) for d in ds]
 
-    def test_counts_cube_roots_only_where_9_divides_h(self, monkeypatch):
-        # The D < 0 route solves the norm equation for exactly the |D| with
-        # 9 | h.
+    def test_counts_cube_roots_for_every_d(self, monkeypatch):
+        # The D < 0 route solves the norm equation for every |D|, whatever h
+        # is, D = -3 and -4 included.
         solved, roots = [], batch._cube_roots
 
         def recorded(ts, lo, g):
@@ -529,14 +529,15 @@ class TestNegativeCount:
 
         monkeypatch.setattr(batch, "_cube_roots", recorded)
         ds = fundamental_range(-5000, 0)
-        rows = batch._neg_rows(ds).tolist()
-        want = sorted(-row[0] for row in rows if row[2] % 9 == 0)
-        assert 0 < len(want) and sorted(solved) == want
+        batch._neg_rows(ds)
+        assert sorted(solved) == sorted(-d for d in ds)
 
     def test_cube_root_anchors(self):
-        # 3^2 + 23 * 1^2 = 4 * 2^3 gives the classes (2, +-1, 3) of order 3.
-        # As 9 does not divide h(-23) = 3, the batch never solves for -23.
+        # 3^2 + 23 * 1^2 = 4 * 2^3 gives the classes (2, +-1, 3) of order 3,
+        # which the batch finds, though 3 || h(-23) = 3. The units of -3 and
+        # -4 solve 1^2 + 3 = 0^2 + 4 = 4 * 1^3, but a = 1 is the principal class.
         assert cube_root_forms([-23]) == [(-23, 2, -1), (-23, 2, 1)]
+        assert cube_root_forms([-4, -3]) == []
         for d, r3 in [(-199, 1), (-3299, 2), (-4027, 2)]:
             found = cube_root_forms([d])
             assert len(found) == 3**r3 - 1 and found == torsion_forms(d), d
@@ -553,8 +554,9 @@ class TestNegativeCount:
 
 class TestBatchArithmetic:
     # Fundamental D < 0 at |D| ~ 4·10^8, where the batch's int64 bound ends.
-    # The norm route must find the forms that squaring finds:
-    # h(-399999999) = 15360 has 3 || h, and h(-400000004) = 16416 has 9 | h.
+    # The norm route, which the batch runs for every D < 0, must find the
+    # forms that squaring finds, with 3 || h (h(-399999999) = 15360) as with
+    # 9 | h (h(-400000004) = 16416).
     @pytest.mark.parametrize("d", [-399999999, -400000004])
     def test_square_and_reduce_match_python(self, d):
         fs = forms._reduced_forms_neg(d)
