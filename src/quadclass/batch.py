@@ -7,21 +7,17 @@ table row at once, and the cycles are labelled by bounded rounds of pointer
 doubling on rho^2 = pi^2, pi being a rho step and a negation, a permutation
 of the a > 0 forms that one argsort inverts. It reads the unit norm off the
 cycle labels (it is -1 exactly when (-1, b, c) lies in the principal
-cycle), and r3 off one count of binary cubic forms (_cubic_counts):
+cycle). For D < 0, _neg_rows counts the reduced forms of every |D| at once,
+one strided progression of c per (a, b) (Cohen, GTM 138, 5.3), with no
+table. Either sign reads r3 off one count of binary cubic forms:
 3^r3 = 2 N(D) + 1, N(D) the cubic fields of discriminant D (Delone-Faddeev;
-Hasse, Math. Z. 31, 1930). No class of either sign is composed. For D < 0,
-_neg_rows counts the reduced forms of every |D| at once, one strided
-progression of c per (a, b) (Cohen, GTM 138, 5.3), with no table: a
-class x != 1 has x^3 = 1 exactly when the ideal A of its reduced form
-(a, b, c) cubes to a principal (alpha), with alpha = (u + v sqrt D)/2,
-u^2 + |D| v^2 = 4a^3 and v != 0 (Cohen, GTM 138, 5.2). So _cube_roots
-lists the solutions (v, a, u) of that norm equation for every |D| at once
-and keeps those with alpha in A whose content no split prime of a divides:
-then N(alpha) = N(A)^3 makes (alpha) = A^3, and 3^r3 is 1 plus the forms
-kept. No r3 is read off h, so the checks 3^r3 | h and 3 | h => r3 > 0 tie
-two routes. The rows, one int64 array, equal those of forms._core_info,
-the single-discriminant route, which needs no numpy, squares every class,
-and is the reference the batch is tested against.
+Hasse, Math. Z. 31, 1930), each one reduced form, by its Hessian for D > 0
+(_cubic_counts) and by the factor of its real root for D < 0
+(_neg_cubic_counts). No class of either sign is composed, and no r3 is read
+off h, so the checks 3^r3 | h and 3 | h => r3 > 0 tie two counts. The rows,
+one int64 array, equal those of forms._core_info, the single-discriminant
+route, which needs no numpy, squares every class, and is the reference the
+batch is tested against.
 
 Unlike arith, this module imports numpy at its top: only experiments imports
 it, where a discriminant is computed, by which time numpy is loaded.
@@ -39,7 +35,7 @@ __all__ = ["divisor_table", "pos_table"]
 
 
 # ----------------------------------------------------------------------
-# the tables of D > 0: divisors and cubic fields
+# the tables: divisors of D > 0, and cubic fields of either sign
 # ----------------------------------------------------------------------
 
 def divisor_table(limit: int) -> tuple[np.ndarray, np.ndarray]:
@@ -102,7 +98,7 @@ def _cubic_counts(x):
     on the boundary Q = 0, Q = P or P = R, where it would need a tie-break.
     """
     s, t = math.isqrt(x), math.isqrt(16 * x)  # floor(sqrt x), floor(4 sqrt x)
-    deltas = [np.empty(0, np.int64)]
+    deltas = [np.empty(0, np.int32)]
     for a in range(1, math.isqrt(t // 27) + 1):  # 27a^2 <= 4 sqrt x
         b = np.arange(-math.isqrt(max(s - 9 * a * a, 0)),
                       (3 * a + math.isqrt(t - 27 * a * a)) // 2 + 1, dtype=np.int64)
@@ -124,10 +120,62 @@ def _cubic_counts(x):
         d = lo[i] + np.arange(len(i)) - (np.cumsum(k) - k)[i]
         q, r = b * c - 9 * a * d, c * c - 3 * b * d
         delta = (4 * p * r - q * q) // 3
-        deltas.append(delta[delta <= x])
+        deltas.append(delta[delta <= x].astype(np.int32))
+    return _tally(deltas, x, 1)
+
+
+def _neg_cubic_counts(x):
+    """N(n) for each 0 <= n <= x, as uint8 from one bincount: the reduced
+    binary cubic forms (a, b, c, d), a >= 1, of discriminant -n.
+
+    A form of discriminant < 0 is (X - t Y) phi, t its one real root and
+    phi = (A, B, C) = (a, at + b, at^2 + bt + c) positive definite; reduced
+    means 0 < B < A < C, one form of each GL2(Z) class. As
+    F(s, 1) = a (s - t) phi(s, 1) has the sign of s - t, the three are the
+    integer tests F(-b, a) < 0, F(a - b, a) > 0 and -ad F(-d, a) > 0 (d and t
+    differ in sign): bc - ad > 0, (a - b)^2 + c(a - b) + ad > 0 and
+    d^2 - bd + ac - a^2 > 0. None is an equality unless t is rational.
+    n = (4AC - B^2) phi(t, 1)^2 >= 27aC^3/16 bounds a and C, and
+    n >= 3 w^4, w = at + B/2, bounds b = 3B/2 - w and c = C + B(B/2 - w)/a.
+    d runs between the roots (9abc - 2b^3 -+ sqrt(4P^3 + 27a^2 x))/(27a^2),
+    P = b^2 - 3ac, of 27a^2 d^2 - (18abc - 4b^3) d + 4ac^3 - b^2 c^2 = n <= x,
+    and (bc - (a - b)^2 - ac)/a < d < bc/a. The radicand stays below 2^53,
+    where _isqrt_np is exact, up to x = 4·10^8 + 4 (2.2·10^15 there).
+
+    For a fundamental D < 0, N(-D) counts the (3^r3 - 1)/2 cubic fields of
+    discriminant D (Delone-Faddeev; Hasse): the one reducible class,
+    Z x O_K, has a rational root and so no reduced form.
+    """
+    r = math.isqrt(math.isqrt(16 * x // 3))  # floor(2 (x/3)^(1/4)), 2|w| < r + 1
+    deltas = [np.empty(0, np.int32)]
+    a = 1
+    while 27 * a**4 < 16 * x:
+        top = int((16 * x / (27 * a)) ** (1 / 3)) + 1  # C < top
+        b, c = (g.ravel() for g in np.meshgrid(
+            np.arange(-(r // 2), (3 * a + r) // 2 + 1, dtype=np.int64),
+            np.arange(a - r // 2, top + (a + r) // 2 + 1, dtype=np.int64)))
+        k, m = 9 * a * b * c - 2 * b**3, 27 * a * a
+        s = 4 * (b * b - 3 * a * c) ** 3 + m * x
+        on = s >= 0
+        b, c, k, s = b[on], c[on], k[on], _isqrt_np(s[on])
+        lo = np.maximum(-((s - k) // m), (b * c - (a - b) ** 2 - a * c) // a + 1)
+        width = np.maximum(np.minimum((k + s) // m, (b * c - 1) // a) - lo + 1, 0)
+        i = np.repeat(np.arange(len(width)), width)
+        b, c = b[i], c[i]
+        d = lo[i] + np.arange(len(i)) - (np.cumsum(width) - width)[i]
+        n = (m * d + 4 * b**3 - 18 * a * b * c) * d + (4 * a * c - b * b) * c * c
+        deltas.append(n[(n > 0) & (d * d - b * d + a * c > a * a)].astype(np.int32))
+        a += 1
+    return _tally(deltas, x, -1)
+
+
+def _tally(deltas, x, sign):
+    """N(n) for each 0 <= n <= x, as uint8, from one bincount of the int32
+    arrays deltas, the |discriminant| of each listed form of sign sign."""
     n = np.bincount(np.concatenate(deltas), minlength=x + 1)
     if n.max() > 255:
-        raise AssertionError(f"{n.max()} reduced cubic forms of D={n.argmax()} exceed uint8")
+        raise AssertionError(f"{n.max()} reduced cubic forms of D={sign * n.argmax()} "
+                             "exceed uint8")
     return n.astype(np.uint8)
 
 
@@ -305,14 +353,15 @@ def _checked_rows(d, h_plus, count, norm):
 
 
 # ----------------------------------------------------------------------
-# class data of D < 0 from one count of reduced forms
+# class data of D < 0 from counts of reduced forms
 # ----------------------------------------------------------------------
 
-# The widest gap between neighbouring |D| that one count of _neg_rows spans.
-# A count costs a round of numpy calls per a <= isqrt(max |D|/3), each over
-# every n = lo + g t of its span, so with g = 1 a gap of about 2^16 costs as
-# much as a count of its own: at |D| ~ 6.4·10^6, one D takes 0.1 s alone,
-# and [-6402243, -4, -3] took 18 s as one count.
+# The widest gap between neighbouring |D| that one count of h in _neg_rows
+# spans (its count of cubic forms covers [0, max |D|] whatever the gaps). A
+# count of h costs a round of numpy calls per a <= isqrt(max |D|/3), each
+# over every n = lo + g t of its span, so with g = 1 a gap of about 2^16
+# costs as much as a count of its own: at |D| ~ 6.4·10^6, one D takes 0.1 s
+# alone, and [-6402243, -4, -3] took 18 s as one count.
 _GAP = 1 << 16
 
 
@@ -321,32 +370,25 @@ def _neg_rows(ds):
     fundamental d < 0 of ds, in order, as one (len(ds), 5) int64 array: row i
     is (ds[i],) + _core_info(ds[i]).
 
-    The |D| are counted in runs, split where neighbouring |D| are more than
-    _GAP apart. The n = |D| of a run are lo + g t, with lo its least |D|, g
-    the gcd of their differences (any g >= 1 serves one D) and t >= 0.
-    _class_counts counts the reduced forms of every such n at once, and for a
-    fundamental D these are its h classes. Whatever h is, the 3-torsion count
-    of each D is 1 plus the forms that one pass over the norm equation
-    u^2 + |D| v^2 = 4a^3 of the run finds (_cube_roots), added by one
-    bincount: a reduced form (a, b, c), a > 1, has a class of order 3 exactly
-    when A = aZ + ((-b + sqrt D)/2)Z cubes to (alpha), alpha = (u + v sqrt D)/2.
-    That holds when alpha lies in A (v b = -u mod 2a), N(alpha) = a^3 = N(A)^3
-    and no split prime p of a divides alpha, for then (alpha) = A^3 prime by
-    prime: a split p with P^k || A has p^3k || N(alpha) and P-bar does not
-    divide alpha, and a ramified P || A has P^3 || (alpha). Conversely
-    (alpha) = A^3 has these properties. For D < -4 alpha is unique up to
-    sign, so v >= 1 fixes it and each class is found once.
+    The 3-torsion count of each D is 2 N(|D|) + 1, N the one count of
+    reduced binary cubic forms of discriminant -n over 0 <= n <= max |D|
+    (_neg_cubic_counts), made first, before any array of h. For h the |D| are
+    counted in runs, split where neighbouring |D| are more than _GAP apart.
+    The n = |D| of a run are lo + g t, with lo its least |D|, g the gcd of
+    their differences (any g >= 1 serves one D) and t >= 0. _class_counts
+    counts the reduced forms of every such n at once, and for a fundamental D
+    these are its h classes. No r3 is read off h, so the checks 3^r3 | h and
+    3 | h => r3 > 0 tie two counts.
     """
     n = -np.array(ds, np.int64)
-    h, count = np.empty_like(n), np.ones_like(n)
+    count = 2 * _neg_cubic_counts(int(n.max()))[n].astype(np.int64) + 1
+    h = np.empty_like(n)
     order = np.argsort(n)
     for run in np.split(order, np.flatnonzero(np.diff(n[order]) > _GAP) + 1):
         lo = int(n[run[0]])
         g = int(np.gcd.reduce(n[run] - lo)) or 1
         t = (n[run] - lo) // g
         h[run] = _class_counts(lo, g, int(t[-1]) + 1)[t]
-        hits = (np.searchsorted(t, (m - lo) // g) for m, _, _ in _cube_roots(t, lo, g))
-        count[run] += np.bincount(np.concatenate(list(hits)), minlength=len(t))
     d = np.negative(n, out=n)  # ds as an array, held once
     return _checked_rows(d, h, count, np.zeros(len(d), np.int64))
 
@@ -411,76 +453,6 @@ def _class_counts(lo, g, size):
     return count[:size]
 
 
-def _cube_roots(ts, lo, g):
-    """Blocks (n, a, b), at least one, of the reduced forms (a, b, c) with
-    a > 1 of discriminant -n whose ideal cubes to a principal one, for the
-    n = lo + g ts[i] (ts ascending, each the |D| of a fundamental D):
-    one form of each 3-torsion class but the principal one, each once
-    (_neg_rows). The solutions (v, a, u) of _norm_solutions over the span of
-    ts, u of either sign, give the forms (_cubed_forms). None has a = 1:
-    u^2 + n v^2 = 4 needs n <= 4, and D = -3 and -4, whose units are not
-    +-1 alone, have one class, that of a = 1, so they get none.
-
-    For n <= 4·10^8 + 4, a <= sqrt(n/3) < 11548, so 4a^3 < 6.2·10^12 < 2^53,
-    where _isqrt_np is exact, and every product of _cubed_forms stays below
-    2^40; the survey limit keeps n far smaller.
-    """
-    base, hi = lo + g * int(ts[0]), lo + g * int(ts[-1])
-    want = np.zeros(int(ts[-1] - ts[0]) + 1, bool)
-    want[ts - ts[0]] = True
-    top = math.isqrt(hi // 3)
-    v = 1
-    while 3 * v * v <= 4 * top:
-        for a, u, n in _norm_solutions(v, base, hi, top):
-            on = (n - base) % g == 0
-            a, u, n = a[on], u[on], n[on]
-            on = want[(n - base) // g]
-            yield _cubed_forms(v, a[on], u[on], n[on])
-        v += 1
-
-
-# The most u that _norm_solutions lists at once (a root's progression may add
-# more): its temporaries are a few int64 arrays of this length, and the heap
-# they leave resident stays small. At the D < 0 survey limit, blocks of 2^16
-# were no faster and left 4 MB more of freed heap resident.
-_BLOCK_NORMS = 1 << 14
-
-
-def _norm_solutions(v, lo, hi, top):
-    """Blocks (a, u, n) of every solution of u^2 + n v^2 = 4a^3 with u >= 0,
-    lo <= n <= hi, n >= 3a^2 and 3v^2 <= 4a, 2 <= a <= top.
-
-    A reduced form (a, b, c) of discriminant -n has n = 4ac - b^2 >= 3a^2,
-    whence 3v^2 <= 4a. For each a, u^2 runs from 4a^3 - hi v^2 to
-    4a^3 - max(lo, 3a^2) v^2, in the progressions of step v^2 of the roots r
-    of r^2 = 4a^3 (mod v^2), which one argsort of the squares mod v^2 lists.
-    The blocks hold about _BLOCK_NORMS u each.
-    """
-    q = v * v
-    a = np.arange(max(-(-3 * q // 4), 2), top + 1, dtype=np.int64)
-    cube = 4 * a**3
-    low, high = cube - hi * q, cube - np.maximum(lo, 3 * a * a) * q
-    on = high >= 0
-    a, cube, low, high = a[on], cube[on], low[on], high[on]
-    u0 = np.where(low > 0, _isqrt_np(np.maximum(low, 1) - 1) + 1, 0)  # ceil(sqrt(low))
-    u1 = _isqrt_np(high)
-    sq = np.arange(q, dtype=np.int64) ** 2 % q
-    roots = np.argsort(sq, kind="stable")
-    first = np.searchsorted(sq[roots], np.arange(q + 1))
-    res = cube % q
-    k = first[res + 1] - first[res]
-    i = np.repeat(np.arange(len(a)), k)  # the a of each root
-    r = roots[first[res][i] + np.arange(len(i)) - (np.cumsum(k) - k)[i]]
-    s = -(-(u0[i] - r) // q)  # u = r + q s from the least u >= u0 on
-    m = np.maximum((u1[i] - r) // q - s + 1, 0)
-    cuts = np.searchsorted(np.cumsum(m), np.arange(_BLOCK_NORMS, m.sum(), _BLOCK_NORMS))
-    for i, r, s, m in zip(*(np.split(x, cuts) for x in (i, r, s, m))):
-        j = np.repeat(np.arange(len(r)), m)  # the root of each u
-        u = r[j] + q * (s[j] + np.arange(len(j)) - (np.cumsum(m) - m)[j])
-        j = i[j]
-        yield a[j], u, (cube[j] - u * u) // q
-
-
 def _isqrt_np(x):
     """math.isqrt of every int64 x >= 0 below 2^53, from the float root,
     which is then off by at most one."""
@@ -488,52 +460,3 @@ def _isqrt_np(x):
     r -= r * r > x
     r += (r + 1) * (r + 1) <= x
     return r
-
-
-def _cubed_forms(v, a, u, n):
-    """(n, a, b) of each reduced form (a, b, c) of discriminant -n whose ideal
-    A = aZ + ((-b + sqrt(-n))/2)Z cubes to (alpha), alpha = (u + v sqrt(-n))/2,
-    for the (a, u, n) of _norm_solutions and -u: at most one form each.
-
-    Such a b is one in (-a, a] with v b = -u (mod 2a), which is alpha in A,
-    and b^2 = -n (mod 4a), with (a, b, c) reduced. As N(alpha) = a^3, then
-    (alpha) = A^3 exactly when no split prime of a divides alpha: no prime
-    of a outside n divides the content gcd((u + vn)/2, v) of alpha. A form of
-    a fundamental -n has each prime of n in a at most once, so that is: the
-    gcd k of a and the content divides n. The congruence fixes b modulo
-    2a/e, e = gcd(v, 2a), and each of its e lifts is tried.
-    """
-    pos = u > 0
-    a, n, u = (np.concatenate((x, y[pos])) for x, y in ((a, a), (n, n), (u, -u)))
-    e = np.gcd(v, 2 * a)
-    k = np.gcd(a, np.gcd((u + v * n) // 2, v))
-    on = (u % e == 0) & (n % k == 0)
-    a, n, u, e = a[on], n[on], u[on], e[on]
-    m = 2 * a // e
-    _, w = _xgcd_np(v // e, m)  # w v/e = 1 (mod m)
-    b = -(u // e) * w % m
-    i = np.repeat(np.arange(len(b)), e)
-    b = b[i] + m[i] * (np.arange(len(i)) - (np.cumsum(e) - e)[i])
-    a, n = a[i], n[i]
-    b = np.where(b > a, b - 2 * a, b)
-    c, rem = np.divmod(b * b + n, 4 * a)
-    on = (rem == 0) & ((a < c) | (a == c) & (b >= 0))
-    return n[on], a[on], b[on]
-
-
-def _xgcd_np(x, y):
-    """(g, u) with g = gcd(x, y) and u the coefficient of x of _xgcd(x, y),
-    so u*x = g (mod y), for int64 arrays x >= 0 and y > 0. Euclid's steps
-    are taken on the rows whose remainder is not yet 0 only."""
-    g, u = np.empty_like(x), np.empty_like(x)
-    i = np.arange(len(x))
-    r0, r1, s0, s1 = x, y, np.ones_like(x), np.zeros_like(x)
-    while len(i):
-        done = r1 == 0
-        g[i[done]], u[i[done]] = r0[done], s0[done]
-        go = ~done
-        i, r0, r1, s0, s1 = i[go], r0[go], r1[go], s0[go], s1[go]
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        s0, s1 = s1, s0 - q * s1
-    return g, u

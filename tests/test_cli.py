@@ -904,19 +904,19 @@ class TestInvariantExit:
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_imaginary_torsion_count_not_power_of_three_exits_5(self, capsys, monkeypatch,
                                                                 jobs):
-        # One form of order 3 too many at D = -299 (h = 8, r3 = 0) gives 1 + 1 = 2.
-        roots = batch._cube_roots
+        # Two cubic fields too many at D = -299 (h = 8, r3 = 0) give 2 * 2 + 1 = 5.
+        counts = batch._neg_cubic_counts
 
-        def extra(ts, lo, g):
-            yield from roots(ts, lo, g)
-            if 299 in lo + g * ts:
-                yield np.array([299]), np.array([3]), np.array([1])
+        def extra(x):
+            n = counts(x)
+            n[299] += 2
+            return n
 
-        monkeypatch.setattr(batch, "_cube_roots", extra)
+        monkeypatch.setattr(batch, "_neg_cubic_counts", extra)
         code, out, err = run_cli(capsys, "imaginary", "--m", "1", "--n", "4", "--x", "300",
                                  "--jobs", jobs)
         assert code == 5 and out == ""
-        assert err == "invariant violated: 3-torsion count 2 is not a power of 3 for D=-299\n"
+        assert err == "invariant violated: 3-torsion count 5 is not a power of 3 for D=-299\n"
 
     def test_real_r3_zero_with_3_dividing_h_exits_5(self, capsys, monkeypatch):
         # No cubic field at D = 229 gives r3 = 0, though cycles give h = 3.
@@ -933,16 +933,16 @@ class TestInvariantExit:
         assert err == "invariant violated: 3-torsion count 1 does not match h=3 for D=229\n"
 
     def test_imaginary_r3_zero_with_3_dividing_h_exits_5(self, capsys, monkeypatch):
-        # Without the forms (2, +-1, 3) of D = -23 the norm route gives r3 = 0,
-        # though the count of reduced forms gives h = 3.
-        roots = batch._cube_roots
+        # No cubic field at D = -23 gives r3 = 0, though the count of reduced
+        # forms gives h = 3.
+        counts = batch._neg_cubic_counts
 
-        def dropped(ts, lo, g):
-            for n, a, b in roots(ts, lo, g):
-                keep = n != 23
-                yield n[keep], a[keep], b[keep]
+        def dropped(x):
+            n = counts(x)
+            n[23] = 0
+            return n
 
-        monkeypatch.setattr(batch, "_cube_roots", dropped)
+        monkeypatch.setattr(batch, "_neg_cubic_counts", dropped)
         code, out, err = run_cli(capsys, "imaginary", "--m", "1", "--n", "4", "--x", "300")
         assert code == 5 and out == ""
         assert err == "invariant violated: 3-torsion count 1 does not match h=3 for D=-23\n"

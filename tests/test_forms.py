@@ -271,14 +271,11 @@ class TestDivisorTable:
 
     @pytest.mark.parametrize("cap", [1, 7, 100])
     def test_block_boundaries_do_not_change_rows(self, cap, monkeypatch):
-        # A cap below one D's rows makes every D > 0 its own block, and every
-        # root's progression of u in the norm equation of the D < 0 its own
-        # block.
+        # A cap below one D's rows makes every D > 0 its own block.
         ds = fundamental_range(-2000, 2000)
         table = table_for([d for d in ds if d > 0])
         whole = batch_rows(ds, table)
         monkeypatch.setattr(batch, "_BLOCK_ROWS", cap)
-        monkeypatch.setattr(batch, "_BLOCK_NORMS", cap)
         assert batch_rows(ds, table) == whole
 
     def test_window_is_closed_under_cofactor(self):
@@ -304,8 +301,8 @@ class TestDivisorTable:
         (229, [3, 3, -1, 1]), (-23, [3, 3, 0, 1]),  # 3 || h(+)
     ])
     def test_torsion_shortcut_boundary(self, d, row):
-        # The batch reads r3 off no h, whether 9 | h(+) or 3 || h(+): a D < 0
-        # solves the norm equation, and a D > 0 counts its cubic fields.
+        # The batch reads r3 off no h, whether 9 | h(+) or 3 || h(+): either
+        # sign counts its cubic fields.
         assert self._batch_matches_sieve([d]) == [[d, *row]]
 
     def test_r3_two_anchors(self):
@@ -341,9 +338,10 @@ class TestBatchAcrossSigns:
         return ds, real, [r3[s] for s in stars]
 
     def test_scholz_reflection(self, reflected):
-        # Scholz (1932): r3(D) <= r3(D*) <= r3(D) + 1. The two signs share no
-        # torsion code and neither reads h: D > 0 counts binary cubic forms,
-        # D < 0 solves the norm equation u^2 + |D| v^2 = 4a^3 for every D.
+        # Scholz (1932): r3(D) <= r3(D*) <= r3(D) + 1. Neither sign reads h.
+        # Both count binary cubic forms, but under different reductions, by
+        # the Hessian for D > 0 and by the factor of the real root for D < 0,
+        # and they share no loop or bound.
         ds, real, r3_star = reflected
         gaps = [s - row[4] for row, s in zip(real, r3_star)]
         assert [d for d, g in zip(ds, gaps) if g not in (0, 1)] == []
@@ -365,27 +363,29 @@ class TestBatchAcrossSigns:
 
 
 class TestCubicCount:
-    """batch._cubic_counts, the reduced binary cubic forms (a, b, c, d),
-    a >= 1, of every discriminant up to x, against enumerations that do not
-    share its bounds."""
+    """batch._cubic_counts and batch._neg_cubic_counts, the reduced binary
+    cubic forms (a, b, c, d), a >= 1, of every discriminant of one sign up to
+    x in absolute value, against enumerations that do not share their bounds."""
 
     def test_matches_brute_force_box(self):
-        # Every (a, b, c, d) of a box, reduced or not, at x = 3000. The
-        # reduced forms found lie well inside it, so a bound of the count cut
-        # past its exact value loses forms that the box keeps.
+        # Every (a, b, c, d) of a box, reduced or not, at x = 3000, for each
+        # sign. The reduced forms found lie within half the box, so a bound of
+        # the count cut past its exact value loses forms that the box keeps.
         x = 3000
-        a, b, c, d = np.ix_(np.arange(1, 7), *[np.arange(-24, 25)] * 3)
-        p, q, r = b * b - 3 * a * c, b * c - 9 * a * d, c * c - 3 * b * d
-        delta = (4 * p * r - q * q) // 3
-        on = (0 <= q) & (q <= p) & (p <= r) & (0 < delta) & (delta <= x)
-        found = np.argwhere(on)
-        assert found[:, 0].max() < 3 and (np.abs(found[:, 1:] - 24) <= 12).all()
-        want = np.bincount(delta[on], minlength=x + 1)
-        assert batch._cubic_counts(x).tolist() == want.tolist()
-        # The cuts that depend on x, R <= (3x + P^2)/(4P) and delta <= x,
-        # are exact where x is itself a discriminant.
-        for top in np.flatnonzero(want).tolist():
-            assert batch._cubic_counts(top).tolist() == want[: top + 1].tolist(), top
+        for sign in (1, -1):
+            delta, on = reduced_in_box(sign)
+            on &= delta <= x
+            found = np.argwhere(on)
+            centre = (np.array(on.shape[1:]) - 1) // 2
+            assert 2 * found[:, 0].max() < on.shape[0], sign
+            assert (2 * np.abs(found[:, 1:] - centre) <= centre).all(), sign
+            want = np.bincount(delta[on], minlength=x + 1)
+            assert cubic_count(sign, x).tolist() == want.tolist(), sign
+            # The cuts that depend on x (R <= (3x + P^2)/(4P) and delta <= x
+            # for D > 0, the roots in d of n <= x for D < 0) are exact where
+            # x is itself a |discriminant|.
+            for top in np.flatnonzero(want).tolist():
+                assert cubic_count(sign, top).tolist() == want[: top + 1].tolist(), (sign, top)
 
     def test_matches_enumeration_with_wide_a_and_b(self):
         # At x = 10^5 with twice the a and b the count's bounds allow, c and
@@ -394,6 +394,15 @@ class TestCubicCount:
         forms_ = cubic_forms(x, 12, 40)
         assert forms_[0].max() <= 6 and np.abs(forms_[1]).max() <= 20
         assert batch._cubic_counts(x).tolist() == np.bincount(forms_[4], minlength=x + 1).tolist()
+
+    def test_neg_matches_enumeration_with_wide_b_and_c(self):
+        # At x = 10^5 with twice the a, b and c the count's bounds allow: the
+        # enumeration runs over a <= 30 and b, c >= -28, and the forms it
+        # finds lie well inside.
+        x = 10**5
+        a, b, c, d, n = neg_cubic_forms(x)
+        assert a.max() <= 15 and min(b.min(), c.min()) >= -14 and max(b.max(), c.max()) <= 30
+        assert batch._neg_cubic_counts(x).tolist() == np.bincount(n, minlength=x + 1).tolist()
 
     def test_no_fundamental_form_on_the_hessian_boundary(self):
         # The count has no tie-break between the reduced forms of one class
@@ -405,14 +414,41 @@ class TestCubicCount:
         assert edge.any()
         assert [D for D in delta[edge].tolist() if arith.is_fundamental_discriminant(D)] == []
 
+    def test_no_fundamental_form_on_the_root_boundary(self):
+        # Nor has the count of D < 0 a tie-break for B = 0, B = A or A = C:
+        # the forms on that boundary have a rational root, and the only
+        # fundamental -20000 <= D < 0 with one are -3 and -4, whose count
+        # stays 0, as Z x O_K is their one class.
+        a, b, c, d, n = neg_cubic_forms(20000, strict=False)
+        edge = ((b * c == a * d) | ((a - b) ** 2 + c * (a - b) + a * d == 0)
+                | (d * d - b * d + a * c == a * a))
+        fundamental = {D for D in (-n[edge]).tolist() if arith.is_fundamental_discriminant(D)}
+        assert sorted(fundamental) == [-4, -3]
+        strict = np.bincount(neg_cubic_forms(20000)[4], minlength=20001)
+        assert np.bincount(n[~edge], minlength=20001).tolist() == strict.tolist()
+
     def test_anchors(self):
         # 2 N(D) + 1 = 3^r3: D = 5 and 8 have no cubic field, 229 and 892
-        # one, 32009 four. The form (2, 0, -5, -1) of D = 892 and (2, 0, -1, 0)
-        # of D = 8 have R < P, which the b = 0 rule cuts by c.
-        n = batch._cubic_counts(32009)
-        assert n.dtype == np.uint8
-        assert [int(n[d]) for d in (5, 8, 229, 892, 32009)] == [0, 0, 1, 1, 4]
-        assert [forms._core_info(d)[3] for d in (5, 8, 229, 892, 32009)] == [0, 0, 1, 1, 2]
+        # one, 32009 four; -3 and -4 none, -23 and -199 one, -3299 and -4027
+        # four. The form (2, 0, -5, -1) of D = 892 and (2, 0, -1, 0) of D = 8
+        # have R < P, which the b = 0 rule cuts by c.
+        for sign, ds, want in [(1, [5, 8, 229, 892, 32009], [0, 0, 1, 1, 4]),
+                               (-1, [-3, -4, -23, -199, -3299, -4027], [0, 0, 1, 1, 4, 4])]:
+            n = cubic_count(sign, max(map(abs, ds)))
+            assert n.dtype == np.uint8
+            assert [int(n[abs(d)]) for d in ds] == want
+            assert [3 ** forms._core_info(d)[3] for d in ds] == [2 * k + 1 for k in want]
+
+    def test_neg_count_matches_three_torsion_count(self):
+        # 2 N(-D) + 1 is forms' count of classes of order dividing 3 on every
+        # fundamental -10^5 < D < 0 with 3 | h, and N(-D) = 0 elsewhere.
+        ds = fundamental_range(-10**5 + 1, 0)
+        n = batch._neg_cubic_counts(10**5)
+        h = batch._neg_rows(ds)[:, 2].tolist()
+        three = [d for d, k in zip(ds, h) if k % 3 == 0]
+        assert len(three) == 11500
+        assert [2 * int(n[-d]) + 1 for d in three] == [forms.three_torsion_count(d) for d in three]
+        assert [d for d, k in zip(ds, h) if k % 3 and n[-d]] == []
 
 
 class TestPositiveBatchSteps:
@@ -518,51 +554,16 @@ class TestNegativeCount:
         rows = batch._neg_rows(ds).tolist()
         assert [row[2] for row in rows] == [forms.analytic_h_imaginary(d) for d in ds]
 
-    def test_counts_cube_roots_for_every_d(self, monkeypatch):
-        # The D < 0 route solves the norm equation for every |D|, whatever h
-        # is, D = -3 and -4 included.
-        solved, roots = [], batch._cube_roots
-
-        def recorded(ts, lo, g):
-            solved.extend((lo + g * ts).tolist())
-            return roots(ts, lo, g)
-
-        monkeypatch.setattr(batch, "_cube_roots", recorded)
-        ds = fundamental_range(-5000, 0)
-        batch._neg_rows(ds)
-        assert sorted(solved) == sorted(-d for d in ds)
-
-    def test_cube_root_anchors(self):
-        # 3^2 + 23 * 1^2 = 4 * 2^3 gives the classes (2, +-1, 3) of order 3,
-        # which the batch finds, though 3 || h(-23) = 3. The units of -3 and
-        # -4 solve 1^2 + 3 = 0^2 + 4 = 4 * 1^3, but a = 1 is the principal class.
-        assert cube_root_forms([-23]) == [(-23, 2, -1), (-23, 2, 1)]
-        assert cube_root_forms([-4, -3]) == []
-        for d, r3 in [(-199, 1), (-3299, 2), (-4027, 2)]:
-            found = cube_root_forms([d])
-            assert len(found) == 3**r3 - 1 and found == torsion_forms(d), d
-
-    def test_every_cube_root_found_once(self):
-        # One run over every fundamental -30000 < D < -4, those with 3 || h
-        # or 3 not dividing h included: the norm route finds each non-principal
-        # 3-torsion class once, by its reduced form, and nothing else.
-        ds = fundamental_range(-30000, -4)
-        found = cube_root_forms(ds)
-        assert len(set(found)) == len(found)
-        assert found == sorted(f for d in ds for f in torsion_forms(d))
-
 
 class TestBatchArithmetic:
-    # Fundamental D < 0 at |D| ~ 4·10^8, where the batch's int64 bound ends.
-    # The norm route, which the batch runs for every D < 0, must find the
-    # forms that squaring finds, with 3 || h (h(-399999999) = 15360) as with
-    # 9 | h (h(-400000004) = 16416).
+    # Fundamental D < 0 at |D| ~ 4·10^8, where the D > 0 batch's int64 bound
+    # ends: forms squares and reduces every class in Python ints and finds
+    # 3^r3 = 3, with 3 || h (h(-399999999) = 15360) as with 9 | h
+    # (h(-400000004) = 16416).
     @pytest.mark.parametrize("d", [-399999999, -400000004])
     def test_square_and_reduce_match_python(self, d):
         fs = forms._reduced_forms_neg(d)
-        found = cube_root_forms([d])
-        assert found == torsion_forms(d, fs)
-        assert 1 + len(found) == forms._three_torsion_neg(len(fs), fs) == 3
+        assert forms._three_torsion_neg(len(fs), fs) == 3
 
 
 def table_for(ds):
@@ -606,23 +607,55 @@ def cubic_forms(x, a_top, b_top):
     return np.array([a, b, c, d, delta])[:, on]
 
 
-def cube_root_forms(ds):
-    """(D, a, b) of every form that batch._cube_roots finds for the D < 0 of
-    ds, all counted as one run, sorted."""
-    ns = sorted(-d for d in ds)
-    ts = np.array(ns, np.int64) - ns[0]
-    return sorted((-n, a, b) for block in batch._cube_roots(ts, ns[0], 1)
-                  for n, a, b in zip(*(x.tolist() for x in block)))
+def cubic_count(sign, x):
+    """batch's count of reduced binary cubic forms of sign sign up to x."""
+    return (batch._cubic_counts if sign > 0 else batch._neg_cubic_counts)(x)
 
 
-def torsion_forms(d, fs=None):
-    """(d, a, b) of the reduced forms (a, b, c), a > 1, of d < 0 whose class
-    has order 3, by squaring in Python; none unless 3 | h (Lagrange)."""
-    fs = forms._reduced_forms_neg(d) if fs is None else fs
-    if len(fs) % 3:
-        return []
-    return sorted((d, a, b) for a, b, c in fs if a > 1 and
-                  forms._reduce_neg(*forms._square(a, b, c)) == forms._reduce_neg(a, -b, c))
+def reduced_in_box(sign):
+    """(|delta|, reduced) over every (a, b, c, d) of a box, the forms of sign
+    sign: a Hessian with 0 <= Q <= P <= R for delta > 0, and the three tests
+    of batch._neg_cubic_counts for delta < 0."""
+    if sign > 0:
+        a, b, c, d = np.ix_(np.arange(1, 7), *[np.arange(-24, 25)] * 3)
+        p, q, r = b * b - 3 * a * c, b * c - 9 * a * d, c * c - 3 * b * d
+        delta = (4 * p * r - q * q) // 3
+        return delta, (0 <= q) & (q <= p) & (p <= r) & (0 < delta)
+    a, b, c, d = np.ix_(np.arange(1, 13), *[np.arange(-24, 25)] * 2, np.arange(-36, 37))
+    n = 27 * a * a * d * d + 4 * a * c**3 + 4 * b**3 * d - b * b * c * c - 18 * a * b * c * d
+    return n, ((b * c > a * d) & ((a - b) ** 2 + c * (a - b) + a * d > 0)
+               & (d * d - b * d + a * c > a * a) & (n > 0))
+
+
+def neg_cubic_forms(x, strict=True):
+    """(a, b, c, d, n), int64 rows, of the reduced binary cubic forms of
+    discriminant -n, 0 < n <= x, with twice the a, b and c that
+    batch._neg_cubic_counts allows; with strict=False, with the forms on
+    the boundary of its three tests as well. d runs over the window of the
+    two tests that are linear in d, cut by n <= x through its float roots
+    in d, widened by one."""
+    rho, out = (x / 3) ** 0.25, []
+    for a in range(1, 2 * int((16 * x / 27) ** 0.25) + 1):
+        top = (16 * x / (27 * a)) ** (1 / 3)
+        b, c = (g.ravel() for g in np.meshgrid(
+            np.arange(math.floor(-2 * rho), math.ceil(3 * a + 2 * rho) + 1),
+            np.arange(math.floor(-2 * rho), math.ceil(2 * top + a + 2 * rho) + 1)))
+        low, high = b * c - (a - b) ** 2 - a * c, b * c  # low < a d < high
+        lo, hi = (low // a + 1, (high - 1) // a) if strict else (-(-low // a), high // a)
+        k, s = 9 * a * b * c - 2 * b**3, 4 * (b * b - 3 * a * c) ** 3 + 27 * a * a * x
+        root = np.sqrt(np.maximum(s, 0).astype(float))
+        lo = np.maximum(lo, np.floor((k - root) / (27 * a * a)).astype(np.int64) - 1)
+        hi = np.minimum(hi, np.ceil((k + root) / (27 * a * a)).astype(np.int64) + 1)
+        hi[s < 0] = lo[s < 0] - 1
+        w = np.maximum(hi - lo + 1, 0)
+        i = np.repeat(np.arange(len(w)), w)
+        b, c = b[i], c[i]
+        d = lo[i] + np.arange(len(i)) - (np.cumsum(w) - w)[i]
+        n = 27 * a * a * d * d + 4 * a * c**3 + 4 * b**3 * d - b * b * c * c - 18 * a * b * c * d
+        third = d * d - b * d + a * c - a * a
+        on = (0 < n) & (n <= x) & ((third > 0) if strict else (third >= 0))
+        out.append(np.array([np.full(on.sum(), a), b[on], c[on], d[on], n[on]]))
+    return np.concatenate(out, axis=1)
 
 
 def without_divisor(table, n, a):
